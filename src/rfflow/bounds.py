@@ -23,8 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .features import Dataset, FeatureSet, eval_target_many, feature_values
+from .features import Dataset, FeatureSet, feature_values
 from .flow import SpectralDecomposition
+
+
+class HypothesisError(ValueError):
+    """A hypothesis of the finer bound fails for this cell: the alignment
+    constant has C/sqrt(n) >= 1, or a top mode is zero."""
 
 
 def damping(lam: float, t: float, m: int, n: int) -> float:
@@ -121,7 +126,7 @@ def finer_bound(t: float, C: float, M_kernel: float, lamhat1: float,
     Requires the hypothesis C / sqrt(n) < 1.
     """
     if C / math.sqrt(n) >= 1.0:
-        raise ValueError("alignment hypothesis violated: C/sqrt(n) >= 1")
+        raise HypothesisError("alignment hypothesis violated: C/sqrt(n) >= 1")
     dt = capped_rate(t, scaled_values)
     decay = lamhat1 * lamhat1 * t
     stated = 3.0 * math.exp(-2.0 * decay) \
@@ -130,6 +135,11 @@ def finer_bound(t: float, C: float, M_kernel: float, lamhat1: float,
         + (2.0 * C + 1.0) * n ** -0.25 \
         + 2.0 * math.sqrt(C) * M_kernel * dt * n ** -0.25
     return stated, proof
+
+
+def sup_norm(*arrays: np.ndarray) -> float:
+    """Largest absolute entry over all arrays, without an abs() temporary."""
+    return max(max(float(a.max()), -float(a.min())) for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -175,12 +185,13 @@ class AssumptionReport:
 
 
 def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
-                        target, mc_points: Dataset, delta: float = 0.1) -> AssumptionReport:
+                        mc_points: Dataset, delta: float = 0.1) -> AssumptionReport:
     """Monte-Carlo measurement of the spectral alignment constants.
 
     The alignment functions are g_i(x) = (sqrt(n)/s_i) v_i . phi(x; B); the
     report aggregates by maximum: | ||y||^2/n - 1 |, | u_1.y/sqrt(n) - 1 |,
-    ||g_1 - psi_1||, and the worst pairwise deviation of <g_i, g_j> from
+    ||g_1 - psi_1|| with psi_1 = ``mc_points.targets``, and the worst
+    pairwise deviation of <g_i, g_j> from
     delta_ij over 2 <= i, j <= floor(sqrt(n)).  SVD pair signs are aligned
     so that u_i.y >= 0 (a sign flip applied jointly to u_i and v_i leaves
     the decomposition valid and makes the discrepancies well defined).
@@ -189,8 +200,9 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
         raise ValueError("mc_points must be nonempty")
     n = dec.n_rows
     k = int(math.isqrt(n))
-    if not np.all(dec.positive[: k + 1]):
-        raise ValueError("zero singular value among the top floor(sqrt(n))+1 modes")
+    # with fewer than k modes (m < k) the missing ones are zero modes
+    if dec.singular_values.size < k or not np.all(dec.positive[: k + 1]):
+        raise HypothesisError("zero singular value among the top floor(sqrt(n))+1 modes")
 
     uy = dec.left_vectors.T @ y
     signs = np.where(uy >= 0.0, 1.0, -1.0)
@@ -198,7 +210,7 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
 
     phi_mc = feature_values(feats, mc_points.points)      # (N, m)
     g_vals = (phi_mc @ dec.right_vectors[:, :k]) * (signs[:k] * np.sqrt(n) / dec.singular_values[:k])
-    psi1 = eval_target_many(target, mc_points.points)
+    psi1 = mc_points.targets
 
     d1 = abs(float(y @ y) / n - 1.0)
     d2 = abs(float(uy[0]) / math.sqrt(n) - 1.0)
@@ -215,8 +227,8 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
     idx = np.arange(1, min(k + 1, lh.size) + 1)
     c_prime = float(np.max(lh[: idx.size] * np.sqrt(idx)))
 
-    m_kernel = float(np.sqrt(np.mean((phi_mc ** 2).sum(axis=1)) / n))
-    m_bound = max(float(np.max(np.abs(phi_mc))), float(np.max(np.abs(psi1))))
+    m_kernel = float(np.sqrt(np.einsum("ij,ij->", phi_mc, phi_mc) / mc_points.count / n))
+    m_bound = sup_norm(phi_mc, psi1)
 
     from .flow import spectral_energy_profile
 

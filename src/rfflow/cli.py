@@ -72,8 +72,10 @@ def cmd_run(args) -> int:
     best = min((s for s in record.snapshots if math.isfinite(s.time)),
                key=lambda s: s.test_error)
     print(f"wrote {csv_path}")
-    print(f"min test error {best.test_error:.6g} at t={best.time:.6g}; "
-          f"min-norm test error {record.snapshots[-1].test_error:.6g}")
+    line = f"min test error {best.test_error:.6g} at t={best.time:.6g}"
+    if math.isinf(record.snapshots[-1].time):
+        line += f"; min-norm test error {record.snapshots[-1].test_error:.6g}"
+    print(line)
     return 0
 
 

@@ -6,6 +6,9 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
+# fields that only control how a run executes, never what it computes
+EXECUTION_FIELDS = ("out_dir", "workers")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -55,14 +58,15 @@ class ExperimentConfig:
             grid.append(math.inf)
         return grid
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
+    def to_text(self, skip=()) -> str:
+        lines = [f"{f.name} = {getattr(self, f.name)}"
+                 for f in fields(self) if f.name not in skip]
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+        """Hash of the fields that determine results; execution fields are left out."""
+        text = self.to_text(skip=EXECUTION_FIELDS)
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 FEATURE_KINDS = ("relu", "indicator", "affine-relu")
-TARGET_KINDS = ("constant-harmonic", "legendre", "external-labels")
+TARGET_KINDS = ("constant-harmonic", "legendre")
 
 _UNIT_TOL = 1e-12
 
@@ -120,12 +120,13 @@ def feature_values(feats: FeatureSet, points: np.ndarray) -> np.ndarray:
     if points.shape[1] != feats.input_dim:
         raise ValueError("point dimension does not match feature directions")
     if feats.kind == "affine-relu":
-        pre = points @ feats.directions[:, :-1].T + feats.directions[:, -1]
-        return np.maximum(pre, 0.0)
-    pre = points @ feats.directions.T
-    if feats.kind == "relu":
-        return np.maximum(pre, 0.0)
-    return (pre > 0.0).astype(float)  # indicator: strict inequality at the boundary
+        pre = points @ feats.directions[:, :-1].T
+        pre += feats.directions[:, -1]
+    else:
+        pre = points @ feats.directions.T
+    if feats.kind == "indicator":
+        return (pre > 0.0).astype(float)  # strict inequality at the boundary
+    return np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre is a fresh array
 
 
 def build_feature_matrix(data: Dataset, feats: FeatureSet) -> FeatureMatrix:
@@ -134,14 +135,16 @@ def build_feature_matrix(data: Dataset, feats: FeatureSet) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target function: a constant harmonic, a zonal harmonic, or a label table."""
+    """Target function on the sphere: a constant or a zonal harmonic.
+
+    Data with given labels (MNIST) needs no target function: its labels are
+    the ``targets`` of its ``Dataset``.
+    """
 
     kind: str = "constant-harmonic"
     order: int = 0
     axis: Optional[np.ndarray] = None
     normalization: float = 1.0
-    table_points: Optional[np.ndarray] = None
-    table_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in TARGET_KINDS:
@@ -153,10 +156,6 @@ class TargetSpec:
                 raise ValueError("legendre targets need an axis")
             if abs(np.linalg.norm(self.axis) - 1.0) > _UNIT_TOL:
                 raise ValueError("legendre axis must be a unit vector")
-        if self.kind == "external-labels" and (
-            self.table_points is None or self.table_values is None
-        ):
-            raise ValueError("external-labels targets need a lookup table")
 
 
 def legendre_target(dim: int, order: int, axis: np.ndarray) -> TargetSpec:
@@ -181,23 +180,13 @@ def eval_target_many(spec: TargetSpec, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if spec.kind == "constant-harmonic":
         return np.full(points.shape[0], spec.normalization)
-    if spec.kind == "legendre":
-        from . import kernel_analytic
+    from . import kernel_analytic
 
-        poly = kernel_analytic.OrthogonalPolynomial(
-            family="legendre", dim=points.shape[1], order=spec.order
-        )
-        cosines = points @ spec.axis
-        return spec.normalization * np.asarray(kernel_analytic.poly_eval(poly, cosines))
-    # external-labels: exact lookup by point identity
-    index = {p.tobytes(): v for p, v in zip(spec.table_points, spec.table_values)}
-    out = np.empty(points.shape[0])
-    for i, row in enumerate(points):
-        key = row.tobytes()
-        if key not in index:
-            raise KeyError("point not present in the external label table")
-        out[i] = index[key]
-    return out
+    poly = kernel_analytic.OrthogonalPolynomial(
+        family="legendre", dim=points.shape[1], order=spec.order
+    )
+    cosines = points @ spec.axis
+    return spec.normalization * np.asarray(kernel_analytic.poly_eval(poly, cosines))
 
 
 def sample_dataset(rng_seed, n: int, dim: int, target: TargetSpec) -> Dataset:

@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - depends on build environment
 
     EULER_BACKEND = "python"
 
-from .features import Dataset, FeatureSet, FeatureMatrix, eval_target_many, feature_values
+from .features import Dataset, FeatureSet, FeatureMatrix, feature_values
 
 # singular values below this fraction of the largest are treated as zero
 RANK_THRESHOLD = 1e-12
@@ -81,24 +81,32 @@ def decompose(phi) -> SpectralDecomposition:
     )
 
 
+def _exponents(s: np.ndarray, times: np.ndarray, n: int, m: int) -> np.ndarray:
+    """s_i^2 t_j/(mn) as an (r, T) array; inf at t = inf (zero modes excluded)."""
+    return np.multiply.outer(s * s, times / (m * n))
+
+
 def _damping(singular_values: np.ndarray, t, n: int, m: int) -> np.ndarray:
-    """Per-mode factor (1 - exp(-s^2 t/(mn)))/s; caller excludes zero modes."""
+    """Per-mode factor (1 - exp(-s^2 t/(mn)))/s; caller excludes zero modes.
+
+    A scalar ``t`` gives an (r,) array, an array of T times an (r, T) one.
+    At t = inf the factor is exactly 1/s, since expm1(-inf) = -1.
+    """
     s = singular_values
-    if np.isinf(t):
-        return 1.0 / s
-    return -np.expm1(-(s * s) * (t / (m * n))) / s
+    t = np.asarray(t, dtype=float)
+    return -np.expm1(-_exponents(s, t, n, m)) / (s if t.ndim == 0 else s[:, None])
 
 
-def _check_time(t) -> float:
-    t = float(t)
-    if np.isnan(t) or t < 0.0:
+def _check_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if np.any(np.isnan(times) | (times < 0.0)):
         raise ValueError("flow time must be >= 0 (or inf for the minimum-norm limit)")
-    return t
+    return times
 
 
 def coefficients_at(dec: SpectralDecomposition, y: np.ndarray, t) -> np.ndarray:
     """Flow solution a(t); ``t = inf`` returns the minimum-norm solution."""
-    t = _check_time(t)
+    t = _check_times(t)
     pos = dec.positive
     uy = dec.left_vectors[:, pos].T @ y
     damp = _damping(dec.singular_values[pos], t, dec.n_rows, dec.n_cols)
@@ -107,11 +115,11 @@ def coefficients_at(dec: SpectralDecomposition, y: np.ndarray, t) -> np.ndarray:
 
 def coefficient_grid(dec: SpectralDecomposition, y: np.ndarray, times) -> np.ndarray:
     """a(t) for every grid time at once, as an (m, T) matrix."""
-    times = np.asarray([_check_time(t) for t in np.atleast_1d(times)])
+    times = _check_times(np.atleast_1d(times))
     pos = dec.positive
     s = dec.singular_values[pos]
     uy = dec.left_vectors[:, pos].T @ y
-    cols = np.stack([_damping(s, t, dec.n_rows, dec.n_cols) for t in times], axis=1)
+    cols = _damping(s, times, dec.n_rows, dec.n_cols)
     return dec.right_vectors[:, pos] @ (cols * uy[:, None])
 
 
@@ -137,18 +145,17 @@ class TrajectorySnapshot:
 
 
 def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
-                   target, test_points: Dataset, times,
+                   test_points: Dataset, times,
                    keep_coefficients: bool = False) -> list[TrajectorySnapshot]:
     """Trajectory snapshots over an ascending grid (inf allowed as last entry).
 
     Training error is evaluated in the spectral basis, test error by
-    root-mean-square over the supplied test points.
+    root-mean-square against ``test_points.targets``.
     """
-    times = list(times)
-    if any(np.isinf(t) for t in times[:-1]):
+    grid = _check_times(list(times))
+    if np.any(np.isinf(grid[:-1])):
         raise ValueError("inf is only allowed as the last grid point")
-    finite = [t for t in times if not np.isinf(t)]
-    if any(b < a for a, b in zip(finite, finite[1:])):
+    if np.any(np.diff(grid[np.isfinite(grid)]) < 0.0):
         raise ValueError("times must be ascending")
     if test_points.count == 0:
         raise ValueError("empty test set")
@@ -161,30 +168,25 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     perp = float(y @ y - uy @ uy)
 
     phi_test = feature_values(feats, test_points.points)
-    f_star = eval_target_many(target, test_points.points)
 
-    damp = np.stack([_damping(s, _check_time(t), n, m) for t in times], axis=1)
-    coeff_basis = damp * uy[:, None]                      # (r+, T)
+    coeff_basis = _damping(s, grid, n, m) * uy[:, None]   # (r+, T)
     preds = phi_test @ (dec.right_vectors[:, pos] @ coeff_basis)
 
-    # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2
-    expo = np.stack([
-        np.zeros_like(s) if np.isinf(t) else np.exp(-(s * s) * (float(t) / (m * n)))
-        for t in times
-    ], axis=1)
+    # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2, zero at t = inf
+    expo = np.exp(-_exponents(s, grid, n, m))
     train = ((expo ** 2 * uy[:, None] ** 2).sum(axis=0) + perp) / (2 * n)
 
     param = np.sqrt((coeff_basis ** 2).sum(axis=0))
-    test_err = np.sqrt(np.mean((preds - f_star[:, None]) ** 2, axis=0))
+    test_err = np.sqrt(np.mean((preds - test_points.targets[:, None]) ** 2, axis=0))
     pred_norm = np.sqrt(np.mean(preds ** 2, axis=0))
 
     out = []
-    for j, t in enumerate(times):
+    for j, t in enumerate(grid.tolist()):
         coeffs = None
         if keep_coefficients:
             coeffs = dec.right_vectors[:, pos] @ coeff_basis[:, j]
         out.append(TrajectorySnapshot(
-            time=float(t),
+            time=t,
             train_error=float(train[j]),
             test_error=float(test_err[j]),
             param_norm=float(param[j]),
@@ -202,7 +204,7 @@ def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
     """
     mat = _matrix(phi)
     n, m = mat.shape
-    t = _check_time(t)
+    t = float(_check_times(t))
     if np.isinf(t):
         raise ValueError("the Euler oracle needs a finite horizon")
     if step <= 0:

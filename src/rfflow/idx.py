@@ -66,22 +66,24 @@ def load_idx(images_path, labels_path, classes=None, subsample: int | None = Non
 
     Pixel values are scaled to [0, 1] by /255; vectors are left raw (not
     re-normalized).  ``classes`` filters by label, ``subsample`` draws that
-    many rows without replacement using the seed.
+    many rows without replacement using the seed.  Rows are selected on the
+    raw bytes, so only the kept ones are converted to float.
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image/label count mismatch")
-    points = images.reshape(images.shape[0], -1).astype(float) / 255.0
-    values = labels.astype(float)
+    pixels = images.reshape(images.shape[0], -1)
     if classes is not None:
         keep = np.isin(labels, list(classes))
-        points, values = points[keep], values[keep]
+        pixels, labels = pixels[keep], labels[keep]
     if subsample is not None:
-        if subsample > points.shape[0]:
+        if subsample > labels.shape[0]:
             raise ValueError("subsample larger than the available rows")
         idx = np.sort(np.random.default_rng(seed).choice(
-            points.shape[0], size=subsample, replace=False))
-        points, values = points[idx], values[idx]
-    return Dataset(points=points, targets=values, dim=points.shape[1],
+            labels.shape[0], size=subsample, replace=False))
+        pixels, labels = pixels[idx], labels[idx]
+    points = pixels.astype(float)
+    points /= 255.0
+    return Dataset(points=points, targets=labels.astype(float), dim=points.shape[1],
                    distribution_tag="external")

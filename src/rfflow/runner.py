@@ -17,7 +17,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import features as feat_mod
 from . import flow as flow_mod
-from . import random_matrix as rm_mod
 from .config import ExperimentConfig
 
 # rng stream tags: data, features, test points, measurement points
@@ -98,14 +97,6 @@ class RunRecord:
     budget_errors: dict              # T -> (flow time, test error)
 
 
-def _external_target(test: feat_mod.Dataset) -> feat_mod.TargetSpec:
-    return feat_mod.TargetSpec(
-        kind="external-labels",
-        table_points=test.points,
-        table_values=test.targets,
-    )
-
-
 def run_experiment(cfg: ExperimentConfig,
                    iteration_budgets: Sequence[float] = (),
                    train: Optional[feat_mod.Dataset] = None,
@@ -123,7 +114,6 @@ def run_experiment(cfg: ExperimentConfig,
         d = train.points.shape[1]
         feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], d, m,
                                          cfg.feature_kind)
-        target = _external_target(test)
     else:
         d = cfg.d
         target = target_spec_for(cfg)
@@ -139,7 +129,9 @@ def run_experiment(cfg: ExperimentConfig,
     y = train.targets
 
     times = cfg.time_grid()
-    snapshots = flow_mod.errors_on_grid(dec, y, feats, target, test, times)
+    snapshots = flow_mod.errors_on_grid(dec, y, feats, test, times)
+    finite_best = min((s for s in snapshots if math.isfinite(s.time)),
+                      key=lambda s: s.test_error)
 
     # learning-rate metadata and the discrete-iteration correspondence
     top_gram = float(dec.singular_values[0] ** 2 / (n * m))
@@ -149,18 +141,15 @@ def run_experiment(cfg: ExperimentConfig,
     budget_errors = {}
     if iteration_budgets:
         budget_times = sorted(t_per_iter * float(T) for T in iteration_budgets)
-        snaps = flow_mod.errors_on_grid(dec, y, feats, target, test, budget_times)
+        snaps = flow_mod.errors_on_grid(dec, y, feats, test, budget_times)
         for T, snap in zip(sorted(float(T) for T in iteration_budgets), snaps):
             budget_errors[T] = (snap.time, snap.test_error)
 
     # bound constants
     if external:
         f_norm = float(np.sqrt(np.mean(test.targets ** 2)))
-        feat_sq = float(np.mean(phi.values ** 2))
-        m_sup = max(
-            float(np.max(np.abs(phi.values))),
-            float(np.max(np.abs(test.targets))),
-        )
+        feat_sq = float(np.einsum("ij,ij->", phi.values, phi.values) / phi.values.size)
+        m_sup = bounds_mod.sup_norm(phi.values, test.targets)
     else:
         f_norm = target_norm(cfg)
         feat_sq = feature_norm_sq(d, cfg.feature_kind)
@@ -174,18 +163,16 @@ def run_experiment(cfg: ExperimentConfig,
     ])
 
     assumption = None
+    hypothesis_ok = False
     bound_finer = np.full(len(times), np.nan)
     bound_finer_proof = np.full(len(times), np.nan)
+    if external:
+        mc_points = test
+    else:
+        mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
+                                            cfg.assumption_points, d, target)
     try:
-        if external:
-            mc_points = test
-        else:
-            mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
-                                                cfg.assumption_points, d, target)
-        assumption = bounds_mod.measure_assumptions(dec, y, feats, target,
-                                                    mc_points, cfg.delta)
-        finite_best = min(snapshots[:-1] if math.isinf(times[-1]) else snapshots,
-                          key=lambda s: s.test_error)
+        assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points, cfg.delta)
         assumption = replace(assumption,
                              epsilon_t0=(finite_best.test_error, finite_best.time))
         lh = dec.scaled_values
@@ -195,12 +182,14 @@ def run_experiment(cfg: ExperimentConfig,
                 float(lh[0]), lh, n)
             bound_finer[j] = stated
             bound_finer_proof[j] = proof
-    except ValueError:
-        pass  # hypothesis failed or degenerate modes: bounds stay nan, flagged below
+        hypothesis_ok = True
+    except bounds_mod.HypothesisError:
+        pass  # bounds stay nan, flagged by finer_bound_hypothesis_ok below
 
     summary = {
         "top_gram_eigenvalue": top_gram,
-        "smallest_gram_eigenvalue": rm_mod.smallest_gram_eigenvalue(phi, n, m),
+        # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
+        "smallest_gram_eigenvalue": float(dec.singular_values[-1] ** 2 / (n * m)),
         "min_norm_test_error": snapshots[-1].test_error if math.isinf(times[-1]) else None,
         "concentration_index": assumption.concentration_index if assumption else None,
     }
@@ -215,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig,
         "f_norm": f_norm,
         "feature_norm_sq": feat_sq,
         "sup_bound": m_sup,
-        "finer_bound_hypothesis_ok": assumption is not None,
+        "finer_bound_hypothesis_ok": hypothesis_ok,
     }
     return RunRecord(
         config=cfg,

@@ -192,9 +192,8 @@ def test_measure_assumptions_exact_alignment_case():
     probe = features.sample_dataset([2, 9], 400, 4, target)
     phi_probe = features.feature_values(feats, probe.points)
     g1 = phi_probe @ dec.right_vectors[:, 0] * (np.sqrt(n) / dec.singular_values[0])
-    ext = features.TargetSpec(kind="external-labels", table_points=probe.points,
-                              table_values=g1)
-    rep = bounds.measure_assumptions(dec, y, feats, ext, probe)
+    aligned = features.Dataset(probe.points, targets=g1, dim=4)
+    rep = bounds.measure_assumptions(dec, y, feats, aligned)
     d1, d2, d3, _ = rep.discrepancies
     assert d1 == pytest.approx(0.0, abs=1e-10)
     assert d2 == pytest.approx(0.0, abs=1e-10)
@@ -204,7 +203,7 @@ def test_measure_assumptions_exact_alignment_case():
 def test_measure_assumptions_reports_constants():
     dec, data, feats, target = _instance(3, 100, 100, d=6)
     probe = features.sample_dataset([3, 9], 1000, 6, target)
-    rep = bounds.measure_assumptions(dec, data.targets, feats, target, probe)
+    rep = bounds.measure_assumptions(dec, data.targets, feats, probe)
     assert np.isfinite(rep.c_measured) and rep.c_measured >= 0
     assert rep.c_prime > 0
     assert rep.m_kernel > 0
@@ -224,7 +223,7 @@ def test_measure_assumptions_alignment_holds_on_most_seeds():
     for seed in range(10):
         dec, data, feats, target = _instance(seed, n, m, d=10)
         probe = features.sample_dataset([seed, 9], 2000, 10, target)
-        rep = bounds.measure_assumptions(dec, data.targets, feats, target, probe)
+        rep = bounds.measure_assumptions(dec, data.targets, feats, probe)
         assert np.isfinite(rep.c_measured)
         if rep.c_measured / math.sqrt(n) < 1.0:
             hits += 1
@@ -235,7 +234,7 @@ def test_measure_assumptions_validation():
     dec, data, feats, target = _instance(4, 16, 16, d=4)
     empty = features.Dataset(points=np.empty((0, 4)), targets=np.empty(0), dim=4)
     with pytest.raises(ValueError):
-        bounds.measure_assumptions(dec, data.targets, feats, target, empty)
+        bounds.measure_assumptions(dec, data.targets, feats, empty)
 
 
 def test_regime_window_from_measured_constants():
@@ -244,7 +243,7 @@ def test_regime_window_from_measured_constants():
     # opens only for much larger sample counts
     dec, data, feats, target = _instance(0, 500, 500, d=10)
     probe = features.sample_dataset([0, 9], 2000, 10, target)
-    rep = bounds.measure_assumptions(dec, data.targets, feats, target, probe)
+    rep = bounds.measure_assumptions(dec, data.targets, feats, probe)
     win = bounds.regime_window(rep.c_measured, rep.c_prime, rep.m_kernel,
                                float(dec.scaled_values[0]), 500)
     assert win.t_high < win.t_low

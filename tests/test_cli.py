@@ -27,6 +27,14 @@ def test_run_verb(tmp_path, capsys):
     assert header == "time,train_error,test_error,param_norm,bound_rough,bound_finer"
 
 
+def test_run_verb_reports_min_norm_only_with_inf_snapshot(tmp_path, capsys):
+    assert main(["run", *_overrides(tmp_path, ["--set", "include_min_norm=false"])]) == 0
+    out = capsys.readouterr().out
+    assert "min test error" in out and "min-norm" not in out
+    assert main(["run", *_overrides(tmp_path)]) == 0
+    assert "min-norm test error" in capsys.readouterr().out
+
+
 def test_run_verb_with_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n = 16\nm = 12\nd = 3\nt_log_start = -1\nt_log_stop = 1\n"

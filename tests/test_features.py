@@ -146,12 +146,14 @@ def test_legendre_targets_orthogonal_mc(orders):
 
 
 def test_external_target_lookup_and_missing():
+    # labelled data carries its labels row by row in Dataset.targets; there is
+    # no target kind that looks them up by point identity any more
     pts = features.sample_sphere(4, 3, 5)
-    spec = features.TargetSpec(kind="external-labels", table_points=pts,
-                               table_values=np.arange(5.0))
-    assert features.eval_target(spec, pts[2]) == 2.0
-    with pytest.raises(KeyError):
-        features.eval_target(spec, -pts[2])
+    data = features.Dataset(points=2 * pts, targets=np.arange(5.0), dim=3,
+                            distribution_tag="external")
+    assert data.targets[2] == 2.0
+    with pytest.raises(ValueError, match="unknown target kind"):
+        features.TargetSpec(kind="external-labels")
 
 
 def test_dataset_validation():

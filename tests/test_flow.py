@@ -153,7 +153,7 @@ def _snapshots(seed, n, m, times, d=5):
     dec = flow.decompose(phi)
     target = features.TargetSpec(kind="constant-harmonic")
     test = features.sample_dataset([seed, 9], 200, d, target)
-    return flow.errors_on_grid(dec, y, feats, target, test, times), y, dec
+    return flow.errors_on_grid(dec, y, feats, test, times), y, dec
 
 
 def test_errors_on_grid_time_zero():
@@ -189,12 +189,28 @@ def test_errors_on_grid_validation():
     target = features.TargetSpec(kind="constant-harmonic")
     test = features.sample_dataset(1, 50, 5, target)
     with pytest.raises(ValueError):
-        flow.errors_on_grid(dec, y, feats, target, test, [1.0, 0.5])
+        flow.errors_on_grid(dec, y, feats, test, [1.0, 0.5])
     with pytest.raises(ValueError):
-        flow.errors_on_grid(dec, y, feats, target, test, [np.inf, 1.0])
+        flow.errors_on_grid(dec, y, feats, test, [np.inf, 1.0])
     empty = features.Dataset(points=np.empty((0, 5)), targets=np.empty(0), dim=5)
     with pytest.raises(ValueError):
-        flow.errors_on_grid(dec, y, feats, target, empty, [1.0])
+        flow.errors_on_grid(dec, y, feats, empty, [1.0])
+
+
+def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
+    # raw (non-sphere) points with arbitrary labels, as an IDX dataset has
+    phi, y, feats, _ = _random_instance(17, 8, 6)
+    dec = flow.decompose(phi)
+    rng = np.random.default_rng(5)
+    test = features.Dataset(points=3.0 * rng.random((30, 5)),
+                            targets=rng.standard_normal(30), dim=5,
+                            distribution_tag="external")
+    times = [0.0, 1.0, 100.0, np.inf]
+    snaps = flow.errors_on_grid(dec, y, feats, test, times)
+    phi_test = features.feature_values(feats, test.points)
+    for snap, t in zip(snaps, times):
+        resid = phi_test @ flow.coefficients_at(dec, y, t) - test.targets
+        assert snap.test_error == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=1e-10)
 
 
 def test_energy_profile_single_mode():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rfflow import idx
 
@@ -75,3 +77,40 @@ def test_load_scales_filters_and_subsamples(tmp_path):
 
     with pytest.raises(ValueError, match="subsample"):
         idx.load_idx(img_path, lab_path, classes=(2,), subsample=10)
+
+
+def _convert_then_filter(images, labels, classes, subsample, seed):
+    """The loader's former order: every image to float, then row selection."""
+    points = images.reshape(images.shape[0], -1).astype(float) / 255.0
+    values = labels.astype(float)
+    if classes is not None:
+        keep = np.isin(labels, list(classes))
+        points, values = points[keep], values[keep]
+    if subsample is not None:
+        rows = np.sort(np.random.default_rng(seed).choice(
+            points.shape[0], size=subsample, replace=False))
+        points, values = points[rows], values[rows]
+    return points, values
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_idx_matches_convert_then_filter(tmp_path, data):
+    count = data.draw(st.integers(1, 40), label="count")
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="shape")
+    labels = np.array(data.draw(st.lists(st.integers(0, 9), min_size=count,
+                                         max_size=count), label="labels"), dtype=np.uint8)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="pixels"))
+    images = rng.integers(0, 256, size=(count, *shape), dtype=np.uint8)
+    classes = data.draw(st.none() | st.sets(st.integers(0, 9), min_size=1), label="classes")
+    available = count if classes is None else int(np.isin(labels, list(classes)).sum())
+    subsample = data.draw(st.none() | st.integers(0, available), label="subsample")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    img_path, lab_path = _write_pair(tmp_path, images, labels)
+
+    got = idx.load_idx(img_path, lab_path, classes=classes, subsample=subsample, seed=seed)
+    points, values = _convert_then_filter(images, labels, classes, subsample, seed)
+    assert got.points.shape == points.shape
+    assert got.points.tobytes() == points.tobytes()
+    assert got.targets.tobytes() == values.tobytes()

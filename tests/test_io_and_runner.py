@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfflow import features, flow, runner, svgplot
+import rfflow
+from rfflow import bounds, features, flow, random_matrix, runner, svgplot
 from rfflow.config import ExperimentConfig, apply_overrides, load_config, parse_config_text
 
 
@@ -24,6 +29,16 @@ def test_config_text_round_trip():
     again = parse_config_text(cfg.to_text())
     assert again == cfg
     assert again.digest() == cfg.digest()
+
+
+def test_config_digest_ignores_execution_fields():
+    cfg = _tiny_config()
+    assert replace(cfg, workers=4).digest() == cfg.digest()
+    assert replace(cfg, out_dir="elsewhere").digest() == cfg.digest()
+    assert replace(cfg, seed=1).digest() != cfg.digest()
+    # the text form keeps every field, so round trips stay lossless
+    moved = replace(cfg, workers=4, out_dir="elsewhere")
+    assert parse_config_text(moved.to_text()) == moved
 
 
 def test_config_overrides_and_types():
@@ -106,6 +121,75 @@ def test_run_record_contents():
     assert set(rec.budget_errors) == {10.0, 100.0}
     t_flow, _ = rec.budget_errors[100.0]
     assert t_flow == pytest.approx(100.0 * rec.metadata["flow_time_per_iteration"])
+
+
+@pytest.mark.parametrize("m", [12, 30, 75])
+def test_smallest_gram_eigenvalue_read_from_the_svd(m):
+    # m < n, m = n and m > n: s_min^2/(nm) against eigvalsh of the Gram companion
+    cfg = _tiny_config(n=30, m=str(m))
+    rec = runner.run_experiment(cfg)
+    data = features.sample_dataset([cfg.seed, runner._STREAM_DATA], cfg.n, cfg.d,
+                                   runner.target_spec_for(cfg))
+    feats = features.sample_features([cfg.seed, runner._STREAM_FEATS], cfg.d, m,
+                                     cfg.feature_kind)
+    want = random_matrix.smallest_gram_eigenvalue(
+        features.build_feature_matrix(data, feats), cfg.n, m)
+    top = rec.summary["top_gram_eigenvalue"]
+    assert abs(rec.summary["smallest_gram_eigenvalue"] - want) <= 1e-12 * top
+
+
+def test_grid_without_finite_times_fails():
+    # t_log_start > t_log_stop leaves only the t = inf snapshot: the best
+    # finite-time error is undefined, so the cell fails instead of quietly
+    # reporting NaN bounds
+    cfg = _tiny_config(t_log_start=2.0, t_log_stop=1.0)
+    assert cfg.time_grid() == [math.inf]
+    with pytest.raises(ValueError):
+        runner.run_experiment(cfg)
+
+
+def test_unexpected_errors_in_the_bounds_propagate(monkeypatch):
+    # an empty measurement set is an error, not a cell with NaN bounds
+    with pytest.raises(ValueError, match="count"):
+        runner.run_experiment(_tiny_config(assumption_points=0))
+    # only a failed hypothesis is caught
+    def broken(*args, **kwargs):
+        raise ValueError("not a hypothesis failure")
+
+    monkeypatch.setattr(bounds, "measure_assumptions", broken)
+    with pytest.raises(ValueError, match="not a hypothesis failure"):
+        runner.run_experiment(_tiny_config())
+
+
+def test_failed_alignment_hypothesis_leaves_finer_bounds_nan():
+    # C/sqrt(n) >= 1: the constants are measured, the finer bound is not defined
+    cfg = _tiny_config(seed=1, m="5")
+    rec = runner.run_experiment(cfg)
+    assert rec.assumption.c_measured / math.sqrt(cfg.n) >= 1.0
+    assert np.all(np.isnan(rec.bound_finer))
+    assert rec.metadata["finer_bound_hypothesis_ok"] is False
+    with pytest.raises(bounds.HypothesisError):
+        bounds.finer_bound(1.0, rec.assumption.c_measured, rec.assumption.m_kernel,
+                           1.0, np.ones(cfg.n), cfg.n)
+
+
+def test_too_few_modes_fail_the_hypothesis():
+    # m = 3 < floor(sqrt(100)): zero modes among the top ones, no constants
+    cfg = _tiny_config(n=100, m="3")
+    rec = runner.run_experiment(cfg)
+    assert rec.assumption is None
+    assert np.all(np.isnan(rec.bound_finer))
+    assert rec.metadata["finer_bound_hypothesis_ok"] is False
+
+
+def test_cli_import_does_not_load_scipy():
+    code = ("import rfflow.cli, rfflow.runner, rfflow.idx, sys; "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    src = str(Path(rfflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_time_map_conventions():
