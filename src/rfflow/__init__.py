@@ -13,7 +13,6 @@ from .features import (
     sample_sphere,
 )
 from .flow import (
-    EULER_BACKEND,
     SpectralDecomposition,
     TrajectorySnapshot,
     coefficients_at,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "EULER_BACKEND",
     "ExperimentConfig",
     "FeatureMatrix",
     "FeatureSet",

@@ -32,47 +32,6 @@ class HypothesisError(ValueError):
     constant has C/sqrt(n) >= 1, or a top mode is zero."""
 
 
-def damping(lam: float, t: float, m: int, n: int) -> float:
-    """Per-mode flow factor (1/lam)(1 - exp(-lam^2 t/(mn))); zero at lam = 0."""
-    if lam < 0 or t < 0:
-        raise ValueError("damping needs lam >= 0 and t >= 0")
-    if lam == 0.0:
-        return 0.0
-    if np.isinf(t):
-        return 1.0 / lam
-    return float(-np.expm1(-(lam * lam) * (t / (m * n))) / lam)
-
-
-def damping_sup_bound(t: float, m: int, n: int) -> float:
-    """sup over lam >= 0 of the damping factor: sqrt(t / (mn))."""
-    return math.sqrt(t / (m * n))
-
-
-@dataclass(frozen=True)
-class DampingProfile:
-    """Damping factors of one decomposition at a fixed time."""
-
-    n: int
-    m: int
-    time: float
-    factors: np.ndarray        # d(s_i, t) over all modes
-    sup_bound: float           # sqrt(t/(mn))
-    capped_rate: float         # d(t) of the scaled values
-    degenerate_rank: bool      # smallest scaled value was exactly zero
-
-
-def damping_profile(dec: SpectralDecomposition, t: float) -> DampingProfile:
-    n, m = dec.n_rows, dec.n_cols
-    factors = np.array([damping(s, t, m, n) for s in dec.singular_values])
-    lh = dec.scaled_values
-    return DampingProfile(
-        n=n, m=m, time=t, factors=factors,
-        sup_bound=damping_sup_bound(t, m, n),
-        capped_rate=capped_rate(t, lh),
-        degenerate_rank=bool(lh[-1] == 0.0),
-    )
-
-
 def norm_bound_rough(t: float, n: int, m: int, M: float, delta: float,
                      f_norm: float, feat_norm_sq: float) -> float:
     """Hoeffding-corrected sqrt(t) bound on the model norm ||f_t||.
@@ -200,8 +159,8 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
         raise ValueError("mc_points must be nonempty")
     n = dec.n_rows
     k = int(math.isqrt(n))
-    # with fewer than k modes (m < k) the missing ones are zero modes
-    if dec.singular_values.size < k or not np.all(dec.positive[: k + 1]):
+    # the top k+1 modes must exist and be positive; missing ones (m <= k) are zero
+    if dec.singular_values.size <= k or not np.all(dec.positive[: k + 1]):
         raise HypothesisError("zero singular value among the top floor(sqrt(n))+1 modes")
 
     uy = dec.left_vectors.T @ y

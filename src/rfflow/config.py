@@ -6,8 +6,12 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
+from .features import FEATURE_KINDS, TARGET_KINDS
+
 # fields that only control how a run executes, never what it computes
 EXECUTION_FIELDS = ("out_dir", "workers")
+M_RULES = ("sqrt-n", "n^2")
+TIME_MAPS = ("flow-mn", "obj-n")
 
 
 @dataclass(frozen=True)
@@ -21,6 +25,7 @@ class ExperimentConfig:
     discrete-iteration correspondence: with time_map = "flow-mn" a discrete
     step at learning rate eta advances flow time by eta; with "obj-n" the
     discrete gradient omits the 1/m factor, so one step advances eta * m.
+    An invalid value raises ValueError at construction, naming its key.
     """
 
     seed: int = 0
@@ -41,6 +46,27 @@ class ExperimentConfig:
     time_map: str = "flow-mn"    # or "obj-n"
     out_dir: str = "."
     workers: int = 1
+
+    def __post_init__(self):
+        def need(ok: bool, key: str, rule: str):
+            if not ok:
+                raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
+
+        for key in ("n", "d", "t_per_decade", "test_count", "assumption_points", "workers"):
+            need(getattr(self, key) >= 1, key, "must be a count >= 1")
+        need(self.m in M_RULES or 1 <= _parsed(int, self.m), "m",
+             f"must be an integer >= 1 or one of {M_RULES}")
+        need(self.feature_kind in FEATURE_KINDS, "feature_kind", f"must be one of {FEATURE_KINDS}")
+        need(self.target_kind in TARGET_KINDS + ("external-labels",), "target_kind",
+             f"must be one of {TARGET_KINDS} or 'external-labels'")
+        need(self.target_order >= 0, "target_order", "must be >= 0")
+        need(self.target_kind != "legendre" or self.d >= 3, "d", "must be >= 3 for legendre targets")
+        need(-math.inf < self.t_log_start <= self.t_log_stop < math.inf, "t_log_start",
+             f"must be finite and <= t_log_stop = {self.t_log_stop!r}")
+        need(0.0 < self.delta < 1.0, "delta", "must lie in (0, 1)")
+        need(self.eta == "auto" or 0.0 < _parsed(float, self.eta) < math.inf, "eta",
+             "must be 'auto' or a positive finite number")
+        need(self.time_map in TIME_MAPS, "time_map", f"must be one of {TIME_MAPS}")
 
     def resolve_m(self) -> int:
         if self.m == "sqrt-n":
@@ -67,6 +93,14 @@ class ExperimentConfig:
         """Hash of the fields that determine results; execution fields are left out."""
         text = self.to_text(skip=EXECUTION_FIELDS)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _parsed(cast, text: str):
+    """``text`` parsed by ``cast``; nan, which fails every comparison, if it does not parse."""
+    try:
+        return cast(text)
+    except ValueError:
+        return math.nan
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}

@@ -13,27 +13,13 @@ arbitrary points) follows from the decomposition without time stepping;
 ``ode_oracle`` provides the brute-force explicit-Euler reference used in
 tests.  ``t = inf`` is an explicit sentinel yielding the exact minimum-norm
 least-squares solution.
-
-The per-step integrator kernel is compiled (Cython) when the extension is
-available and falls back to numpy otherwise; ``EULER_BACKEND`` records which
-one is active.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-try:  # compiled hot loop, optional
-    from ._euler import euler_path as _euler_path
-
-    EULER_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from ._euler_py import euler_path as _euler_path
-
-    EULER_BACKEND = "python"
 
 from .features import Dataset, FeatureSet, FeatureMatrix, feature_values
 
@@ -105,22 +91,15 @@ def _check_times(times) -> np.ndarray:
 
 
 def coefficients_at(dec: SpectralDecomposition, y: np.ndarray, t) -> np.ndarray:
-    """Flow solution a(t); ``t = inf`` returns the minimum-norm solution."""
+    """Flow solution a(t); ``t = inf`` returns the minimum-norm solution.
+
+    A scalar ``t`` gives an (m,) array, an array of T times an (m, T) matrix.
+    """
     t = _check_times(t)
     pos = dec.positive
     uy = dec.left_vectors[:, pos].T @ y
     damp = _damping(dec.singular_values[pos], t, dec.n_rows, dec.n_cols)
-    return dec.right_vectors[:, pos] @ (damp * uy)
-
-
-def coefficient_grid(dec: SpectralDecomposition, y: np.ndarray, times) -> np.ndarray:
-    """a(t) for every grid time at once, as an (m, T) matrix."""
-    times = _check_times(np.atleast_1d(times))
-    pos = dec.positive
-    s = dec.singular_values[pos]
-    uy = dec.left_vectors[:, pos].T @ y
-    cols = _damping(s, times, dec.n_rows, dec.n_cols)
-    return dec.right_vectors[:, pos] @ (cols * uy[:, None])
+    return dec.right_vectors[:, pos] @ (damp * (uy if t.ndim == 0 else uy[:, None]))
 
 
 def predict(coeffs: np.ndarray, feats: FeatureSet, x: np.ndarray) -> float:
@@ -141,12 +120,10 @@ class TrajectorySnapshot:
     test_error: float      # RMS of (f_t - f*) over the test set
     param_norm: float      # ||a(t)||
     pred_norm: float       # RMS of f_t over the test set
-    coefficients: Optional[np.ndarray] = None
 
 
 def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
-                   test_points: Dataset, times,
-                   keep_coefficients: bool = False) -> list[TrajectorySnapshot]:
+                   test_points: Dataset, times) -> list[TrajectorySnapshot]:
     """Trajectory snapshots over an ascending grid (inf allowed as last entry).
 
     Training error is evaluated in the spectral basis, test error by
@@ -180,27 +157,19 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     test_err = np.sqrt(np.mean((preds - test_points.targets[:, None]) ** 2, axis=0))
     pred_norm = np.sqrt(np.mean(preds ** 2, axis=0))
 
-    out = []
-    for j, t in enumerate(grid.tolist()):
-        coeffs = None
-        if keep_coefficients:
-            coeffs = dec.right_vectors[:, pos] @ coeff_basis[:, j]
-        out.append(TrajectorySnapshot(
-            time=t,
-            train_error=float(train[j]),
-            test_error=float(test_err[j]),
-            param_norm=float(param[j]),
-            pred_norm=float(pred_norm[j]),
-            coefficients=coeffs,
-        ))
-    return out
+    return [TrajectorySnapshot(time=t, train_error=float(train[j]),
+                               test_error=float(test_err[j]), param_norm=float(param[j]),
+                               pred_norm=float(pred_norm[j]))
+            for j, t in enumerate(grid.tolist())]
 
 
 def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
     """Explicit-Euler integration of the flow from a(0) = 0 to time t.
 
     Reference implementation for tests only; requires
-    step * s_max^2 / (mn) < 0.1 for stability.
+    step * s_max^2 / (mn) < 0.1 for stability.  Each step
+    a <- (I - hH) a + h r is affine, so the N full steps are one power of
+    the (m+1)x(m+1) matrix [[I - hH, h r], [0, 1]] applied to (0, 1).
     """
     mat = _matrix(phi)
     n, m = mat.shape
@@ -215,10 +184,11 @@ def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
 
     hmat = mat.T @ mat / (m * n)
     rhs = mat.T @ y / (m * n)
-    a = np.zeros(m)
-    scratch = np.empty(m)
+    step_map = np.eye(m + 1)
+    step_map[:m, :m] -= step * hmat
+    step_map[:m, m] = step * rhs
     n_steps = int(t / step)
-    _euler_path(hmat, rhs, float(step), n_steps, a, scratch)
+    a = np.linalg.matrix_power(step_map, n_steps)[:m, m]
     rem = t - n_steps * step
     if rem > 0.0:
         a += rem * (rhs - hmat @ a)

@@ -121,11 +121,6 @@ def _gegenbauer_values(d: int, n: int, t: np.ndarray) -> np.ndarray:
     return c_cur
 
 
-def gegenbauer_at_one(d: int, n: int) -> float:
-    """C_n(1) = Gamma(n+d-2) / (n! Gamma(d-2)); equals the P_n conversion constant."""
-    return float(special.gamma(n + d - 2) * special.rgamma(n + 1) * special.rgamma(d - 2))
-
-
 def legendre_conversion(d: int, n: int) -> float:
     """Constant relating the two families, C_n(t) = const * P_n(t).
 
@@ -363,22 +358,6 @@ def gegenbauer_kernel_moment(d: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # calibration against empirical kernels
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel to materialise: the closed-form profile or an MC estimate."""
-
-    kind: str = "relu-closed-form"  # or "mc-empirical"
-    dim: int = 3
-    mc_feature_count: int = 0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("relu-closed-form", "mc-empirical"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
 
 def fit_profile_scale(feats, points: np.ndarray) -> tuple[float, float]:
     """Least-squares scalar c with (1/m) Phi Phi^T ~ c * k_profile(X X^T).

@@ -59,8 +59,7 @@ def test_a01_trajectory_oracle_equivalence():
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3 and elapsed < 5.0
     _report("A01 trajectory-oracle equivalence",
-            ok, f"worst rel err {worst:.2e} (<=1e-3), {elapsed:.2f}s (<5s), "
-                f"backend={flow.EULER_BACKEND}")
+            ok, f"worst rel err {worst:.2e} (<=1e-3), {elapsed:.2f}s (<5s)")
 
 
 def test_a02_slow_deterioration_window():

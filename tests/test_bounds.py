@@ -15,31 +15,40 @@ def _instance(seed, n, m, d=5, target_kind="constant-harmonic"):
 
 
 # ---------------------------------------------------------------------------
-# damping
+# damping: the per-mode flow factor (1 - exp(-s^2 t/(mn)))/s behind the bounds
 # ---------------------------------------------------------------------------
 
 def test_damping_zero_mode():
-    assert bounds.damping(0.0, 123.0, 10, 10) == 0.0
+    # zero modes are excluded: a(t) has no component along them, even at t = inf
+    dec = flow.decompose(np.diag([2.0, 0.0]))
+    assert dec.positive.tolist() == [True, False]
+    for t in (123.0, np.inf):
+        assert flow.coefficients_at(dec, np.ones(2), t)[1] == 0.0
 
 
 def test_damping_half_life():
     m = n = 7
-    assert bounds.damping(1.0, m * n * math.log(2), m, n) == pytest.approx(0.5, rel=1e-12)
+    half = flow._damping(np.array([1.0]), m * n * math.log(2), n, m)
+    assert half[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_damping_rejects_negative():
+    phi, y = np.eye(2), np.ones(2)
+    dec = flow.decompose(phi)
     with pytest.raises(ValueError):
-        bounds.damping(-1.0, 1.0, 2, 2)
+        flow.coefficients_at(dec, y, np.array([1.0, -1.0]))
+    feats = features.sample_features(0, 2, 2, "relu")
+    test = features.Dataset(points=np.eye(2), targets=y, dim=2)
     with pytest.raises(ValueError):
-        bounds.damping(1.0, -1.0, 2, 2)
+        flow.errors_on_grid(dec, y, feats, test, [-1.0, 1.0])
 
 
 def test_damping_sup_bound_on_grid():
     m, n = 11, 13
     t = float(m * n)
     lams = np.logspace(-6, 3, 4000)
-    vals = np.array([bounds.damping(l, t, m, n) for l in lams])
-    sup = bounds.damping_sup_bound(t, m, n)
+    vals = flow._damping(lams, t, n, m)
+    sup = math.sqrt(t / (m * n))
     assert sup == pytest.approx(1.0)
     assert np.all(vals <= sup + 1e-12)
     # the envelope min(1/lam, lam t/mn) attains the sup at lam = sqrt(mn/t) = 1
@@ -52,19 +61,18 @@ def test_damping_sup_bound_on_grid():
 
 def test_damping_two_sided_inequality():
     m, n = 5, 9
-    for lam in np.logspace(-3, 2, 50):
-        for t in np.logspace(-2, 6, 30):
-            val = bounds.damping(lam, t, m, n)
-            assert val <= 1.0 / lam + 1e-15
-            assert val <= lam * t / (m * n) + 1e-15
+    lams = np.logspace(-3, 2, 50)
+    times = np.logspace(-2, 6, 30)
+    vals = flow._damping(lams, times, n, m)            # (modes, times)
+    assert np.all(vals <= 1.0 / lams[:, None] + 1e-15)
+    assert np.all(vals <= np.multiply.outer(lams, times) / (m * n) + 1e-15)
 
 
-def test_damping_profile_fields():
+def test_damping_of_a_decomposition():
     dec, data, feats, target = _instance(0, 8, 6)
-    prof = bounds.damping_profile(dec, 2.0)
-    assert prof.factors.shape == dec.singular_values.shape
-    assert prof.sup_bound == pytest.approx(math.sqrt(2.0 / (8 * 6)))
-    assert np.all(prof.factors <= prof.sup_bound + 1e-12)
+    factors = flow._damping(dec.singular_values, 2.0, dec.n_rows, dec.n_cols)
+    assert factors.shape == dec.singular_values.shape
+    assert np.all(factors <= math.sqrt(2.0 / (8 * 6)) + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfflow import features, flow
 
@@ -84,9 +86,47 @@ def test_modewise_damping_monotone():
     phi, y, _, _ = _random_instance(4, 6, 6)
     dec = flow.decompose(phi)
     times = np.logspace(-2, 6, 25)
-    grid = flow.coefficient_grid(dec, y, times)
+    grid = flow.coefficients_at(dec, y, times)
     in_basis = np.abs(dec.right_vectors.T @ grid)  # mode magnitudes over time
     assert np.all(np.diff(in_basis, axis=1) >= -1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 50), n=st.integers(1, 9), m=st.integers(1, 9),
+       times=st.lists(st.one_of(st.floats(0.0, 1e8), st.just(np.inf)),
+                      min_size=1, max_size=6))
+def test_coefficient_columns_match_scalar_calls(seed, n, m, times):
+    phi, y, _, _ = _random_instance(seed, n, m)
+    dec = flow.decompose(phi)
+    grid = flow.coefficients_at(dec, y, times)
+    assert grid.shape == (m, len(times))
+    for j, t in enumerate(times):
+        col = flow.coefficients_at(dec, y, t)
+        np.testing.assert_allclose(grid[:, j], col, rtol=1e-12,
+                                   atol=1e-14 * max(1.0, np.linalg.norm(col)))
+
+
+@pytest.mark.parametrize("seed,n,m,t,step", [
+    (11, 5, 5, 1.0, 1e-3),       # 1000 steps
+    (12, 8, 5, 2.0, 1e-3),       # 2000 steps
+    (13, 4, 9, 0.3705, 1e-3),    # 370 steps and a remainder
+    (14, 10, 10, 5.0, 2.5e-3),   # 2000 steps
+    (15, 3, 2, 0.0005, 1e-3),    # remainder only
+])
+def test_ode_oracle_matches_step_loop(seed, n, m, t, step):
+    phi, y, _, _ = _random_instance(seed, n, m)
+    mat = phi.values
+    hmat = mat.T @ mat / (m * n)
+    rhs = mat.T @ y / (m * n)
+    a = np.zeros(m)
+    n_steps = int(t / step)
+    for _ in range(n_steps):
+        a = a + step * (rhs - hmat @ a)
+    rem = t - n_steps * step
+    if rem > 0.0:
+        a = a + rem * (rhs - hmat @ a)
+    oracle = flow.ode_oracle(phi, y, t, step)
+    assert np.linalg.norm(oracle - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_ode_oracle_scalar():

@@ -139,13 +139,61 @@ def test_smallest_gram_eigenvalue_read_from_the_svd(m):
 
 
 def test_grid_without_finite_times_fails():
-    # t_log_start > t_log_stop leaves only the t = inf snapshot: the best
-    # finite-time error is undefined, so the cell fails instead of quietly
-    # reporting NaN bounds
-    cfg = _tiny_config(t_log_start=2.0, t_log_stop=1.0)
-    assert cfg.time_grid() == [math.inf]
-    with pytest.raises(ValueError):
-        runner.run_experiment(cfg)
+    # t_log_start > t_log_stop would leave only the t = inf snapshot, whose
+    # best finite-time error is undefined: the config refuses it up front
+    with pytest.raises(ValueError, match="t_log_start"):
+        _tiny_config(t_log_start=2.0, t_log_stop=1.0)
+    # a single finite time is the smallest valid grid
+    cfg = _tiny_config(t_log_start=1.0, t_log_stop=1.0)
+    assert cfg.time_grid() == [10.0, math.inf]
+    assert [s.time for s in runner.run_experiment(cfg).snapshots] == [10.0, math.inf]
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("t_per_decade", dict(t_per_decade=0)),
+    ("t_log_start", dict(t_log_start=2.0, t_log_stop=1.0)),
+    ("time_map", dict(time_map="bogus")),
+    ("m", dict(m="abc")),
+    ("m", dict(m="0")),
+    ("eta", dict(eta="-1")),
+    ("eta", dict(eta="fast")),
+    ("d", dict(target_kind="legendre", target_order=2, d=2)),
+    ("feature_kind", dict(feature_kind="tanh")),
+    ("delta", dict(delta=1.0)),
+    ("test_count", dict(test_count=0)),
+])
+def test_invalid_config_fails_at_construction(key, overrides):
+    with pytest.raises(ValueError, match=key):
+        _tiny_config(**overrides)
+
+
+def test_exactly_sqrt_n_modes_fail_the_hypothesis():
+    # m = floor(sqrt(500)) = 22: the hypothesis needs 23 positive modes
+    cfg = ExperimentConfig(n=500, m="sqrt-n", t_log_start=-1.0, t_log_stop=3.0,
+                           t_per_decade=5, test_count=200)
+    assert cfg.resolve_m() == math.isqrt(cfg.n)
+    rec = runner.run_experiment(cfg)
+    assert rec.metadata["finer_bound_hypothesis_ok"] is False
+    assert np.all(np.isnan(rec.bound_finer))
+
+
+@pytest.mark.parametrize("d", [3, 10])
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_feature_norm_sq_matches_monte_carlo(kind, d):
+    dirs = features.sample_features([31, d], d, 50_000, kind)
+    pts = features.sample_sphere([41, d], d, 200)
+    vals = features.feature_values(dirs, pts)
+    estimate = np.einsum("ij,ij->", vals, vals) / vals.size
+    assert runner.feature_norm_sq(d, kind) == pytest.approx(estimate, rel=0.02)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_target_norm_matches_monte_carlo(order):
+    cfg = _tiny_config(d=10, target_kind="legendre", target_order=order)
+    pts = features.sample_sphere([43, cfg.d], cfg.d, 400_000)
+    values = features.eval_target_many(runner.target_spec_for(cfg), pts)
+    estimate = np.sqrt(np.mean(values ** 2))
+    assert runner.target_norm(cfg) == pytest.approx(estimate, rel=0.02)
 
 
 def test_unexpected_errors_in_the_bounds_propagate(monkeypatch):

@@ -300,10 +300,3 @@ def test_fit_profile_scale_recovers_half_over_pi_d():
     c, resid = ka.fit_profile_scale(feats, pts)
     assert c == pytest.approx(1.0 / (2 * np.pi * d), rel=0.02)
     assert resid < 0.01 * c * np.pi
-
-
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        ka.KernelSpec(kind="poly", dim=3)
-    with pytest.raises(ValueError):
-        ka.KernelSpec(kind="relu-closed-form", dim=3, scale=0.0)
