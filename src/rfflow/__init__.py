@@ -3,7 +3,6 @@
 from .config import ExperimentConfig
 from .features import (
     Dataset,
-    FeatureMatrix,
     FeatureSet,
     TargetSpec,
     build_feature_matrix,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "ExperimentConfig",
-    "FeatureMatrix",
     "FeatureSet",
     "RunRecord",
     "SpectralDecomposition",

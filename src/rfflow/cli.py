@@ -3,7 +3,7 @@
 Verbs: run, sweep, spectra, mp, mnist.  Every verb accepts --config PATH
 (flat key = value file), repeated --set key=value overrides, and the
 shortcuts --seed / --out / --workers.  MNIST IDX files are looked up in
-$RFFLOW_DATA_DIR unless explicit paths are given.
+$RFFLOW_DATA_DIR unless all four paths are given.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ def _build_config(args):
     return cfg
 
 
+def _usage_error(args, message: str) -> int:
+    print(f"rfflow {args.verb}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -60,10 +65,9 @@ def _trajectory_svg(record, path):
     ), path)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, cfg) -> int:
     from .runner import emit_csv, run_experiment
 
-    cfg = _build_config(args)
     record = run_experiment(cfg)
     out = Path(cfg.out_dir)
     csv_path = out / f"run_{record.metadata['config_hash']}.csv"
@@ -79,11 +83,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, cfg) -> int:
     from .runner import emit_budget_csv, emit_sweep_csv, run_sweep, translate_curves
     from .svgplot import PlotSpec, Series, emit_svg
 
-    cfg = _build_config(args)
     seeds = [int(s) for s in _parse_float_list(args.seeds)]
     kwargs = {}
     if args.m_list:
@@ -91,8 +94,7 @@ def cmd_sweep(args) -> int:
     elif args.gamma_list:
         kwargs["gamma_values"] = _parse_float_list(args.gamma_list)
     else:
-        print("sweep needs --m-list or --gamma-list", file=sys.stderr)
-        return 2
+        return _usage_error(args, "sweep needs --m-list or --gamma-list")
     sweep = run_sweep(cfg, seeds=seeds, workers=cfg.workers, **kwargs)
     out = Path(cfg.out_dir)
     emit_sweep_csv(sweep, out / f"sweep_{sweep.axis}_minnorm.csv")
@@ -118,14 +120,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_spectra(args) -> int:
+def cmd_spectra(args, cfg) -> int:
     from . import features as feat
     from . import kernel_analytic as ka
     from . import random_matrix as rm
     from .flow import decompose
     from .svgplot import PlotSpec, Series, emit_svg
 
-    cfg = _build_config(args)
     n, d = cfg.n, cfg.d
     m = max(1, int(round(args.gamma * n)))
     data = feat.sample_dataset([cfg.seed, 1], n, d,
@@ -171,12 +172,11 @@ def cmd_spectra(args) -> int:
     return 0
 
 
-def cmd_mp(args) -> int:
+def cmd_mp(args, cfg) -> int:
     from . import features as feat
     from . import random_matrix as rm
     from .svgplot import PlotSpec, Series, emit_svg
 
-    cfg = _build_config(args)
     gammas = _parse_float_list(args.gamma_list)
     seeds = [int(s) for s in _parse_float_list(args.seeds)]
     n, d = cfg.n, cfg.d
@@ -220,25 +220,32 @@ def cmd_mp(args) -> int:
     return 0
 
 
+MNIST_FLAGS = ("images", "labels", "test_images", "test_labels")
+
+
 def _mnist_paths(args):
-    if args.images and args.labels:
-        return args.images, args.labels, args.test_images, args.test_labels
+    """The four IDX paths: all given on the command line, or all from $RFFLOW_DATA_DIR."""
+    paths = [getattr(args, flag) for flag in MNIST_FLAGS]
+    if all(paths):
+        return paths
     base = os.environ.get(DATA_DIR_ENV)
     if not base:
         raise FileNotFoundError(
-            f"set {DATA_DIR_ENV} or pass --images/--labels (IDX files)")
+            f"set {DATA_DIR_ENV} or pass --images, --labels, --test-images and --test-labels")
     root = Path(base)
     return (root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte",
             root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
 
 
-def cmd_mnist(args) -> int:
+def cmd_mnist(args, cfg) -> int:
     from . import features as feat
     from .idx import load_idx
     from .runner import emit_budget_csv, emit_sweep_csv, run_sweep
     from .svgplot import PlotSpec, Series, emit_svg
 
-    cfg = _build_config(args)
+    missing = [f"--{flag.replace('_', '-')}" for flag in MNIST_FLAGS if not getattr(args, flag)]
+    if 0 < len(missing) < len(MNIST_FLAGS):
+        return _usage_error(args, f"give all four IDX paths or none; missing {', '.join(missing)}")
     img, lab, timg, tlab = _mnist_paths(args)
     train = load_idx(img, lab, classes=(0, 1), subsample=cfg.n, seed=cfg.seed)
     test = load_idx(timg, tlab, classes=(0, 1))
@@ -326,7 +333,11 @@ def main(argv=None) -> int:
     p_mn.set_defaults(func=cmd_mnist)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _build_config(args)
+    except (KeyError, ValueError) as exc:  # a bad --config/--set value, not a failed run
+        return _usage_error(args, exc.args[0])
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

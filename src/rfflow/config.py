@@ -117,10 +117,12 @@ def _coerce(name: str, raw: str):
             return _BOOL[raw.lower()]
         except KeyError:
             raise ValueError(f"{name}: expected a boolean, got {raw!r}") from None
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    if isinstance(current, (int, float)):
+        cast = type(current)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
     return raw
 
 

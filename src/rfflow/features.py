@@ -66,13 +66,6 @@ class FeatureSet:
         return d - 1 if self.kind == "affine-relu" else d
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Evaluated features, rows = data index, cols = feature index."""
-
-    values: np.ndarray
-
-
 def sample_sphere(rng_seed, dim: int, count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. uniform points on S^(dim-1), deterministic per seed.
 
@@ -129,8 +122,9 @@ def feature_values(feats: FeatureSet, points: np.ndarray) -> np.ndarray:
     return np.maximum(pre, 0.0, out=pre)  # ReLU in place: pre is a fresh array
 
 
-def build_feature_matrix(data: Dataset, feats: FeatureSet) -> FeatureMatrix:
-    return FeatureMatrix(values=feature_values(feats, data.points))
+def build_feature_matrix(data: Dataset, feats: FeatureSet) -> np.ndarray:
+    """(n, m) feature matrix: rows = data index, cols = feature index."""
+    return feature_values(feats, data.points)
 
 
 @dataclass(frozen=True)

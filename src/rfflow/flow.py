@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Dataset, FeatureSet, FeatureMatrix, feature_values
+from .features import Dataset, FeatureSet, feature_values
 
 # singular values below this fraction of the largest are treated as zero
 RANK_THRESHOLD = 1e-12
@@ -48,13 +48,9 @@ class SpectralDecomposition:
         return self.singular_values > RANK_THRESHOLD * top
 
 
-def _matrix(phi) -> np.ndarray:
-    return phi.values if isinstance(phi, FeatureMatrix) else np.asarray(phi, dtype=float)
-
-
 def decompose(phi) -> SpectralDecomposition:
     """Thin SVD; rejects non-finite matrices."""
-    mat = _matrix(phi)
+    mat = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("feature matrix has non-finite entries")
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -171,7 +167,7 @@ def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
     a <- (I - hH) a + h r is affine, so the N full steps are one power of
     the (m+1)x(m+1) matrix [[I - hH, h r], [0, 1]] applied to (0, 1).
     """
-    mat = _matrix(phi)
+    mat = np.asarray(phi, dtype=float)
     n, m = mat.shape
     t = float(_check_times(t))
     if np.isinf(t):

@@ -22,27 +22,32 @@ and ``quadrature_eigenvalue`` provides the independent integral route
 
     lambda_n = (1/Omega_{d-1}) Int_{-1}^{1} k(t) P_n(t) (1-t^2)^((d-3)/2) dt,
 
-where P_n is the degree-n Legendre (Gegenbauer normalised to P_n(1) = 1)
-polynomial in d dimensions.  All quadratures substitute t = cos(theta),
-which absorbs the (1-t^2) weight analytically and removes the endpoint
-derivative singularities of k at d = 3.
+where P_n is the degree-n Legendre polynomial in d dimensions: the Gegenbauer
+polynomial C_n of index (d-2)/2 divided by the exact integer
+C_n(1) = binom(n+d-3, n), so that P_n(1) = 1.  All quadratures substitute
+t = cos(theta), which absorbs the (1-t^2) weight analytically and removes the
+endpoint derivative singularities of k at d = 3.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
+from math import comb, gamma
 
 import numpy as np
-from scipy import special
 
 _CLIP_TOL = 1e-12
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), exactly 0 at the poles x = 0, -1, -2, ..."""
+    return 0.0 if x <= 0 and x == int(x) else 1.0 / gamma(x)
+
+
 def surface_area(k: int) -> float:
     """Surface area of the unit sphere S^k embedded in R^(k+1)."""
-    return 2.0 * np.pi ** ((k + 1) / 2) / special.gamma((k + 1) / 2)
+    return 2.0 * np.pi ** ((k + 1) / 2) / gamma((k + 1) / 2)
 
 
 def kernel_profile(t):
@@ -121,28 +126,15 @@ def _gegenbauer_values(d: int, n: int, t: np.ndarray) -> np.ndarray:
     return c_cur
 
 
-def legendre_conversion(d: int, n: int) -> float:
+def legendre_conversion(d: int, n: int) -> int:
     """Constant relating the two families, C_n(t) = const * P_n(t).
 
-    Evaluated from the closed form involving the multiplicity N(d, n) and the
-    sphere surface areas; numerically identical to C_n(1), so P_n(1) = 1.
+    It is C_n(1) = binom(n+d-3, n), the exact integer, so P_n(1) = 1 and
+    the constant stays finite for every dimension.
     """
     if d < 3:
         raise ValueError("conversion constant requires d >= 3")
-    num = (
-        surface_area(d - 2)
-        * harmonic_multiplicity(d, n)
-        * 2.0 ** (3 - d)
-        * np.pi
-        * special.gamma(n + d - 2)
-    )
-    den = (
-        surface_area(d - 1)
-        * (n + (d - 2) / 2)
-        * special.gamma(n + 1)
-        * special.gamma((d - 2) / 2) ** 2
-    )
-    return float(np.sqrt(num / den))
+    return comb(n + d - 3, n)
 
 
 def poly_eval(p: OrthogonalPolynomial, t):
@@ -216,26 +208,16 @@ def weighted_cosine_integral(d: int, g, tol: float = 1e-12, order: int = 64) -> 
 
 def _lambda_zero(d: int) -> float:
     return float(
-        2.0 * np.sqrt(np.pi) * d * special.gamma(d / 2)
-        * special.rgamma(d) * special.rgamma((d - 1) / 2)
-    )
-
-
-def _c_const(d: int) -> float:
-    bracket = (
-        special.gamma((d - 2) / 2) * special.gamma(d - 1)
-        * special.rgamma((d - 1) / 2) * special.rgamma(d / 2)
-    )
-    return float(
-        2.0 ** ((d - 5) / 2) * np.pi ** ((2 * d + 3) / 4) * d * (d - 2) * np.sqrt(bracket)
+        2.0 * np.sqrt(np.pi) * d * gamma(d / 2)
+        * _rgamma(d) * _rgamma((d - 1) / 2)
     )
 
 
 def _lambda_factor(d: int, n: int) -> float:
     # reciprocal gamma makes the Gamma((3-n)/2)^-2 pole an exact zero (odd n >= 3)
-    num = 2.0 ** (n - 0.5) * special.gamma((n + d - 2) / 2)
-    den = special.gamma(n + d - 2) * special.gamma(n + d) * special.gamma((n + d - 1) / 2)
-    return float(num / den * special.rgamma((3 - n) / 2) ** 2)
+    num = 2.0 ** (n - 0.5) * gamma((n + d - 2) / 2)
+    den = gamma(n + d - 2) * gamma(n + d) * gamma((n + d - 1) / 2)
+    return float(num / den * _rgamma((3 - n) / 2) ** 2)
 
 
 def analytic_eigenvalue(d: int, n: int) -> float:
@@ -266,9 +248,6 @@ class AnalyticSpectrum:
     dim: int
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    c_const: float
-    lambda_factors: np.ndarray
-    surface_areas: tuple[float, float]  # (Omega_{d-1}, Omega_{d-2})
 
     def flatten(self, count: int) -> np.ndarray:
         """Expand eigenvalues by multiplicity into a flat descending vector."""
@@ -282,15 +261,7 @@ class AnalyticSpectrum:
 def analytic_spectrum(d: int, n_max: int) -> AnalyticSpectrum:
     eigenvalues = np.array([analytic_eigenvalue(d, n) for n in range(n_max + 1)])
     mult = np.array([harmonic_multiplicity(d, n) for n in range(n_max + 1)])
-    factors = np.array([_lambda_factor(d, n) for n in range(n_max + 1)])
-    return AnalyticSpectrum(
-        dim=d,
-        eigenvalues=eigenvalues,
-        multiplicities=mult,
-        c_const=_c_const(d),
-        lambda_factors=factors,
-        surface_areas=(surface_area(d - 1), surface_area(d - 2)),
-    )
+    return AnalyticSpectrum(dim=d, eigenvalues=eigenvalues, multiplicities=mult)
 
 
 def quadrature_eigenvalue(d: int, n: int, node_count: int = 96) -> float:
@@ -320,12 +291,12 @@ def quadrature_eigenvalue(d: int, n: int, node_count: int = 96) -> float:
 
 def gegenbauer_sqrt_moment(d: int, n: int) -> float:
     """Int (1-t^2)^((d-2)/2) C_n(t) dt in closed form."""
-    num = np.pi ** 1.5 * 2.0 ** (n - 2) * (d - 2) * special.gamma((n + d - 2) / 2)
+    num = np.pi ** 1.5 * 2.0 ** (n - 2) * (d - 2) * gamma((n + d - 2) / 2)
     rec = (
-        special.rgamma(n + 1)
-        * special.rgamma((1 - n) / 2)
-        * special.rgamma((3 - n) / 2)
-        * special.rgamma((n + d + 1) / 2)
+        _rgamma(n + 1)
+        * _rgamma((1 - n) / 2)
+        * _rgamma((3 - n) / 2)
+        * _rgamma((n + d + 1) / 2)
     )
     return float(num * rec)
 
@@ -334,23 +305,23 @@ def gegenbauer_arc_moment(d: int, n: int) -> float:
     """Int (1-t^2)^((d-3)/2) t (pi - arccos t) C_n(t) dt in closed form."""
     num = (
         np.pi ** 1.5 * 2.0 ** (n - 3) * (d - 2) * (n * n + (d - 2) * n + 1)
-        * special.gamma((n + d - 2) / 2)
+        * gamma((n + d - 2) / 2)
     )
     rec = (
-        special.rgamma(n + 1)
-        * special.rgamma((3 - n) / 2) ** 2
-        * special.rgamma((n + d + 1) / 2)
+        _rgamma(n + 1)
+        * _rgamma((3 - n) / 2) ** 2
+        * _rgamma((n + d + 1) / 2)
     )
     return float(num * rec / (n + d - 1))
 
 
 def gegenbauer_kernel_moment(d: int, n: int) -> float:
     """Int (1-t^2)^((d-3)/2) k(t) C_n(t) dt in closed form (sum of the above)."""
-    num = np.pi ** 1.5 * d * (d - 2) * 2.0 ** (n - 2) * special.gamma((n + d - 2) / 2)
+    num = np.pi ** 1.5 * d * (d - 2) * 2.0 ** (n - 2) * gamma((n + d - 2) / 2)
     rec = (
-        special.rgamma(n + 1)
-        * special.rgamma((3 - n) / 2) ** 2
-        * special.rgamma((n + d - 1) / 2)
+        _rgamma(n + 1)
+        * _rgamma((3 - n) / 2) ** 2
+        * _rgamma((n + d - 1) / 2)
     )
     return float(num * rec / (n + d - 1) ** 2)
 

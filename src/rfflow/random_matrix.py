@@ -33,7 +33,7 @@ _SYM_TOL = 1e-10
 
 def gram_matrix(phi, n: int, m: int) -> np.ndarray:
     """G = Phi Phi^T / (nm)."""
-    mat = phi.values if hasattr(phi, "values") else np.asarray(phi, dtype=float)
+    mat = np.asarray(phi, dtype=float)
     if mat.shape != (n, m):
         raise ValueError(f"expected a {n}x{m} feature matrix, got {mat.shape}")
     return mat @ mat.T / (n * m)
@@ -54,7 +54,7 @@ def smallest_gram_eigenvalue(phi, n: int, m: int) -> float:
     For m < n the n x n Gram matrix is rank deficient by construction, so the
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
     """
-    mat = phi.values if hasattr(phi, "values") else np.asarray(phi, dtype=float)
+    mat = np.asarray(phi, dtype=float)
     if mat.shape != (n, m):
         raise ValueError(f"expected a {n}x{m} feature matrix, got {mat.shape}")
     comp = mat @ mat.T if n <= m else mat.T @ mat

@@ -144,8 +144,8 @@ def run_experiment(cfg: ExperimentConfig,
     # bound constants
     if external:
         f_norm = float(np.sqrt(np.mean(test.targets ** 2)))
-        feat_sq = float(np.einsum("ij,ij->", phi.values, phi.values) / phi.values.size)
-        m_sup = bounds_mod.sup_norm(phi.values, test.targets)
+        feat_sq = float(np.einsum("ij,ij->", phi, phi) / phi.size)
+        m_sup = bounds_mod.sup_norm(phi, test.targets)
     else:
         f_norm = target_norm(cfg)
         feat_sq = feature_norm_sq(d, cfg.feature_kind)

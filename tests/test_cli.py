@@ -57,6 +57,30 @@ def test_sweep_verb(tmp_path):
 
 def test_sweep_requires_axis(tmp_path, capsys):
     assert main(["sweep", *_overrides(tmp_path)]) == 2
+    assert capsys.readouterr().err == "rfflow sweep: error: sweep needs --m-list or --gamma-list\n"
+
+
+@pytest.mark.parametrize("override,key", [
+    ("t_per_decade=0", "t_per_decade"),   # rejected by the config's validation
+    ("bogus=1", "bogus"),                 # unknown key
+    ("n=abc", "n"),                       # not an integer
+])
+def test_bad_config_value_is_a_one_line_usage_error(tmp_path, capsys, override, key):
+    assert main(["run", "--out", str(tmp_path), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfflow run: error: ") and err.count("\n") == 1
+    assert key in err
+
+
+def test_errors_inside_a_run_propagate(tmp_path, monkeypatch):
+    from rfflow import runner
+
+    def broken(cfg):
+        raise ValueError("failed inside the run")
+
+    monkeypatch.setattr(runner, "run_experiment", broken)
+    with pytest.raises(ValueError, match="failed inside the run"):
+        main(["run", *_overrides(tmp_path)])
 
 
 def test_mp_verb(tmp_path, capsys):
@@ -96,31 +120,48 @@ def test_spectra_verb(tmp_path, capsys):
     assert "top-10" in out
 
 
-def test_mnist_verb_on_synthetic_idx(tmp_path):
-    rng = np.random.default_rng(0)
-    n_all = 120
-    images = rng.integers(0, 256, size=(n_all, 5, 5), dtype=np.uint8)
-    labels = (rng.random(n_all) < 0.5).astype(np.uint8)
-    idx.write_idx_images(tmp_path / "imgs", images)
-    idx.write_idx_labels(tmp_path / "labs", labels)
-    timgs = rng.integers(0, 256, size=(40, 5, 5), dtype=np.uint8)
-    tlabs = (rng.random(40) < 0.5).astype(np.uint8)
-    idx.write_idx_images(tmp_path / "timgs", timgs)
-    idx.write_idx_labels(tmp_path / "tlabs", tlabs)
+_MNIST_ARGS = ["--set", "n=40", "--set", "t_log_start=-1", "--set", "t_log_stop=2",
+               "--set", "t_per_decade=4", "--m-list", "20,40,60", "--seeds", "0"]
 
-    assert main(["mnist", "--out", str(tmp_path / "out"),
-                 "--images", str(tmp_path / "imgs"),
-                 "--labels", str(tmp_path / "labs"),
-                 "--test-images", str(tmp_path / "timgs"),
-                 "--test-labels", str(tmp_path / "tlabs"),
-                 "--set", "n=40",
-                 "--set", "t_log_start=-1", "--set", "t_log_stop=2",
-                 "--set", "t_per_decade=4",
-                 "--m-list", "20,40,60", "--seeds", "0"]) == 0
+
+def _write_synthetic_idx(root):
+    """Small two-class IDX files under MNIST's standard names; returns the path flags."""
+    rng = np.random.default_rng(0)
+    names = {}
+    for split, count in (("train", 120), ("t10k", 40)):
+        images = rng.integers(0, 256, size=(count, 5, 5), dtype=np.uint8)
+        labels = (rng.random(count) < 0.5).astype(np.uint8)
+        names[split] = (root / f"{split}-images-idx3-ubyte", root / f"{split}-labels-idx1-ubyte")
+        idx.write_idx_images(names[split][0], images)
+        idx.write_idx_labels(names[split][1], labels)
+    return ["--images", str(names["train"][0]), "--labels", str(names["train"][1]),
+            "--test-images", str(names["t10k"][0]), "--test-labels", str(names["t10k"][1])]
+
+
+def test_mnist_verb_on_synthetic_idx(tmp_path):
+    paths = _write_synthetic_idx(tmp_path)
+    assert main(["mnist", "--out", str(tmp_path / "out"), *paths, *_MNIST_ARGS]) == 0
     out_dir = tmp_path / "out"
     assert (out_dir / "mnist_minnorm.csv").exists()
     assert (out_dir / "mnist_budgets.csv").exists()
     assert (out_dir / "mnist_minnorm.svg").exists()
+
+
+def test_mnist_verb_takes_all_four_paths_or_none(tmp_path, monkeypatch, capsys):
+    paths = _write_synthetic_idx(tmp_path)
+    # with no path flags the files come from RFFLOW_DATA_DIR
+    monkeypatch.setenv("RFFLOW_DATA_DIR", str(tmp_path))
+    assert main(["mnist", "--out", str(tmp_path / "env"), *_MNIST_ARGS]) == 0
+    flags = tmp_path / "flags"
+    assert main(["mnist", "--out", str(flags), *paths, *_MNIST_ARGS]) == 0
+    assert (flags / "mnist_minnorm.csv").read_bytes() == \
+        (tmp_path / "env" / "mnist_minnorm.csv").read_bytes()
+    # some but not all: a usage error naming the missing flags, even with the variable set
+    capsys.readouterr()
+    assert main(["mnist", "--out", str(tmp_path / "part"), *paths[:4], *_MNIST_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfflow mnist: error: ") and err.count("\n") == 1
+    assert err.endswith("missing --test-images, --test-labels\n")
 
 
 def test_mnist_verb_requires_paths(tmp_path, monkeypatch):

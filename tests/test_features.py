@@ -71,7 +71,8 @@ def test_feature_matrix_single_aligned():
     data = features.Dataset(points=x, targets=np.zeros(1), dim=3)
     feats = features.FeatureSet(directions=x.copy(), kind="relu")
     mat = features.build_feature_matrix(data, feats)
-    np.testing.assert_allclose(mat.values, [[1.0]], atol=1e-12)
+    assert isinstance(mat, np.ndarray)
+    np.testing.assert_allclose(mat, [[1.0]], atol=1e-12)
 
 
 def test_feature_matrix_matches_scalar_evaluation():
@@ -79,7 +80,7 @@ def test_feature_matrix_matches_scalar_evaluation():
     dirs = features.sample_sphere(6, 4, 2)
     data = features.Dataset(points=pts, targets=np.zeros(3), dim=4)
     feats = features.FeatureSet(directions=dirs, kind="relu")
-    mat = features.build_feature_matrix(data, feats).values
+    mat = features.build_feature_matrix(data, feats)
     for i in range(3):
         for j in range(2):
             assert mat[i, j] == pytest.approx(
@@ -90,7 +91,7 @@ def test_indicator_matrix_is_binary():
     pts = features.sample_sphere(8, 6, 40)
     feats = features.sample_features(9, 6, 15, "indicator")
     data = features.Dataset(points=pts, targets=np.zeros(40), dim=6)
-    vals = features.build_feature_matrix(data, feats).values
+    vals = features.build_feature_matrix(data, feats)
     assert set(np.unique(vals)) <= {0.0, 1.0}
 
 

@@ -111,10 +111,26 @@ def test_gegenbauer_first_order_matches_generating_function():
 
 
 def test_legendre_is_normalized_at_one():
-    for d in (3, 5, 10):
+    for d in (3, 5, 10, 200):
         for n in range(7):
             p = ka.OrthogonalPolynomial("legendre", d, n)
             assert ka.poly_eval(p, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_legendre_conversion_is_the_binomial_value_at_one():
+    for d in range(3, 201):
+        for n in range(17):
+            conv = ka.legendre_conversion(d, n)
+            assert conv == math.comb(n + d - 3, n)
+            assert conv == pytest.approx(special.eval_gegenbauer(n, (d - 2) / 2, 1.0), rel=1e-12)
+
+
+def test_legendre_target_has_unit_norm_in_high_dimension():
+    # d = 200 is past the overflow of Gamma(n + d - 2) in the Gamma-function form
+    d = 200
+    target = features.legendre_target(d, 2, np.eye(d)[0])
+    vals = features.eval_target_many(target, features.sample_sphere(7, d, 20_000))
+    assert np.sqrt(np.mean(vals ** 2)) == pytest.approx(1.0, rel=0.02)
 
 
 def test_legendre_d3_matches_classic():
@@ -152,6 +168,13 @@ def test_polynomial_validation():
     p = ka.OrthogonalPolynomial("legendre", 3, 1)
     with pytest.raises(ValueError):
         ka.poly_eval(p, 1.5)
+
+
+def test_reciprocal_gamma_against_scipy():
+    for x in (-3.0, -2.0, -1.0, 0.0):
+        assert ka._rgamma(x) == 0.0
+    for x in (-2.5, -0.5, 0.5, 1.0, 1.5, 7.0, 40.5):
+        assert ka._rgamma(x) == pytest.approx(special.rgamma(x), rel=1e-14)
 
 
 def test_surface_area_closed_form():
