@@ -49,14 +49,6 @@ def norm_bound_rough(t: float, n: int, m: int, M: float, delta: float,
     return fac1 * fac2 * math.sqrt(t)
 
 
-def error_growth_bound(t: float, s: float, n: int, m: int, M: float, delta: float,
-                       f_norm: float, feat_norm_sq: float, err_at_t: float) -> float:
-    """Error at time s bounded by the error at t plus the sqrt(s-t) drift."""
-    if s <= t:
-        raise ValueError("requires 0 <= t < s")
-    return err_at_t + norm_bound_rough(s - t, n, m, M, delta, f_norm, feat_norm_sq)
-
-
 def capped_rate(t: float, scaled_values: np.ndarray) -> float:
     """Three-way capped rate d(t) = min(sqrt(t), lh_k t, 1/lh_last).
 
@@ -139,7 +131,6 @@ class AssumptionReport:
     delta: float
     discrepancies: tuple[float, float, float, float]
     concentration_index: int       # p with cumulative spectral energy >= 0.99
-    epsilon_t0: Optional[tuple[float, float]] = None  # (min test error, argmin t)
     regime_constants: Optional[tuple[float, float]] = None  # (c1, c2)
 
 

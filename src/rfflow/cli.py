@@ -1,9 +1,10 @@
 """Command-line experiment driver.
 
 Verbs: run, sweep, spectra, mp, mnist.  Every verb accepts --config PATH
-(flat key = value file), repeated --set key=value overrides, and the
-shortcuts --seed / --out / --workers.  MNIST IDX files are looked up in
-$RFFLOW_DATA_DIR unless all four paths are given.
+(flat key = value file), repeated --set key=value overrides, --seed N and
+--out DIR (default: the current directory).  Cells run one after another.
+MNIST IDX files are looked up in $RFFLOW_DATA_DIR unless all four paths
+are given.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ def _build_config(args):
         cfg = apply_overrides(cfg, args.set)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -43,8 +39,32 @@ def _usage_error(args, message: str) -> int:
     return 2
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+# list flag -> (type of each value, test of the whole list, the rule in words)
+LIST_FLAGS = {
+    "m_list": (int, lambda vs: all(v >= 1 for v in vs), "comma-separated integers >= 1"),
+    "gamma_list": (float, lambda vs: all(0.0 < v < math.inf for v in vs),
+                   "comma-separated positive numbers"),
+    "seeds": (int, lambda vs: all(v >= 0 for v in vs), "comma-separated integers >= 0"),
+    "fit_window": (float, lambda vs: len(vs) == 2 and all(map(math.isfinite, vs)),
+                   "two numbers lo,hi"),
+}
+
+
+def _parse_flags(args) -> None:
+    """Replace the list flags by lists of numbers; a ValueError names the flag."""
+    for dest, (cast, ok, rule) in LIST_FLAGS.items():
+        text = getattr(args, dest, None)
+        if text is None:
+            continue
+        try:
+            values = [cast(tok) for tok in text.split(",")]
+        except ValueError:
+            values = []
+        if not (values and ok(values)):
+            raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, got {text!r}")
+        setattr(args, dest, values)
+    if getattr(args, "gamma", None) is not None and not 0.0 < args.gamma < math.inf:
+        raise ValueError(f"--gamma must be a positive number, got {args.gamma!r}")
 
 
 def _trajectory_svg(record, path):
@@ -69,17 +89,15 @@ def cmd_run(args, cfg) -> int:
     from .runner import emit_csv, run_experiment
 
     record = run_experiment(cfg)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     csv_path = out / f"run_{record.metadata['config_hash']}.csv"
     emit_csv(record, csv_path)
     _trajectory_svg(record, out / f"run_{record.metadata['config_hash']}.svg")
     best = min((s for s in record.snapshots if math.isfinite(s.time)),
                key=lambda s: s.test_error)
     print(f"wrote {csv_path}")
-    line = f"min test error {best.test_error:.6g} at t={best.time:.6g}"
-    if math.isinf(record.snapshots[-1].time):
-        line += f"; min-norm test error {record.snapshots[-1].test_error:.6g}"
-    print(line)
+    print(f"min test error {best.test_error:.6g} at t={best.time:.6g}; "
+          f"min-norm test error {record.summary['min_norm_test_error']:.6g}")
     return 0
 
 
@@ -87,16 +105,14 @@ def cmd_sweep(args, cfg) -> int:
     from .runner import emit_budget_csv, emit_sweep_csv, run_sweep, translate_curves
     from .svgplot import PlotSpec, Series, emit_svg
 
-    seeds = [int(s) for s in _parse_float_list(args.seeds)]
-    kwargs = {}
+    seeds = args.seeds
     if args.m_list:
-        kwargs["m_values"] = [int(v) for v in _parse_float_list(args.m_list)]
+        sweep = run_sweep(cfg, m_values=args.m_list, seeds=seeds)
     elif args.gamma_list:
-        kwargs["gamma_values"] = _parse_float_list(args.gamma_list)
+        sweep = run_sweep(cfg, gamma_values=args.gamma_list, seeds=seeds)
     else:
         return _usage_error(args, "sweep needs --m-list or --gamma-list")
-    sweep = run_sweep(cfg, seeds=seeds, workers=cfg.workers, **kwargs)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     emit_sweep_csv(sweep, out / f"sweep_{sweep.axis}_minnorm.csv")
     emit_budget_csv(sweep, out / f"sweep_{sweep.axis}_budgets.csv")
 
@@ -143,12 +159,8 @@ def cmd_spectra(args, cfg) -> int:
 
     spectrum = ka.analytic_spectrum(d, 16)
     scale = ka.spectrum_feature_scale(d, c_fit)
-    gram = rm.SymmetricSpectrum("gram", gram_ev, n=n, m=m, d=d,
-                                gamma=args.gamma, seed=cfg.seed)
-    kern = rm.SymmetricSpectrum("kernel-matrix", kernel_ev, n=n, m=m, d=d)
-    report = rm.spectrum_report(gram, kern, spectrum, scale)
 
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     path = out / f"spectra_gamma{args.gamma:g}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,gram,kernel_matrix,analytic\n")
@@ -167,8 +179,8 @@ def cmd_spectra(args, cfg) -> int:
         ),
         x_label="rank", y_label="eigenvalue",
     ), out / f"spectra_gamma{args.gamma:g}.svg")
-    print(f"wrote {path}; top-10 gram vs kernel rel diff: "
-          f"{np.max(report.top_rel_diff_kernel[:10]):.4f}")
+    top_rel_diff = np.abs(gram_ev[:10] - kernel_ev[:10]) / np.abs(kernel_ev[:10])
+    print(f"wrote {path}; top-10 gram vs kernel rel diff: {np.max(top_rel_diff):.4f}")
     return 0
 
 
@@ -177,8 +189,6 @@ def cmd_mp(args, cfg) -> int:
     from . import random_matrix as rm
     from .svgplot import PlotSpec, Series, emit_svg
 
-    gammas = _parse_float_list(args.gamma_list)
-    seeds = [int(s) for s in _parse_float_list(args.seeds)]
     n, d = cfg.n, cfg.d
 
     def cell(gamma, seed):
@@ -190,17 +200,17 @@ def cmd_mp(args, cfg) -> int:
         return rm.smallest_gram_eigenvalue(phi, n, m)
 
     rows = []
-    for g in gammas:
-        vals = [cell(g, s) for s in seeds]
+    for g in args.gamma_list:
+        vals = [cell(g, s) for s in args.seeds]
         rows.append((g, float(np.mean(vals)), float(np.median(vals))))
 
-    fit_lo, fit_hi = (float(v) for v in args.fit_window.split(","))
+    fit_lo, fit_hi = args.fit_window
     fit_pts = [(g, mean) for g, mean, _ in rows if fit_lo <= g <= fit_hi and g != 1.0]
     if not fit_pts:  # window missed the grid: fall back to all off-resonance cells
         fit_pts = [(g, mean) for g, mean, _ in rows if g != 1.0]
     c, resid = rm.calibrate_c(fit_pts)
 
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     path = out / "mp_smallest.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gamma,mean_smallest,median_smallest,mp_prediction\n")
@@ -252,16 +262,14 @@ def cmd_mnist(args, cfg) -> int:
     cfg = replace(cfg, target_kind="external-labels")
 
     if args.m_list:
-        m_values = [int(v) for v in _parse_float_list(args.m_list)]
+        m_values = args.m_list
     else:
         m_values = sorted({max(1, int(round(cfg.n * g)))
                            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2,
                                      1.5, 2.0, 3.0)})
-    seeds = [int(s) for s in _parse_float_list(args.seeds)]
-    sweep = run_sweep(cfg, m_values=m_values, seeds=seeds,
-                      iteration_budgets=(1e4, 1e5, 1e6, 1e8),
-                      workers=cfg.workers, train=train, test=test)
-    out = Path(cfg.out_dir)
+    sweep = run_sweep(cfg, m_values=m_values, seeds=args.seeds,
+                      iteration_budgets=(1e4, 1e5, 1e6, 1e8), train=train, test=test)
+    out = Path(args.out)
     emit_sweep_csv(sweep, out / "mnist_minnorm.csv")
     emit_budget_csv(sweep, out / "mnist_budgets.csv")
 
@@ -293,8 +301,7 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[],
                        metavar="K=V", help="override one config key")
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int)
+        p.add_argument("--out", default=".", help="output directory (default: .)")
 
     p_run = sub.add_parser("run", help="single trajectory experiment")
     common(p_run)
@@ -335,8 +342,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-    except (KeyError, ValueError) as exc:  # a bad --config/--set value, not a failed run
+        _parse_flags(args)
+    except (KeyError, ValueError) as exc:  # a bad flag or config value, not a failed run
         return _usage_error(args, exc.args[0])
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     return args.func(args, cfg)
 
 

@@ -8,24 +8,21 @@ from dataclasses import dataclass, fields, replace
 
 from .features import FEATURE_KINDS, TARGET_KINDS
 
-# fields that only control how a run executes, never what it computes
-EXECUTION_FIELDS = ("out_dir", "workers")
 M_RULES = ("sqrt-n", "n^2")
-TIME_MAPS = ("flow-mn", "obj-n")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully serialisable description of one experiment cell.
+    """Fully serialisable description of one experiment cell: every field
+    determines results, so the text form and its hash identify the result.
 
     ``m`` accepts an integer or one of the rules "sqrt-n" / "n^2".  The time
     grid is logarithmic between 10^t_log_start and 10^t_log_stop with
-    ``t_per_decade`` points per decade; ``include_min_norm`` appends the
-    t = inf snapshot.  ``eta`` and ``time_map`` only affect the recorded
-    discrete-iteration correspondence: with time_map = "flow-mn" a discrete
-    step at learning rate eta advances flow time by eta; with "obj-n" the
-    discrete gradient omits the 1/m factor, so one step advances eta * m.
-    An invalid value raises ValueError at construction, naming its key.
+    ``t_per_decade`` points per decade, followed by the t = inf (min-norm)
+    snapshot.  ``eta`` only affects the recorded discrete-iteration
+    correspondence: under the flow's 1/(mn) rate convention a discrete step
+    at learning rate eta advances flow time by eta.  An invalid value raises
+    ValueError at construction, naming its key.
     """
 
     seed: int = 0
@@ -38,21 +35,18 @@ class ExperimentConfig:
     t_log_start: float = -2.0
     t_log_stop: float = 10.0
     t_per_decade: int = 20
-    include_min_norm: bool = True
     test_count: int = 2000
     assumption_points: int = 2000
     delta: float = 0.1
     eta: str = "auto"            # "auto" = 1 / (largest Gram eigenvalue)
-    time_map: str = "flow-mn"    # or "obj-n"
-    out_dir: str = "."
-    workers: int = 1
 
     def __post_init__(self):
         def need(ok: bool, key: str, rule: str):
             if not ok:
                 raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
 
-        for key in ("n", "d", "t_per_decade", "test_count", "assumption_points", "workers"):
+        need(self.seed >= 0, "seed", "must be >= 0")
+        for key in ("n", "d", "t_per_decade", "test_count", "assumption_points"):
             need(getattr(self, key) >= 1, key, "must be a count >= 1")
         need(self.m in M_RULES or 1 <= _parsed(int, self.m), "m",
              f"must be an integer >= 1 or one of {M_RULES}")
@@ -66,7 +60,6 @@ class ExperimentConfig:
         need(0.0 < self.delta < 1.0, "delta", "must lie in (0, 1)")
         need(self.eta == "auto" or 0.0 < _parsed(float, self.eta) < math.inf, "eta",
              "must be 'auto' or a positive finite number")
-        need(self.time_map in TIME_MAPS, "time_map", f"must be one of {TIME_MAPS}")
 
     def resolve_m(self) -> int:
         if self.m == "sqrt-n":
@@ -78,21 +71,16 @@ class ExperimentConfig:
     def time_grid(self) -> list[float]:
         decades = self.t_log_stop - self.t_log_start
         count = int(round(decades * self.t_per_decade)) + 1
-        grid = [10.0 ** (self.t_log_start + i / self.t_per_decade)
-                for i in range(count)]
-        if self.include_min_norm:
-            grid.append(math.inf)
-        return grid
+        return [10.0 ** (self.t_log_start + i / self.t_per_decade)
+                for i in range(count)] + [math.inf]
 
-    def to_text(self, skip=()) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)}"
-                 for f in fields(self) if f.name not in skip]
+    def to_text(self) -> str:
+        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        """Hash of the fields that determine results; execution fields are left out."""
-        text = self.to_text(skip=EXECUTION_FIELDS)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        """Hash of the text form; every field determines results."""
+        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
 
 
 def _parsed(cast, text: str):
@@ -103,27 +91,18 @@ def _parsed(cast, text: str):
         return math.nan
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False}
-
-
 def _coerce(name: str, raw: str):
-    proto = ExperimentConfig()
-    current = getattr(proto, name, None)
-    if current is None:
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    if name not in defaults:
         raise KeyError(f"unknown config key {name!r}")
     raw = raw.strip()
-    if isinstance(current, bool):
-        try:
-            return _BOOL[raw.lower()]
-        except KeyError:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}") from None
-    if isinstance(current, (int, float)):
-        cast = type(current)
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
-    return raw
+    cast = type(defaults[name])
+    if cast is str:
+        return raw
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:

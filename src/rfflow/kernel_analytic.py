@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, gamma
+from math import comb, exp, gamma, lgamma, log
 
 import numpy as np
 
@@ -206,18 +206,16 @@ def weighted_cosine_integral(d: int, g, tol: float = 1e-12, order: int = 64) -> 
 # eigenvalue formulas
 # ---------------------------------------------------------------------------
 
-def _lambda_zero(d: int) -> float:
-    return float(
-        2.0 * np.sqrt(np.pi) * d * gamma(d / 2)
-        * _rgamma(d) * _rgamma((d - 1) / 2)
-    )
+def _log_lambda_zero(d: int) -> float:
+    # log of 2 sqrt(pi) d Gamma(d/2) / (Gamma(d) Gamma((d-1)/2))
+    return log(2.0 * np.sqrt(np.pi) * d) + lgamma(d / 2) - lgamma(d) - lgamma((d - 1) / 2)
 
 
-def _lambda_factor(d: int, n: int) -> float:
-    # reciprocal gamma makes the Gamma((3-n)/2)^-2 pole an exact zero (odd n >= 3)
-    num = 2.0 ** (n - 0.5) * gamma((n + d - 2) / 2)
-    den = gamma(n + d - 2) * gamma(n + d) * gamma((n + d - 1) / 2)
-    return float(num / den * _rgamma((3 - n) / 2) ** 2)
+def _log_lambda_factor(d: int, n: int) -> float:
+    # log of 2^(n-1/2) Gamma((n+d-2)/2) / (Gamma(n+d-2) Gamma(n+d) Gamma((n+d-1)/2)
+    # Gamma((3-n)/2)^2); lgamma is log|Gamma|, and the square drops the sign
+    return ((n - 0.5) * log(2.0) + lgamma((n + d - 2) / 2) - lgamma(n + d - 2)
+            - lgamma(n + d) - lgamma((n + d - 1) / 2) - 2.0 * lgamma((3 - n) / 2))
 
 
 def analytic_eigenvalue(d: int, n: int) -> float:
@@ -229,38 +227,51 @@ def analytic_eigenvalue(d: int, n: int) -> float:
 
         lambda_{n+2} / lambda_n = (n-1)^2 / ((n+d-1)^2 (n+d+1) (n+d))
 
-    holds exactly across all n >= 0, and odd degrees >= 3 vanish identically.
+    holds exactly across all n >= 0, and odd degrees >= 3 vanish identically
+    (the Gamma((3-n)/2)^-2 pole).  The Gamma functions are combined in log
+    space, so the value stays finite in every dimension where it is
+    representable.
     """
     if d < 3:
         raise ValueError("analytic eigenvalues require d >= 3")
     if n < 0:
         raise ValueError("order must be >= 0")
-    lam0 = _lambda_zero(d)
-    if n == 0:
-        return lam0
-    return lam0 * _lambda_factor(d, n) / _lambda_factor(d, 0)
+    if n >= 3 and n % 2:
+        return 0.0
+    log_ratio = _log_lambda_factor(d, n) - _log_lambda_factor(d, 0) if n else 0.0
+    return exp(_log_lambda_zero(d) + log_ratio)
 
 
 @dataclass(frozen=True)
 class AnalyticSpectrum:
-    """Operator eigenvalues lambda_n with multiplicities N(d, n) up to n_max."""
+    """Operator eigenvalues lambda_n with multiplicities N(d, n) up to n_max.
+
+    The multiplicities are exact Python integers: N(d, 16) passes 2^63 from d = 97.
+    """
 
     dim: int
     eigenvalues: np.ndarray
-    multiplicities: np.ndarray
+    multiplicities: tuple[int, ...]
 
     def flatten(self, count: int) -> np.ndarray:
-        """Expand eigenvalues by multiplicity into a flat descending vector."""
-        reps = np.repeat(self.eigenvalues, self.multiplicities)
-        reps = np.sort(reps)[::-1]
-        if reps.size < count:
+        """The ``count`` largest eigenvalues, each repeated by its multiplicity, descending.
+
+        Each eigenvalue is repeated only as often as the first ``count``
+        entries need, never N(d, n) times.
+        """
+        order = np.argsort(self.eigenvalues)[::-1]
+        reps, left = [], count
+        for i in order:
+            reps.append(min(self.multiplicities[i], left))
+            left -= reps[-1]
+        if left > 0:
             raise ValueError("spectrum truncation: raise n_max to flatten this many")
-        return reps[:count]
+        return np.repeat(self.eigenvalues[order], reps)
 
 
 def analytic_spectrum(d: int, n_max: int) -> AnalyticSpectrum:
     eigenvalues = np.array([analytic_eigenvalue(d, n) for n in range(n_max + 1)])
-    mult = np.array([harmonic_multiplicity(d, n) for n in range(n_max + 1)])
+    mult = tuple(harmonic_multiplicity(d, n) for n in range(n_max + 1))
     return AnalyticSpectrum(dim=d, eigenvalues=eigenvalues, multiplicities=mult)
 
 

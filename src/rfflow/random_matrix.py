@@ -21,12 +21,11 @@ exactly one for every aspect ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .kernel_analytic import AnalyticSpectrum, adaptive_quadrature
+from .kernel_analytic import adaptive_quadrature
 
 _SYM_TOL = 1e-10
 
@@ -59,26 +58,6 @@ def smallest_gram_eigenvalue(phi, n: int, m: int) -> float:
         raise ValueError(f"expected a {n}x{m} feature matrix, got {mat.shape}")
     comp = mat @ mat.T if n <= m else mat.T @ mat
     return float(np.linalg.eigvalsh(comp / (n * m))[0])
-
-
-@dataclass(frozen=True)
-class SymmetricSpectrum:
-    """Descending eigenvalues of one matrix with its provenance."""
-
-    source: str                    # "gram" | "kernel-matrix" | "analytic"
-    eigenvalues: np.ndarray
-    n: int
-    m: int
-    d: int
-    gamma: Optional[float] = None
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        ev = self.eigenvalues
-        if np.any(np.diff(ev) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        if ev.size and ev[-1] < -1e-10 * max(abs(ev[0]), 1.0):
-            raise ValueError("expected a PSD spectrum up to round-off")
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +107,6 @@ def mp_mass(gamma: float, tol: float = 1e-10) -> float:
     return adaptive_quadrature(integrand, 0.0, np.pi / 2, tol=tol)
 
 
-@dataclass(frozen=True)
-class MPModel:
-    """Edges, atom, and calibrated smallest-eigenvalue predictor."""
-
-    gamma: float
-    edges: tuple[float, float]
-    atom_mass: float
-    calibration: float = 1.0
-
-    @classmethod
-    def for_gamma(cls, gamma: float, calibration: float = 1.0) -> "MPModel":
-        return cls(gamma=gamma, edges=mp_edges(gamma), atom_mass=mp_atom(gamma),
-                   calibration=calibration)
-
-    def predict_smallest(self) -> float:
-        return predict_smallest(self.gamma, self.calibration)
-
-
 def mp_shape(gamma) -> np.ndarray | float:
     """Unit-calibration smallest-eigenvalue shape, symmetric in gamma <-> 1/gamma."""
     g = np.asarray(gamma, dtype=float)
@@ -178,44 +139,3 @@ def calibrate_c(measurements: Sequence[tuple[float, float]]) -> tuple[float, flo
     c = float(vals[use] @ shapes[use] / (shapes[use] @ shapes[use]))
     resid = float(np.sqrt(np.mean((vals - c * shapes) ** 2)))
     return c, resid
-
-
-# ---------------------------------------------------------------------------
-# spectrum comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Per-rank comparison of a Gram spectrum against references."""
-
-    top_rel_diff_kernel: np.ndarray   # gram vs kernel matrix, top ranks
-    top_rel_diff_analytic: np.ndarray
-    min_eigenvalue: float
-    near_zero_count: int              # eigenvalues below 1e-6 * top
-
-
-def spectrum_report(gram: SymmetricSpectrum, kernel: SymmetricSpectrum,
-                    analytic: AnalyticSpectrum, analytic_scale: float,
-                    top: int = 20) -> SpectrumReport:
-    """Compare the top eigenvalues rank by rank.
-
-    The analytic spectrum is expanded by multiplicity and multiplied by the
-    single calibration scale fitted in ``kernel_analytic``.
-    """
-    if gram.eigenvalues.size == 0 or kernel.eigenvalues.size == 0:
-        raise ValueError("empty spectrum")
-    if gram.d != kernel.d or gram.d != analytic.dim:
-        raise ValueError("spectra from different dimensions")
-    top = min(top, gram.eigenvalues.size, kernel.eigenvalues.size)
-    ev_g = gram.eigenvalues[:top]
-    ev_k = kernel.eigenvalues[:top]
-    ev_a = analytic.flatten(top) * analytic_scale
-    rel_k = np.abs(ev_g - ev_k) / np.abs(ev_k)
-    rel_a = np.abs(ev_g - ev_a) / np.abs(ev_a)
-    top_val = gram.eigenvalues[0]
-    return SpectrumReport(
-        top_rel_diff_kernel=rel_k,
-        top_rel_diff_analytic=rel_a,
-        min_eigenvalue=float(gram.eigenvalues[-1]),
-        near_zero_count=int(np.sum(gram.eigenvalues < 1e-6 * top_val)),
-    )

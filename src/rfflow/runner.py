@@ -2,13 +2,12 @@
 
 Randomness is split into fixed named streams derived from the config seed
 (data, features, test set, measurement set), so any cell of a sweep is a
-pure function of (config, seed) regardless of worker count or grid layout.
+pure function of (config, seed) regardless of grid layout.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -69,15 +68,6 @@ def sup_bound(cfg: ExperimentConfig) -> float:
     return max(feat_sup, target_sup)
 
 
-def flow_time_per_iteration(eta: float, m: int, time_map: str) -> float:
-    """Flow time advanced by one discrete GD step at learning rate eta."""
-    if time_map == "flow-mn":
-        return eta
-    if time_map == "obj-n":
-        return eta * m
-    raise ValueError(f"unknown time map {time_map!r}")
-
-
 @dataclass
 class RunRecord:
     """All artifacts of one experiment cell."""
@@ -126,17 +116,15 @@ def run_experiment(cfg: ExperimentConfig,
 
     times = cfg.time_grid()
     snapshots = flow_mod.errors_on_grid(dec, y, feats, test, times)
-    finite_best = min((s for s in snapshots if math.isfinite(s.time)),
-                      key=lambda s: s.test_error)
 
-    # learning-rate metadata and the discrete-iteration correspondence
+    # learning rate; under the flow's 1/(mn) rate convention one discrete
+    # step at learning rate eta advances flow time by eta
     top_gram = float(dec.singular_values[0] ** 2 / (n * m))
     eta = 1.0 / top_gram if cfg.eta == "auto" else float(cfg.eta)
-    t_per_iter = flow_time_per_iteration(eta, m, cfg.time_map)
 
     budget_errors = {}
     if iteration_budgets:
-        budget_times = sorted(t_per_iter * float(T) for T in iteration_budgets)
+        budget_times = sorted(eta * float(T) for T in iteration_budgets)
         snaps = flow_mod.errors_on_grid(dec, y, feats, test, budget_times)
         for T, snap in zip(sorted(float(T) for T in iteration_budgets), snaps):
             budget_errors[T] = (snap.time, snap.test_error)
@@ -151,11 +139,10 @@ def run_experiment(cfg: ExperimentConfig,
         feat_sq = feature_norm_sq(d, cfg.feature_kind)
         m_sup = sup_bound(cfg)
 
-    finite_times = np.array([t for t in times])
     bound_rough = np.array([
         bounds_mod.norm_bound_rough(t, n, m, m_sup, cfg.delta, f_norm, feat_sq)
         if not math.isinf(t) else math.inf
-        for t in finite_times
+        for t in times
     ])
 
     assumption = None
@@ -169,8 +156,6 @@ def run_experiment(cfg: ExperimentConfig,
                                             cfg.assumption_points, d, target)
     try:
         assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points, cfg.delta)
-        assumption = replace(assumption,
-                             epsilon_t0=(finite_best.test_error, finite_best.time))
         lh = dec.scaled_values
         for j, t in enumerate(times):
             stated, proof = bounds_mod.finer_bound(
@@ -186,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig,
         "top_gram_eigenvalue": top_gram,
         # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
         "smallest_gram_eigenvalue": float(dec.singular_values[-1] ** 2 / (n * m)),
-        "min_norm_test_error": snapshots[-1].test_error if math.isinf(times[-1]) else None,
+        "min_norm_test_error": snapshots[-1].test_error,
         "concentration_index": assumption.concentration_index if assumption else None,
     }
     metadata = {
@@ -194,8 +179,7 @@ def run_experiment(cfg: ExperimentConfig,
         "target": f"{cfg.target_kind}:{cfg.target_order}" if not external else "external-labels",
         "rank_threshold": flow_mod.RANK_THRESHOLD,
         "eta": eta,
-        "time_map": cfg.time_map,
-        "flow_time_per_iteration": t_per_iter,
+        "flow_time_per_iteration": eta,
         "f_norm": f_norm,
         "feature_norm_sq": feat_sq,
         "sup_bound": m_sup,
@@ -233,10 +217,9 @@ def run_sweep(base: ExperimentConfig,
               gamma_values: Optional[Sequence[float]] = None,
               seeds: Sequence[int] = (0, 1, 2, 3, 4),
               iteration_budgets: Sequence[float] = (1e4, 1e5, 1e6, 1e8),
-              workers: int = 1,
               train: Optional[feat_mod.Dataset] = None,
               test: Optional[feat_mod.Dataset] = None) -> SweepResult:
-    """Run every (axis value, seed) cell; any cell failure aborts with its id."""
+    """Run every (axis value, seed) cell in order; any cell failure aborts with its id."""
     if (m_values is None) == (gamma_values is None):
         raise ValueError("exactly one of m_values / gamma_values must be given")
     if m_values is not None:
@@ -248,27 +231,16 @@ def run_sweep(base: ExperimentConfig,
     if not values:
         raise ValueError("empty sweep axis")
 
-    cells = [(v, s) for v in values for s in seeds]
-
-    def one(cell):
-        value, seed = cell
-        cfg = replace(base, seed=seed, m=str(cell_m[value]))
-        try:
-            return cell, run_experiment(cfg, iteration_budgets=iteration_budgets,
-                                        train=train, test=test)
-        except Exception as exc:
-            raise RuntimeError(f"sweep cell {axis}={value} seed={seed} failed: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, cells))
-    else:
-        results = dict(one(c) for c in cells)
-
-    min_norm_table, budget_table = [], []
+    results, min_norm_table, budget_table = {}, [], []
     for value in values:
         for seed in seeds:
-            rec = results[(value, seed)]
+            cfg = replace(base, seed=seed, m=str(cell_m[value]))
+            try:
+                rec = run_experiment(cfg, iteration_budgets=iteration_budgets,
+                                     train=train, test=test)
+            except Exception as exc:
+                raise RuntimeError(f"sweep cell {axis}={value} seed={seed} failed: {exc}") from exc
+            results[(value, seed)] = rec
             min_norm_table.append((value, seed,
                                    rec.summary["min_norm_test_error"],
                                    rec.summary["smallest_gram_eigenvalue"]))

@@ -102,14 +102,6 @@ def test_rough_bound_delta_validation():
         bounds.norm_bound_rough(1.0, 10, 10, 1.0, 1.5, 1.0, 0.05)
 
 
-def test_error_growth_bound_reduces_and_validates():
-    args = dict(n=100, m=100, M=1.0, delta=0.1, f_norm=1.0, feat_norm_sq=0.05)
-    with pytest.raises(ValueError):
-        bounds.error_growth_bound(2.0, 2.0, err_at_t=0.3, **args)
-    val = bounds.error_growth_bound(0.0, 4.0, err_at_t=0.3, **args)
-    assert val == pytest.approx(0.3 + bounds.norm_bound_rough(4.0, **args), rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # capped rate and finer bound
 # ---------------------------------------------------------------------------

@@ -18,21 +18,13 @@ def _overrides(tmp_path, extra=()):
 def test_run_verb(tmp_path, capsys):
     assert main(["run", *_overrides(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "min test error" in out
+    assert "min test error" in out and "min-norm test error" in out
     csvs = list(tmp_path.glob("run_*.csv"))
     svgs = list(tmp_path.glob("run_*.svg"))
     assert len(csvs) == 1 and len(svgs) == 1
     header = [ln for ln in csvs[0].read_text().splitlines()
               if not ln.startswith("#")][0]
     assert header == "time,train_error,test_error,param_norm,bound_rough,bound_finer"
-
-
-def test_run_verb_reports_min_norm_only_with_inf_snapshot(tmp_path, capsys):
-    assert main(["run", *_overrides(tmp_path, ["--set", "include_min_norm=false"])]) == 0
-    out = capsys.readouterr().out
-    assert "min test error" in out and "min-norm" not in out
-    assert main(["run", *_overrides(tmp_path)]) == 0
-    assert "min-norm test error" in capsys.readouterr().out
 
 
 def test_run_verb_with_config_file(tmp_path):
@@ -70,6 +62,43 @@ def test_bad_config_value_is_a_one_line_usage_error(tmp_path, capsys, override, 
     err = capsys.readouterr().err
     assert err.startswith("rfflow run: error: ") and err.count("\n") == 1
     assert key in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--m-list", "10.7"], "--m-list"),        # not an integer
+    (["sweep", "--m-list", "0,10"], "--m-list"),        # not a feature count
+    (["sweep", "--m-list", "10", "--seeds", ","], "--seeds"),  # empty entries
+    (["sweep", "--gamma-list", "0.5,nan"], "--gamma-list"),
+    (["mp", "--seeds", "0.9"], "--seeds"),
+    (["mp", "--gamma-list", "-1"], "--gamma-list"),
+    (["mp", "--fit-window", "1"], "--fit-window"),       # needs lo,hi
+    (["spectra", "--gamma", "0"], "--gamma"),
+    (["mnist", "--m-list", "20,x"], "--m-list"),
+])
+def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rfflow {argv[0]}: error: {flag} must be ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())  # nothing ran
+
+
+def _status(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize("extra", [
+    ["--workers", "2"],
+    ["--set", "workers=2"],
+    ["--set", "out_dir=x"],
+    ["--set", "include_min_norm=false"],
+    ["--set", "time_map=obj-n"],
+])
+def test_removed_execution_keys_are_usage_errors(tmp_path, extra):
+    assert _status(["run", *_overrides(tmp_path), *extra]) == 2
+    assert not list(tmp_path.glob("run_*.csv"))
 
 
 def test_errors_inside_a_run_propagate(tmp_path, monkeypatch):
@@ -118,6 +147,15 @@ def test_spectra_verb(tmp_path, capsys):
     assert len(lines) == 51
     out = capsys.readouterr().out
     assert "top-10" in out
+
+
+def test_spectra_verb_in_high_dimension(tmp_path):
+    # at d = 90 the analytic eigenvalues' Gamma products overflow unless combined in log space
+    assert main(["spectra", "--out", str(tmp_path),
+                 "--set", "n=50", "--set", "d=90", "--gamma", "2"]) == 0
+    table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
+    assert table.shape == (50, 4)
+    assert np.all(np.isfinite(table)) and np.all(table[:, 3] > 0)
 
 
 _MNIST_ARGS = ["--set", "n=40", "--set", "t_log_start=-1", "--set", "t_log_stop=2",

@@ -229,6 +229,43 @@ def test_spectrum_container():
     np.testing.assert_allclose(flat[1:11], spec.eigenvalues[1])
 
 
+@pytest.mark.parametrize("d", [68, 88, 90, 150])
+def test_analytic_eigenvalues_stay_finite_in_high_dimension(d):
+    # the Gamma products overflow from d = 68; in log space every even degree and
+    # degree 1 stay positive and keep the two-step ratio identity
+    lams = [ka.analytic_eigenvalue(d, n) for n in range(17)]
+    assert all(math.isfinite(v) for v in lams)
+    assert all(lams[n] > 0 for n in (0, 1, *range(2, 17, 2)))
+    assert all(lams[n] == 0.0 for n in range(3, 17, 2))
+    for n in range(2, 15, 2):
+        expect = (n - 1) ** 2 / ((n + d - 1) ** 2 * (n + d + 1) * (n + d))
+        assert lams[n + 2] / lams[n] == pytest.approx(expect, rel=1e-12)
+    lam0 = 2 * math.sqrt(math.pi) * d * math.exp(
+        special.gammaln(d / 2) - special.gammaln(d) - special.gammaln((d - 1) / 2))
+    assert lams[0] == pytest.approx(lam0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 5, 10])
+def test_flatten_is_the_truncated_expansion(d):
+    spec = ka.analytic_spectrum(d, 16)
+    full = np.sort(np.repeat(spec.eigenvalues, spec.multiplicities))[::-1]
+    for count in (1, 2, d, d + 1, 100, 289):
+        np.testing.assert_array_equal(spec.flatten(count), full[:count])
+    with pytest.raises(ValueError, match="n_max"):
+        ka.analytic_spectrum(d, 2).flatten(1 + d + ka.harmonic_multiplicity(d, 2) + 1)
+
+
+def test_flatten_never_expands_the_whole_spectrum():
+    # at d = 200 the multiplicities up to degree 16 sum past 2^63 entries
+    spec = ka.analytic_spectrum(200, 16)
+    assert sum(spec.multiplicities) > 2 ** 63
+    flat = spec.flatten(500)
+    assert flat.shape == (500,)
+    assert flat[0] == spec.eigenvalues[0]
+    np.testing.assert_array_equal(flat[1:201], spec.eigenvalues[1])
+    np.testing.assert_array_equal(flat[201:], spec.eigenvalues[2])
+
+
 def test_analytic_eigenvalue_rejects_low_dim():
     with pytest.raises(ValueError):
         ka.analytic_eigenvalue(2, 0)

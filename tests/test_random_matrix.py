@@ -125,14 +125,6 @@ def test_mp_total_mass_is_one(gamma):
     assert rm.mp_mass(gamma) + rm.mp_atom(gamma) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_mp_model_container():
-    model = rm.MPModel.for_gamma(2.0, calibration=3.0)
-    assert model.atom_mass == pytest.approx(0.5)
-    assert model.edges[0] <= model.edges[1]
-    assert model.predict_smallest() == pytest.approx(
-        3.0 * (1 - np.sqrt(0.5)) ** 2)
-
-
 def test_predict_smallest_anchor_values():
     assert rm.predict_smallest(1.0, 2.0) == 0.0
     assert rm.predict_smallest(4.0, 1.0) == pytest.approx(0.25)
@@ -167,35 +159,6 @@ def test_smallest_eigenvalue_dip_at_resonance():
     at_2 = np.median([rm.smallest_gram_eigenvalue(*(
         lambda p: (p[0], n, 2 * n))(_phi(s, n, 2 * n, d))) for s in seeds])
     assert at_1 <= 0.01 * at_2
-
-
-# ---------------------------------------------------------------------------
-# spectrum report
-# ---------------------------------------------------------------------------
-
-def test_spectrum_report_self_comparison():
-    phi, _ = _phi(3, 40, 40, d=3)
-    ev = rm.symmetric_eigenvalues(rm.gram_matrix(phi, 40, 40))
-    spec = rm.SymmetricSpectrum("gram", ev, n=40, m=40, d=3, gamma=1.0, seed=3)
-    analytic = ka.analytic_spectrum(3, 12)
-    rep = rm.spectrum_report(spec, spec, analytic, 1.0, top=10)
-    np.testing.assert_allclose(rep.top_rel_diff_kernel, 0.0, atol=1e-15)
-    assert rep.min_eigenvalue == pytest.approx(ev[-1])
-
-
-def test_spectrum_report_validation():
-    analytic = ka.analytic_spectrum(3, 4)
-    empty = rm.SymmetricSpectrum("gram", np.empty(0), n=0, m=0, d=3)
-    good = rm.SymmetricSpectrum("gram", np.array([1.0, 0.5]), n=2, m=2, d=3)
-    with pytest.raises(ValueError):
-        rm.spectrum_report(empty, good, analytic, 1.0)
-
-
-def test_symmetric_spectrum_validation():
-    with pytest.raises(ValueError):
-        rm.SymmetricSpectrum("gram", np.array([1.0, 2.0]), n=2, m=2, d=3)
-    with pytest.raises(ValueError):
-        rm.SymmetricSpectrum("gram", np.array([1.0, -0.5]), n=2, m=2, d=3)
 
 
 def test_kernel_matrix_eigenvalues_cluster_by_degree():
