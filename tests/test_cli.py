@@ -27,6 +27,22 @@ def test_run_verb(tmp_path, capsys):
     assert header == "time,train_error,test_error,param_norm,bound_rough,bound_finer"
 
 
+def test_run_verb_reports_min_norm_only_with_inf_snapshot(tmp_path, capsys):
+    # The min-norm figure is the t = inf row of the CSV; the "min test error"
+    # line ranges over the finite times only.
+    assert main(["run", *_overrides(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    (csv_path,) = tmp_path.glob("run_*.csv")
+    rows = [ln.split(",") for ln in csv_path.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    times = [float(r[0]) for r in rows]
+    errors = [float(r[2]) for r in rows]
+    assert times[-1] == float("inf") and all(np.isfinite(times[:-1]))
+    assert f"min-norm test error {errors[-1]:.6g}" in out
+    best = min(range(len(rows) - 1), key=lambda i: errors[i])
+    assert f"min test error {errors[best]:.6g} at t={times[best]:.6g};" in out
+
+
 def test_run_verb_with_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n = 16\nm = 12\nd = 3\nt_log_start = -1\nt_log_stop = 1\n"
