@@ -6,8 +6,6 @@ from .features import (
     FeatureSet,
     TargetSpec,
     build_feature_matrix,
-    eval_feature,
-    eval_target,
     sample_features,
     sample_sphere,
 )
@@ -18,7 +16,6 @@ from .flow import (
     decompose,
     errors_on_grid,
     ode_oracle,
-    predict,
     spectral_energy_profile,
 )
 from .runner import RunRecord, run_experiment, run_sweep, translate_curves
@@ -37,10 +34,7 @@ __all__ = [
     "coefficients_at",
     "decompose",
     "errors_on_grid",
-    "eval_feature",
-    "eval_target",
     "ode_oracle",
-    "predict",
     "run_experiment",
     "run_sweep",
     "sample_features",

@@ -39,12 +39,29 @@ def _usage_error(args, message: str) -> int:
     return 2
 
 
+class _ParserError(Exception):
+    """argparse's complaint about the command line: (prog, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _ParserError where argparse would print a usage block and exit."""
+
+    def error(self, message):
+        raise _ParserError(self.prog, message)
+
+
+def _distinct(vs) -> bool:
+    return len(set(vs)) == len(vs)
+
+
 # list flag -> (type of each value, test of the whole list, the rule in words)
 LIST_FLAGS = {
-    "m_list": (int, lambda vs: all(v >= 1 for v in vs), "comma-separated integers >= 1"),
-    "gamma_list": (float, lambda vs: all(0.0 < v < math.inf for v in vs),
-                   "comma-separated positive numbers"),
-    "seeds": (int, lambda vs: all(v >= 0 for v in vs), "comma-separated integers >= 0"),
+    "m_list": (int, lambda vs: _distinct(vs) and all(v >= 1 for v in vs),
+               "distinct comma-separated integers >= 1"),
+    "gamma_list": (float, lambda vs: _distinct(vs) and all(0.0 < v < math.inf for v in vs),
+                   "distinct comma-separated positive numbers"),
+    "seeds": (int, lambda vs: _distinct(vs) and all(v >= 0 for v in vs),
+              "distinct comma-separated integers >= 0"),
     "fit_window": (float, lambda vs: len(vs) == 2 and all(map(math.isfinite, vs)),
                    "two numbers lo,hi"),
 }
@@ -293,7 +310,7 @@ def cmd_mnist(args, cfg) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="rfflow", description=__doc__)
+    parser = _Parser(prog="rfflow", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
@@ -339,7 +356,14 @@ def main(argv=None) -> int:
     p_mn.add_argument("--seeds", default="0")
     p_mn.set_defaults(func=cmd_mnist)
 
-    args = parser.parse_args(argv)
+    try:
+        args, unknown = parser.parse_known_args(argv)
+    except _ParserError as exc:  # a malformed flag value or a missing verb
+        prog, message = exc.args
+        print(f"{prog}: error: {message}", file=sys.stderr)
+        return 2
+    if unknown:
+        return _usage_error(args, f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _build_config(args)
         _parse_flags(args)

@@ -88,25 +88,6 @@ def sample_features(rng_seed, dim: int, count: int, kind: str = "relu") -> Featu
     return FeatureSet(directions=sample_sphere(rng_seed, rows, count), kind=kind)
 
 
-def eval_feature(kind: str, b: np.ndarray, x: np.ndarray) -> float:
-    """Single feature value phi(x; b)."""
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if kind == "relu":
-        if b.shape != x.shape:
-            raise ValueError("direction/point dimension mismatch")
-        return float(max(0.0, float(b @ x)))
-    if kind == "indicator":
-        if b.shape != x.shape:
-            raise ValueError("direction/point dimension mismatch")
-        return 1.0 if float(b @ x) > 0.0 else 0.0
-    if kind == "affine-relu":
-        if b.shape[0] != x.shape[0] + 1:
-            raise ValueError("affine direction must have one extra coordinate")
-        return float(max(0.0, float(b[:-1] @ x) + float(b[-1])))
-    raise ValueError(f"unknown feature kind {kind!r}")
-
-
 def feature_values(feats: FeatureSet, points: np.ndarray) -> np.ndarray:
     """Vectorised feature evaluation; returns the (n, m) value array."""
     points = np.asarray(points, dtype=float)
@@ -163,11 +144,6 @@ def legendre_target(dim: int, order: int, axis: np.ndarray) -> TargetSpec:
     norm = float(np.sqrt(kernel_analytic.harmonic_multiplicity(dim, order)))
     return TargetSpec(kind="legendre", order=order, axis=np.asarray(axis, float),
                       normalization=norm)
-
-
-def eval_target(spec: TargetSpec, x: np.ndarray) -> float:
-    """Target value f*(x)."""
-    return float(eval_target_many(spec, np.asarray(x, float)[None, :])[0])
 
 
 def eval_target_many(spec: TargetSpec, points: np.ndarray) -> np.ndarray:

@@ -47,19 +47,33 @@ class SpectralDecomposition:
         top = self.singular_values[0] if self.singular_values.size else 0.0
         return self.singular_values > RANK_THRESHOLD * top
 
+    @property
+    def rank(self) -> int:
+        """Number of positive modes; they are a prefix, as s is descending."""
+        return int(np.count_nonzero(self.positive))
+
 
 def decompose(phi) -> SpectralDecomposition:
-    """Thin SVD; rejects non-finite matrices."""
+    """Thin SVD; rejects non-finite matrices.
+
+    A wide matrix (m > n) is factored through its transpose, Phi^T = V S U^T:
+    LAPACK's tall path (QR first) is faster than its wide one (LQ first).
+    """
     mat = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("feature matrix has non-finite entries")
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    n, m = mat.shape
+    if m > n:
+        v, s, ut = np.linalg.svd(mat.T, full_matrices=False)
+        u, vt = ut.T, v.T
+    else:
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
     return SpectralDecomposition(
         left_vectors=u,
         singular_values=s,
         right_vectors=vt.T,
-        n_rows=mat.shape[0],
-        n_cols=mat.shape[1],
+        n_rows=n,
+        n_cols=m,
     )
 
 
@@ -92,19 +106,10 @@ def coefficients_at(dec: SpectralDecomposition, y: np.ndarray, t) -> np.ndarray:
     A scalar ``t`` gives an (m,) array, an array of T times an (m, T) matrix.
     """
     t = _check_times(t)
-    pos = dec.positive
-    uy = dec.left_vectors[:, pos].T @ y
-    damp = _damping(dec.singular_values[pos], t, dec.n_rows, dec.n_cols)
-    return dec.right_vectors[:, pos] @ (damp * (uy if t.ndim == 0 else uy[:, None]))
-
-
-def predict(coeffs: np.ndarray, feats: FeatureSet, x: np.ndarray) -> float:
-    """Model value sum_k a_k phi(x; b_k)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != feats.count:
-        raise ValueError("coefficient length must match feature count")
-    vals = feature_values(feats, np.asarray(x, float)[None, :])[0]
-    return float(vals @ coeffs)
+    r = dec.rank
+    uy = dec.left_vectors[:, :r].T @ y
+    damp = _damping(dec.singular_values[:r], t, dec.n_rows, dec.n_cols)
+    return dec.right_vectors[:, :r] @ (damp * (uy if t.ndim == 0 else uy[:, None]))
 
 
 @dataclass(frozen=True)
@@ -134,24 +139,28 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
         raise ValueError("empty test set")
 
     n, m = dec.n_rows, dec.n_cols
-    pos = dec.positive
-    s = dec.singular_values[pos]
-    uy = (dec.left_vectors.T @ y)[pos]
+    r = dec.rank
+    s = dec.singular_values[:r]
+    uy = (dec.left_vectors.T @ y)[:r]
     # energy the flow can never fit: outside the column span or on zero modes
     perp = float(y @ y - uy @ uy)
 
     phi_test = feature_values(feats, test_points.points)
 
     coeff_basis = _damping(s, grid, n, m) * uy[:, None]   # (r+, T)
-    preds = phi_test @ (dec.right_vectors[:, pos] @ coeff_basis)
+    preds = phi_test @ (dec.right_vectors[:, :r] @ coeff_basis)
+    del phi_test
 
     # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2, zero at t = inf
     expo = np.exp(-_exponents(s, grid, n, m))
     train = ((expo ** 2 * uy[:, None] ** 2).sum(axis=0) + perp) / (2 * n)
 
     param = np.sqrt((coeff_basis ** 2).sum(axis=0))
-    test_err = np.sqrt(np.mean((preds - test_points.targets[:, None]) ** 2, axis=0))
-    pred_norm = np.sqrt(np.mean(preds ** 2, axis=0))
+    # one (N_test, T) scratch array: squared predictions, then squared errors
+    sq = np.square(preds)
+    pred_norm = np.sqrt(np.mean(sq, axis=0))
+    np.subtract(preds, test_points.targets[:, None], out=preds)
+    test_err = np.sqrt(np.mean(np.square(preds, out=sq), axis=0))
 
     return [TrajectorySnapshot(time=t, train_error=float(train[j]),
                                test_error=float(test_err[j]), param_norm=float(param[j]),

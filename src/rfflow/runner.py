@@ -83,35 +83,62 @@ class RunRecord:
     budget_errors: dict              # T -> (flow time, test error)
 
 
+def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
+           mc_points=None) -> tuple:
+    """A cell's (train, test, feats, mc_points): those given, the rest drawn
+    from the config seed's streams.
+
+    External cells (``target_kind = external-labels``) must be given train
+    and test, and measure the bound constants on the test points.
+    """
+    if cfg.target_kind == "external-labels":
+        if train is None or test is None:
+            raise ValueError("external runs need train and test datasets")
+        mc_points = test
+    else:
+        target = target_spec_for(cfg)
+        if train is None:
+            train = feat_mod.sample_dataset([cfg.seed, _STREAM_DATA], cfg.n, cfg.d, target)
+        if test is None:
+            test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], cfg.test_count,
+                                           cfg.d, target)
+        if mc_points is None:
+            mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
+                                                cfg.assumption_points, cfg.d, target)
+    if feats is None:
+        feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], train.points.shape[1],
+                                         m, cfg.feature_kind)
+    return train, test, feats, mc_points
+
+
 def run_experiment(cfg: ExperimentConfig,
                    iteration_budgets: Sequence[float] = (),
                    train: Optional[feat_mod.Dataset] = None,
-                   test: Optional[feat_mod.Dataset] = None) -> RunRecord:
+                   test: Optional[feat_mod.Dataset] = None,
+                   feats: Optional[feat_mod.FeatureSet] = None,
+                   mc_points: Optional[feat_mod.Dataset] = None) -> RunRecord:
     """Build, decompose, and evaluate one experiment cell.
 
     Synthetic cells sample sphere data and targets from the config; external
     cells (MNIST) pass pre-built train/test datasets and use their labels.
+    A sweep passes one seed's draws to each of its cells: ``feats`` may then
+    hold more than m directions, and its first m rows are exactly the m-row
+    draw of the same stream.
     """
     m = cfg.resolve_m()
-    external = train is not None
-    if external:
-        if test is None:
-            raise ValueError("external runs need a test dataset")
-        d = train.points.shape[1]
-        feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], d, m,
-                                         cfg.feature_kind)
-    else:
-        d = cfg.d
-        target = target_spec_for(cfg)
-        train = feat_mod.sample_dataset([cfg.seed, _STREAM_DATA], cfg.n, d, target)
-        test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], cfg.test_count,
-                                       d, target)
-        feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], d, m,
-                                         cfg.feature_kind)
+    external = cfg.target_kind == "external-labels"
+    train, test, feats, mc_points = _draws(cfg, m, train, test, feats, mc_points)
+    if feats.count < m:
+        raise ValueError(f"{feats.count} feature directions given for m = {m}")
+    if feats.count > m:
+        feats = feat_mod.FeatureSet(directions=feats.directions[:m], kind=feats.kind)
 
     n = train.count
     phi = feat_mod.build_feature_matrix(train, feats)
     dec = flow_mod.decompose(phi)
+    if dec.singular_values[0] == 0.0:
+        raise ValueError(f"no feature is active on any training point "
+                         f"(n = {n}, m = {m}, seed = {cfg.seed})")
     y = train.targets
 
     times = cfg.time_grid()
@@ -136,7 +163,7 @@ def run_experiment(cfg: ExperimentConfig,
         m_sup = bounds_mod.sup_norm(phi, test.targets)
     else:
         f_norm = target_norm(cfg)
-        feat_sq = feature_norm_sq(d, cfg.feature_kind)
+        feat_sq = feature_norm_sq(cfg.d, cfg.feature_kind)
         m_sup = sup_bound(cfg)
 
     bound_rough = np.array([
@@ -149,11 +176,6 @@ def run_experiment(cfg: ExperimentConfig,
     hypothesis_ok = False
     bound_finer = np.full(len(times), np.nan)
     bound_finer_proof = np.full(len(times), np.nan)
-    if external:
-        mc_points = test
-    else:
-        mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
-                                            cfg.assumption_points, d, target)
     try:
         assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points, cfg.delta)
         lh = dec.scaled_values
@@ -219,7 +241,12 @@ def run_sweep(base: ExperimentConfig,
               iteration_budgets: Sequence[float] = (1e4, 1e5, 1e6, 1e8),
               train: Optional[feat_mod.Dataset] = None,
               test: Optional[feat_mod.Dataset] = None) -> SweepResult:
-    """Run every (axis value, seed) cell in order; any cell failure aborts with its id."""
+    """Run every (axis value, seed) cell; any cell failure aborts with its id.
+
+    Cells run one seed at a time.  A seed's datasets and its feature
+    directions, drawn once at the seed's largest m, serve all of its cells;
+    each cell is identical to a ``run_experiment`` call that draws its own.
+    """
     if (m_values is None) == (gamma_values is None):
         raise ValueError("exactly one of m_values / gamma_values must be given")
     if m_values is not None:
@@ -230,25 +257,34 @@ def run_sweep(base: ExperimentConfig,
         cell_m = {g: max(1, int(round(g * base.n))) for g in values}
     if not values:
         raise ValueError("empty sweep axis")
+    if len(set(values)) < len(values) or len(set(seeds)) < len(seeds):
+        raise ValueError("sweep axis values and seeds must be distinct")
 
-    results, min_norm_table, budget_table = {}, [], []
-    for value in values:
-        for seed in seeds:
-            cfg = replace(base, seed=seed, m=str(cell_m[value]))
+    cells = {v: replace(base, m=str(cell_m[v])) for v in values}
+    m_max = max(cell.resolve_m() for cell in cells.values())
+    records = {}
+    for seed in seeds:
+        draws = _draws(replace(base, seed=seed), m_max, train, test)
+        for value in values:
             try:
-                rec = run_experiment(cfg, iteration_budgets=iteration_budgets,
-                                     train=train, test=test)
+                records[(value, seed)] = run_experiment(replace(cells[value], seed=seed),
+                                                        iteration_budgets, *draws)
             except Exception as exc:
                 raise RuntimeError(f"sweep cell {axis}={value} seed={seed} failed: {exc}") from exc
-            results[(value, seed)] = rec
-            min_norm_table.append((value, seed,
-                                   rec.summary["min_norm_test_error"],
-                                   rec.summary["smallest_gram_eigenvalue"]))
-            for T in sorted(rec.budget_errors):
-                t_flow, err = rec.budget_errors[T]
-                budget_table.append((value, seed, T, t_flow, err))
+        del draws   # free this seed's draws before the next seed's are made
 
-    return SweepResult(axis=axis, records=results,
+    # tables and records in value-major order
+    records = {(value, seed): records[(value, seed)] for value in values for seed in seeds}
+    min_norm_table, budget_table = [], []
+    for (value, seed), rec in records.items():
+        min_norm_table.append((value, seed,
+                               rec.summary["min_norm_test_error"],
+                               rec.summary["smallest_gram_eigenvalue"]))
+        for T in sorted(rec.budget_errors):
+            t_flow, err = rec.budget_errors[T]
+            budget_table.append((value, seed, T, t_flow, err))
+
+    return SweepResult(axis=axis, records=records,
                        min_norm_table=min_norm_table, budget_table=budget_table)
 
 

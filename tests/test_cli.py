@@ -90,11 +90,31 @@ def test_bad_config_value_is_a_one_line_usage_error(tmp_path, capsys, override, 
     (["mp", "--fit-window", "1"], "--fit-window"),       # needs lo,hi
     (["spectra", "--gamma", "0"], "--gamma"),
     (["mnist", "--m-list", "20,x"], "--m-list"),
+    (["sweep", "--m-list", "100,100"], "--m-list"),     # a cell would run twice
+    (["sweep", "--m-list", "10", "--seeds", "0,0"], "--seeds"),
+    (["sweep", "--gamma-list", "0.5,0.50"], "--gamma-list"),
+    (["mp", "--seeds", "1,2,1"], "--seeds"),
 ])
 def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"rfflow {argv[0]}: error: {flag} must be ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())  # nothing ran
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectra", "--gamma", "abc"], "rfflow spectra: error: argument --gamma: invalid float"),
+    (["run", "--seed", "x"], "rfflow run: error: argument --seed: invalid int value: 'x'"),
+    (["run", "--bogus", "1"], "rfflow run: error: unrecognized arguments: --bogus 1"),
+    (["mp", "--fit-window"],
+     "rfflow mp: error: argument --fit-window: expected one argument"),
+    (["frob"], "rfflow: error: argument verb: invalid choice: 'frob'"),
+])
+def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not list(tmp_path.iterdir())  # nothing ran
 
 

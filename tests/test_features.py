@@ -40,10 +40,16 @@ def test_seed_determinism():
     assert fa.directions.tobytes() == fb.directions.tobytes()
 
 
+def _value(kind, b, x):
+    """phi(x; b) for one direction and one point, through the array API."""
+    feats = features.FeatureSet(directions=np.asarray(b, float)[None, :], kind=kind)
+    return features.feature_values(feats, np.asarray(x, float)[None, :])[0, 0]
+
+
 def test_eval_feature_relu_aligned():
     x = features.sample_sphere(1, 5, 1)[0]
-    assert features.eval_feature("relu", x, x) == pytest.approx(1.0)
-    assert features.eval_feature("relu", -x, x) == 0.0
+    assert _value("relu", x, x) == pytest.approx(1.0)
+    assert _value("relu", -x, x) == 0.0
 
 
 def test_eval_feature_indicator_boundary_is_zero():
@@ -51,19 +57,21 @@ def test_eval_feature_indicator_boundary_is_zero():
     x[0] = 1.0
     b = np.zeros(4)
     b[1] = 1.0  # b.x = 0 exactly
-    assert features.eval_feature("indicator", b, x) == 0.0
+    assert _value("indicator", b, x) == 0.0
 
 
 def test_eval_feature_affine():
     x = np.array([1.0, 0.0])
     b = np.array([0.6, 0.0, 0.8])  # (b, c) on S^2
-    assert features.eval_feature("affine-relu", b, x) == pytest.approx(1.4)
-    assert features.eval_feature("affine-relu", -b, x) == 0.0
+    assert _value("affine-relu", b, x) == pytest.approx(1.4)
+    assert _value("affine-relu", -b, x) == 0.0
 
 
 def test_eval_feature_dimension_mismatch():
     with pytest.raises(ValueError):
-        features.eval_feature("relu", np.ones(3) / np.sqrt(3), np.ones(4) / 2)
+        _value("relu", np.ones(3) / np.sqrt(3), np.ones(4) / 2)
+    with pytest.raises(ValueError):   # the affine kind needs one extra coordinate
+        _value("affine-relu", np.ones(2) / np.sqrt(2), np.ones(2) / np.sqrt(2))
 
 
 def test_feature_matrix_single_aligned():
@@ -119,7 +127,7 @@ def test_legendre_target_at_axis():
     axis[0] = 1.0
     spec = features.legendre_target(d, 1, axis)
     # P_1(1) = 1, so the value at the axis is the normaliser itself
-    assert features.eval_target(spec, axis) == pytest.approx(spec.normalization)
+    assert features.eval_target_many(spec, axis[None, :])[0] == pytest.approx(spec.normalization)
 
 
 def test_legendre_target_unit_norm_mc():

@@ -47,6 +47,36 @@ def test_decompose_reconstruction_and_orthogonality():
     assert np.all(np.diff(s) <= 0)
 
 
+@st.composite
+def _matrices(draw):
+    """Tall, square or wide matrices of any rank from 0 to min(n, m)."""
+    a, b = sorted(draw(st.lists(st.integers(1, 30), min_size=2, max_size=2)))
+    n, m = draw(st.sampled_from([(b, a), (b, b), (a, b)]))
+    rank = draw(st.integers(0, min(n, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=_matrices())
+def test_decompose_is_a_thin_svd_in_every_orientation(mat):
+    n, m = mat.shape
+    r = min(n, m)
+    dec = flow.decompose(mat)
+    u, s, v = dec.left_vectors, dec.singular_values, dec.right_vectors
+    assert u.shape == (n, r) and s.shape == (r,) and v.shape == (m, r)
+    assert (dec.n_rows, dec.n_cols) == (n, m)
+    top = s[0]
+    assert np.max(np.abs(u * s @ v.T - mat)) <= 1e-12 * top
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(r), rtol=0, atol=1e-12)
+    # singular values to 1e-13 of the largest: below that they are round-off
+    expect = np.linalg.svd(mat, compute_uv=False)
+    assert np.max(np.abs(s - expect)) <= 1e-13 * top
+    assert dec.rank == np.count_nonzero(dec.positive)
+    assert np.all(dec.positive[:dec.rank]) and not np.any(dec.positive[dec.rank:])
+
+
 def test_decompose_rejects_nonfinite():
     with pytest.raises(ValueError):
         flow.decompose(np.array([[1.0, np.nan]]))
@@ -179,17 +209,23 @@ def test_oracle_equivalence_small_instances(seed, n, m):
 
 
 def test_predict_zero_and_single_feature():
-    feats = features.sample_features(1, 4, 3, "relu")
-    x = features.sample_sphere(2, 4, 1)[0]
-    assert flow.predict(np.zeros(3), feats, x) == 0.0
-    one = features.FeatureSet(directions=x[None, :].copy(), kind="relu")
-    assert flow.predict(np.array([2.0]), one, x) == pytest.approx(2.0)
+    # model value sum_k a_k phi(x; b_k) from the flow's coefficients
+    _, _, feats, data = _random_instance(1, 6, 3, d=4)
+    x = features.sample_sphere(2, 4, 1)
+    dec = flow.decompose(features.build_feature_matrix(data, feats))
+    zero = flow.coefficients_at(dec, np.zeros(6), np.inf)
+    assert features.feature_values(feats, x)[0] @ zero == 0.0
+    # one feature aligned with one training point: phi = [[1]], so a(inf) = y
+    one = features.FeatureSet(directions=x.copy(), kind="relu")
+    single = flow.decompose(features.feature_values(one, x))
+    a_inf = flow.coefficients_at(single, np.array([2.0]), np.inf)
+    assert features.feature_values(one, x)[0] @ a_inf == pytest.approx(2.0)
 
 
 def test_predict_dimension_mismatch():
-    feats = features.sample_features(1, 4, 3, "relu")
-    with pytest.raises(ValueError):
-        flow.predict(np.zeros(2), feats, np.ones(4) / 2)
+    phi, _, _, _ = _random_instance(1, 4, 3, d=4)
+    with pytest.raises(ValueError):   # targets must have one entry per training point
+        flow.coefficients_at(flow.decompose(phi), np.zeros(2), 1.0)
 
 
 def test_min_norm_interpolates_full_rank():

@@ -298,6 +298,69 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert sweep.min_norm_table[0][2] == solo.snapshots[-1].test_error
 
 
+def _external_data(d=6, n=30, n_test=50):
+    """Labelled non-sphere points, as an IDX file gives them."""
+    rng = np.random.default_rng(5)
+    train, test = (features.Dataset(points=rng.random((k, d)),
+                                    targets=(rng.random(k) < 0.5).astype(float), dim=d,
+                                    distribution_tag="external")
+                   for k in (n, n_test))
+    return train, test
+
+
+@pytest.mark.parametrize("axis,values,external", [
+    ("m", [15, 5, 40], False),           # the largest m is not last
+    ("gamma", [0.5, 1.0, 1.5], False),
+    ("m", [10, 30, 45], True),
+])
+def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, external):
+    # each cell of a sweep, which shares its seed's draws, writes the same CSV
+    # rows as a run_experiment call that draws everything itself
+    budgets = (10.0, 1e3)
+    cfg, data = _tiny_config(), {}
+    if external:
+        cfg = replace(cfg, n=30, target_kind="external-labels")
+        data = dict(zip(("train", "test"), _external_data()))
+    sweep = runner.run_sweep(cfg, seeds=[2, 0], iteration_budgets=budgets,
+                             **{f"{axis}_values": values}, **data)
+    assert list(sweep.records) == [(v, s) for v in values for s in (2, 0)]
+    minnorm, budget = [], []
+    for (value, seed), rec in sweep.records.items():
+        m = value if axis == "m" else max(1, int(round(value * cfg.n)))
+        solo = runner.run_experiment(replace(cfg, seed=seed, m=str(m)), budgets, **data)
+        runner.emit_csv(rec, tmp_path / "sweep.csv")
+        runner.emit_csv(solo, tmp_path / "solo.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+        minnorm.append((value, seed, solo.summary["min_norm_test_error"],
+                        solo.summary["smallest_gram_eigenvalue"]))
+        budget.extend((value, seed, T, *solo.budget_errors[T]) for T in budgets)
+    # the sweep tables, value-major, hold the same values
+    assert sweep.min_norm_table == minnorm
+    assert sweep.budget_table == budget
+
+
+def test_a_feature_set_shorter_than_m_is_rejected():
+    feats = features.sample_features([0, 2], 4, 10)
+    with pytest.raises(ValueError, match="10 feature directions given for m = 15"):
+        runner.run_experiment(_tiny_config(), feats=feats)
+
+
+def test_external_runs_need_their_datasets():
+    with pytest.raises(ValueError, match="external runs need train and test"):
+        runner.run_experiment(_tiny_config(target_kind="external-labels"))
+
+
+def test_all_zero_feature_matrix_names_the_cause():
+    # `rfflow run --set n=1 --set m=1 --seed 0`: the one direction points
+    # away from the one training point, so no ReLU is active
+    cfg = ExperimentConfig(n=1, m="1", seed=0)
+    train, _, feats, _ = runner._draws(cfg, 1)
+    assert np.all(features.build_feature_matrix(train, feats) == 0.0)
+    with pytest.raises(ValueError, match=r"no feature is active on any training point "
+                                         r"\(n = 1, m = 1, seed = 0\)"):
+        runner.run_experiment(cfg)
+
+
 def test_sweep_validation():
     cfg = _tiny_config()
     with pytest.raises(ValueError):
@@ -306,6 +369,10 @@ def test_sweep_validation():
         runner.run_sweep(cfg)
     with pytest.raises(ValueError):
         runner.run_sweep(cfg, m_values=[])
+    with pytest.raises(ValueError, match="distinct"):
+        runner.run_sweep(cfg, m_values=[5, 5])
+    with pytest.raises(ValueError, match="distinct"):
+        runner.run_sweep(cfg, gamma_values=[0.5], seeds=[1, 1])
 
 
 def test_translate_curves():
