@@ -44,7 +44,14 @@ class _ParserError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises _ParserError where argparse would print a usage block and exit."""
+    """Raises _ParserError where argparse would print a usage block and exit.
+
+    Long flags are never abbreviated: ``mp --gamma 2`` is an unknown flag, not
+    ``--gamma-list 2``.  The verbs' subparsers are _Parsers too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _ParserError(self.prog, message)
@@ -68,7 +75,10 @@ LIST_FLAGS = {
 
 
 def _parse_flags(args) -> None:
-    """Replace the list flags by lists of numbers; a ValueError names the flag."""
+    """Replace the list flags by lists of numbers and check the verb's flags.
+
+    Runs before the output directory is made; a ValueError names the flag.
+    """
     for dest, (cast, ok, rule) in LIST_FLAGS.items():
         text = getattr(args, dest, None)
         if text is None:
@@ -80,6 +90,17 @@ def _parse_flags(args) -> None:
         if not (values and ok(values)):
             raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, got {text!r}")
         setattr(args, dest, values)
+    if args.verb == "sweep" and not (args.m_list or args.gamma_list):
+        raise ValueError("sweep needs --m-list or --gamma-list")
+    if args.verb == "sweep" and args.m_list and args.gamma_list:
+        raise ValueError("sweep takes --m-list or --gamma-list, not both")
+    if args.verb == "mp" and all(g == 1.0 for g in args.gamma_list):
+        raise ValueError("--gamma-list must hold a gamma other than 1: "
+                         "the calibration fit has no point at gamma = 1")
+    if args.verb == "mnist":
+        missing = [f"--{flag.replace('_', '-')}" for flag in MNIST_FLAGS if not getattr(args, flag)]
+        if 0 < len(missing) < len(MNIST_FLAGS):
+            raise ValueError(f"give all four IDX paths or none; missing {', '.join(missing)}")
     if getattr(args, "gamma", None) is not None and not 0.0 < args.gamma < math.inf:
         raise ValueError(f"--gamma must be a positive number, got {args.gamma!r}")
 
@@ -125,10 +146,8 @@ def cmd_sweep(args, cfg) -> int:
     seeds = args.seeds
     if args.m_list:
         sweep = run_sweep(cfg, m_values=args.m_list, seeds=seeds)
-    elif args.gamma_list:
-        sweep = run_sweep(cfg, gamma_values=args.gamma_list, seeds=seeds)
     else:
-        return _usage_error(args, "sweep needs --m-list or --gamma-list")
+        sweep = run_sweep(cfg, gamma_values=args.gamma_list, seeds=seeds)
     out = Path(args.out)
     emit_sweep_csv(sweep, out / f"sweep_{sweep.axis}_minnorm.csv")
     emit_budget_csv(sweep, out / f"sweep_{sweep.axis}_budgets.csv")
@@ -207,19 +226,20 @@ def cmd_mp(args, cfg) -> int:
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
+    m_values = [max(1, int(round(g * n))) for g in args.gamma_list]
 
-    def cell(gamma, seed):
-        m = max(1, int(round(gamma * n)))
+    # One pass per seed: the m-row feature draw is the first m rows of the
+    # draw at the largest m, so one matrix serves every gamma.
+    per_seed = []
+    for seed in args.seeds:
         data = feat.sample_dataset([seed, 1], n, d,
                                    feat.TargetSpec(kind="constant-harmonic"))
-        feats = feat.sample_features([seed, 2], d, m, cfg.feature_kind)
+        feats = feat.sample_features([seed, 2], d, max(m_values), cfg.feature_kind)
         phi = feat.build_feature_matrix(data, feats)
-        return rm.smallest_gram_eigenvalue(phi, n, m)
-
-    rows = []
-    for g in args.gamma_list:
-        vals = [cell(g, s) for s in args.seeds]
-        rows.append((g, float(np.mean(vals)), float(np.median(vals))))
+        per_seed.append(rm.smallest_gram_eigenvalue(phi, n, m_values))
+        del phi
+    rows = [(g, float(np.mean(vals)), float(np.median(vals)))
+            for g, vals in zip(args.gamma_list, np.array(per_seed).T)]
 
     fit_lo, fit_hi = args.fit_window
     fit_pts = [(g, mean) for g, mean, _ in rows if fit_lo <= g <= fit_hi and g != 1.0]
@@ -270,9 +290,6 @@ def cmd_mnist(args, cfg) -> int:
     from .runner import emit_budget_csv, emit_sweep_csv, run_sweep
     from .svgplot import PlotSpec, Series, emit_svg
 
-    missing = [f"--{flag.replace('_', '-')}" for flag in MNIST_FLAGS if not getattr(args, flag)]
-    if 0 < len(missing) < len(MNIST_FLAGS):
-        return _usage_error(args, f"give all four IDX paths or none; missing {', '.join(missing)}")
     img, lab, timg, tlab = _mnist_paths(args)
     train = load_idx(img, lab, classes=(0, 1), subsample=cfg.n, seed=cfg.seed)
     test = load_idx(timg, tlab, classes=(0, 1))

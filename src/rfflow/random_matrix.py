@@ -47,17 +47,42 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def smallest_gram_eigenvalue(phi, n: int, m: int) -> float:
-    """Smallest eigenvalue of the min(n, m)-sized Gram spectrum.
+def smallest_gram_eigenvalue(phi, n: int, m: int | Sequence[int]) -> float | np.ndarray:
+    """Smallest eigenvalue of the min(n, m)-sized Gram spectrum of phi[:, :m].
 
     For m < n the n x n Gram matrix is rank deficient by construction, so the
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
+
+    A scalar ``m`` gives a float, a sequence of feature counts an array in the
+    given order, all served from the one n x M matrix ``phi``: every m < n
+    companion is a leading block of one product over the largest such m, and
+    the m >= n companions are a running sum of column-block products
+    Phi[:, a:b] Phi[:, a:b]^T, taken in ascending m.
     """
     mat = np.asarray(phi, dtype=float)
-    if mat.shape != (n, m):
-        raise ValueError(f"expected a {n}x{m} feature matrix, got {mat.shape}")
-    comp = mat @ mat.T if n <= m else mat.T @ mat
-    return float(np.linalg.eigvalsh(comp / (n * m))[0])
+    counts = np.atleast_1d(m)
+    if mat.ndim != 2 or mat.shape[0] != n:
+        raise ValueError(f"expected a feature matrix with {n} rows, got shape {mat.shape}")
+    if (counts.size == 0 or not np.issubdtype(counts.dtype, np.integer)
+            or counts.min() < 1 or counts.max() > mat.shape[1]):
+        raise ValueError(f"feature counts must be integers in 1..{mat.shape[1]} for a feature "
+                         f"matrix of shape {mat.shape}, got {counts.tolist()}")
+    smallest = {}
+    below = sorted({int(k) for k in counts if k < n})
+    if below:
+        head = mat[:, :below[-1]]
+        comp = head.T @ head
+        for k in below:
+            smallest[k] = float(np.linalg.eigvalsh(comp[:k, :k] / (n * k))[0])
+    comp, done = 0.0, 0
+    for k in sorted({int(k) for k in counts if k >= n}):
+        block = mat[:, done:k]
+        comp += block @ block.T  # the first block turns the 0.0 into an array
+        done = k
+        smallest[k] = float(np.linalg.eigvalsh(comp / (n * k))[0])
+    if np.ndim(m) == 0:
+        return smallest[int(m)]
+    return np.array([smallest[int(k)] for k in counts])
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +151,9 @@ def predict_smallest(gamma: float, c: float) -> float:
 def calibrate_c(measurements: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares calibration of the prediction against measurements.
 
-    ``measurements`` holds (gamma, smallest eigenvalue) pairs; at least three
-    off-resonance points (gamma != 1) are required since the shape vanishes
-    there.  Returns (c, rms residual).
+    ``measurements`` holds (gamma, smallest eigenvalue) pairs; at least one
+    of them must be off resonance (gamma != 1), since the shape vanishes at
+    gamma = 1.  Returns (c, rms residual).
     """
     gammas = np.array([g for g, _ in measurements], dtype=float)
     vals = np.array([v for _, v in measurements], dtype=float)

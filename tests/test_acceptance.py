@@ -211,17 +211,15 @@ def test_a08_smallest_eigenvalue_dip_and_mp_fit():
     t0 = time.perf_counter()
     n, d = 1000, 10
     gammas = [0.5, 0.7, 0.85, 1.0, 1.2, 1.5, 2.0]
-    means = []
-    for g in gammas:
-        m = int(round(g * n))
-        vals = []
-        for seed in range(10):
-            data = features.sample_dataset([seed, 1], n, d,
-                                           features.TargetSpec(kind="constant-harmonic"))
-            feats = features.sample_features([seed, 2], d, m, "relu")
-            phi = features.build_feature_matrix(data, feats)
-            vals.append(rm.smallest_gram_eigenvalue(phi, n, m))
-        means.append(float(np.mean(vals)))
+    m_values = [int(round(g * n)) for g in gammas]
+    per_seed = []
+    for seed in range(10):  # one feature matrix per seed serves every gamma
+        data = features.sample_dataset([seed, 1], n, d,
+                                       features.TargetSpec(kind="constant-harmonic"))
+        feats = features.sample_features([seed, 2], d, max(m_values), "relu")
+        phi = features.build_feature_matrix(data, feats)
+        per_seed.append(rm.smallest_gram_eigenvalue(phi, n, m_values))
+    means = [float(np.mean(vals)) for vals in np.array(per_seed).T]
     dip_at_one = gammas[int(np.argmin(means))] == 1.0
     fit_pts = [(g, v) for g, v in zip(gammas, means) if 0.8 <= g <= 1.25 and g != 1.0]
     c, _ = rm.calibrate_c(fit_pts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rfflow import idx
+from rfflow import features, idx
 from rfflow.cli import main
 
 
@@ -66,6 +66,8 @@ def test_sweep_verb(tmp_path):
 def test_sweep_requires_axis(tmp_path, capsys):
     assert main(["sweep", *_overrides(tmp_path)]) == 2
     assert capsys.readouterr().err == "rfflow sweep: error: sweep needs --m-list or --gamma-list\n"
+    assert main(["sweep", "--out", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new").exists()  # a usage error makes no output directory
 
 
 @pytest.mark.parametrize("override,key", [
@@ -109,6 +111,9 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["mp", "--fit-window"],
      "rfflow mp: error: argument --fit-window: expected one argument"),
     (["frob"], "rfflow: error: argument verb: invalid choice: 'frob'"),
+    (["mp", "--gamma", "2"], "rfflow mp: error: unrecognized arguments: --gamma 2"),  # no prefixes
+    (["sweep", "--m-list", "10", "--gamma-list", "2"],
+     "rfflow sweep: error: sweep takes --m-list or --gamma-list, not both"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -170,6 +175,41 @@ def test_mp_verb_widens_empty_fit_window(tmp_path):
                  "--gamma-list", "0.5,1.0,2.0", "--seeds", "0"]) == 0
     lines = (tmp_path / "mp_smallest.csv").read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_mp_verb_needs_a_gamma_off_resonance(tmp_path, capsys):
+    assert main(["mp", "--gamma-list", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfflow mp: error: --gamma-list must hold a gamma other than 1")
+    assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
+def test_mp_verb_matches_a_per_cell_recomputation(tmp_path):
+    # One feature matrix per seed serves every gamma; each cell recomputed
+    # from its own m-row draw agrees within 1e-14 of its top Gram eigenvalue.
+    n, d, seeds = 120, 5, (0, 1)
+    argv = ["mp", "--set", f"n={n}", "--set", f"d={d}", "--seeds", "0,1"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    text = (tmp_path / "a" / "mp_smallest.csv").read_bytes()
+    assert text == (tmp_path / "b" / "mp_smallest.csv").read_bytes()
+    rows = [[float(v) for v in ln.split(",")] for ln in text.decode().splitlines()[1:]]
+    assert [r[0] for r in rows] == [0.5, 0.7, 0.85, 1.0, 1.2, 1.5, 2.0]
+    for gamma, mean, median, _ in rows:
+        m = int(round(gamma * n))
+        smallest, top = [], []
+        for seed in seeds:
+            data = features.sample_dataset([seed, 1], n, d,
+                                           features.TargetSpec(kind="constant-harmonic"))
+            phi = features.build_feature_matrix(
+                data, features.sample_features([seed, 2], d, m, "relu"))
+            comp = phi @ phi.T if n <= m else phi.T @ phi
+            ev = np.linalg.eigvalsh(comp / (n * m))
+            smallest.append(ev[0])
+            top.append(ev[-1])
+        bound = 1e-14 * max(top)
+        assert abs(mean - np.mean(smallest)) <= bound
+        assert abs(median - np.median(smallest)) <= bound
 
 
 def test_spectra_verb(tmp_path, capsys):
@@ -236,6 +276,7 @@ def test_mnist_verb_takes_all_four_paths_or_none(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("rfflow mnist: error: ") and err.count("\n") == 1
     assert err.endswith("missing --test-images, --test-labels\n")
+    assert not (tmp_path / "part").exists()
 
 
 def test_mnist_verb_requires_paths(tmp_path, monkeypatch):

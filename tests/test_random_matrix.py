@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from rfflow import features
@@ -77,6 +79,48 @@ def test_smallest_gram_eigenvalue_uses_companion():
     ev = rm.symmetric_eigenvalues(phi.T @ phi / (12 * 5))
     assert val == pytest.approx(ev[-1], rel=1e-10)
     assert val > 1e-12  # the small companion is full rank
+
+
+@st.composite
+def _multi_m_cases(draw):
+    """An n x M matrix of any rank and feature counts in 1..M: unsorted, with
+    repeats, always m = n, and m < n and m > n whenever the shape allows."""
+    n = draw(st.integers(1, 25))
+    cols = n + draw(st.integers(0, 15))
+    rank = draw(st.integers(0, min(n, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    phi = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, cols))
+    ms = draw(st.lists(st.integers(1, cols), min_size=1, max_size=8)) + [n]
+    ms += [draw(st.integers(1, n - 1))] if n > 1 else []
+    ms += [draw(st.integers(n + 1, cols))] if cols > n else []
+    return phi, n, draw(st.permutations(ms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_multi_m_cases())
+def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case):
+    phi, n, ms = case
+    got = rm.smallest_gram_eigenvalue(phi, n, ms)
+    assert isinstance(got, np.ndarray) and got.shape == (len(ms),)
+    for m, value in zip(ms, got):
+        copy = phi[:, :m].copy()  # exactly m columns
+        comp = copy @ copy.T if n <= m else copy.T @ copy
+        ev = np.linalg.eigvalsh(comp / (n * m))
+        assert abs(value - ev[0]) <= 1e-14 * ev[-1]
+        one = rm.smallest_gram_eigenvalue(copy, n, m)
+        assert type(one) is float and abs(one - ev[0]) <= 1e-14 * ev[-1]
+
+
+@pytest.mark.parametrize("shape,m,message", [
+    ((5, 8), [3, 8], "with 6 rows, got shape (5, 8)"),  # row count is not n
+    ((6, 8), [0, 3], "got [0, 3]"),                     # a feature count below 1
+    ((6, 8), [3, 9], "1..8 for a feature matrix of shape (6, 8)"),  # beyond the columns
+    ((6, 8), [2.5], "got [2.5]"),                       # not a count
+])
+def test_smallest_gram_eigenvalue_shape_errors(shape, m, message):
+    with pytest.raises(ValueError) as err:
+        rm.smallest_gram_eigenvalue(np.ones(shape), 6, m)
+    assert message in str(err.value)
 
 
 def test_gram_top_eigenvalue_matches_calibrated_analytic():
