@@ -176,7 +176,6 @@ def cmd_spectra(args, cfg) -> int:
     from . import features as feat
     from . import kernel_analytic as ka
     from . import random_matrix as rm
-    from .flow import decompose
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
@@ -184,34 +183,29 @@ def cmd_spectra(args, cfg) -> int:
     data = feat.sample_dataset([cfg.seed, 1], n, d,
                                feat.TargetSpec(kind="constant-harmonic"))
     feats = feat.sample_features([cfg.seed, 2], d, m, cfg.feature_kind)
-    phi = feat.build_feature_matrix(data, feats)
 
-    gram_ev = rm.symmetric_eigenvalues(rm.gram_matrix(phi, n, m))
-    cal_feats = feat.sample_features([9010, d], d, 100_000, cfg.feature_kind)
-    cal_points = feat.sample_sphere([9011, d], d, 64)
-    c_fit, _ = ka.fit_profile_scale(cal_feats, cal_points)
-    kmat = c_fit * ka.kernel_profile(data.points @ data.points.T) / n
+    gram_ev = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
+    kmat = ka.feature_kernel(data.points @ data.points.T, d, cfg.feature_kind) / n
     kernel_ev = rm.symmetric_eigenvalues(kmat)
 
-    spectrum = ka.analytic_spectrum(d, 16)
-    scale = ka.spectrum_feature_scale(d, c_fit)
+    # the analytic column is the ReLU family at the exact ReLU kernel scale
+    spectrum = ka.analytic_spectrum(d, ka.degree_for_count(d, n))
+    scale = ka.spectrum_feature_scale(d, 1.0 / (2.0 * np.pi * d))
 
     out = Path(args.out)
     path = out / f"spectra_gamma{args.gamma:g}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,gram,kernel_matrix,analytic\n")
-        flat = spectrum.flatten(min(gram_ev.size, kernel_ev.size)) * scale
-        for i in range(min(gram_ev.size, kernel_ev.size)):
+        flat = spectrum.flatten(n) * scale
+        for i in range(n):
             fh.write(f"{i + 1},{gram_ev[i]:.17g},{kernel_ev[i]:.17g},{flat[i]:.17g}\n")
-    ranks = np.arange(1, gram_ev.size + 1)
+    ranks = np.arange(1, n + 1)
     emit_svg(PlotSpec(
         title=f"spectra at gamma={args.gamma:g} (n={n}, d={d})",
         series=(
             Series("gram", ranks, np.maximum(gram_ev, 1e-300)),
-            Series("kernel matrix", np.arange(1, kernel_ev.size + 1),
-                   np.maximum(kernel_ev, 1e-300)),
-            Series("analytic (calibrated)", np.arange(1, flat.size + 1), flat,
-                   dashed=True),
+            Series("kernel matrix", ranks, np.maximum(kernel_ev, 1e-300)),
+            Series("analytic (ReLU family)", ranks, flat, dashed=True),
         ),
         x_label="rank", y_label="eigenvalue",
     ), out / f"spectra_gamma{args.gamma:g}.svg")

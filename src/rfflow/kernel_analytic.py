@@ -1,15 +1,15 @@
-"""Closed-form kernel of ReLU features on the sphere and its operator spectrum.
+"""Closed-form feature kernels on the sphere and the ReLU operator spectrum.
 
 For directions b uniform on S^(d-1), the expected product of two ReLU
 features E_b[max(0, b.x) max(0, b.x')] depends only on t = x.x' and is
-proportional to the arc-cosine profile
+the arc-cosine kernel of Cho & Saul (2009),
 
-    k(t) = sqrt(1 - t^2) + t * (pi - arccos t),
+    k(t) / (2 pi d),    k(t) = sqrt(1 - t^2) + t * (pi - arccos t),
 
-with k(1) = pi, k(0) = 1, k(-1) = 0.  The profile is treated as defined up
-to one global multiplicative constant relative to the empirical kernel;
-``fit_profile_scale`` recovers that scalar by least squares (it converges to
-1/(2*pi*d)).
+with k(1) = pi, k(0) = 1, k(-1) = 0.  ``feature_kernel`` gives this exact
+kernel for every feature kind; ``fit_profile_scale`` is only the Monte-Carlo
+check that the least-squares scale of k against an empirical kernel
+converges to 1/(2 pi d).
 
 The induced integral operator on the uniform sphere is zonal, so spherical
 harmonics are its eigenfunctions and the eigenvalue depends only on the
@@ -50,18 +50,42 @@ def surface_area(k: int) -> float:
     return 2.0 * np.pi ** ((k + 1) / 2) / gamma((k + 1) / 2)
 
 
+def _cosines(t, what: str) -> np.ndarray:
+    """Cosines as a float array: beyond [-1, 1] by more than 1e-12 is an
+    error, anything inside that tolerance is clipped."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + _CLIP_TOL):
+        raise ValueError(f"{what} argument outside [-1, 1]")
+    return np.clip(t, -1.0, 1.0)
+
+
 def kernel_profile(t):
     """Closed-form kernel profile k(t) = sqrt(1-t^2) + t(pi - arccos t).
 
     Accepts scalars or arrays of cosines; inputs beyond [-1, 1] by more than
     1e-12 are rejected, anything inside that tolerance is clipped.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _CLIP_TOL):
-        raise ValueError("kernel profile argument outside [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
+    t = _cosines(t, "kernel profile")
     out = np.sqrt(1.0 - t * t) + t * (np.pi - np.arccos(t))
     return out if out.ndim else float(out)
+
+
+def feature_kernel(t, d: int, kind: str):
+    """Exact zonal kernel E_b[phi(x;b) phi(x';b)] of one feature kind in t = x.x'.
+
+    ReLU is k(t)/(2 pi d); the indicator is the order-0 arc-cosine kernel
+    (pi - arccos t)/(2 pi); the affine ReLU is ReLU on (x, 1) in d+1
+    dimensions, whose cosine is (1+t)/2 and squared norms 2, so
+    k((1+t)/2)/(pi (d+1)).  At t = 1 each is the feature's mean square.
+    """
+    if kind == "relu":
+        return kernel_profile(t) / (2.0 * np.pi * d)
+    if kind == "indicator":
+        out = (np.pi - np.arccos(_cosines(t, "kernel"))) / (2.0 * np.pi)
+        return out if out.ndim else float(out)
+    if kind == "affine-relu":
+        return kernel_profile((1.0 + _cosines(t, "kernel")) / 2.0) / (np.pi * (d + 1))
+    raise ValueError(f"unknown feature kind {kind!r}")
 
 
 def kernel_mc(x, x_prime, feats) -> tuple[float, float]:
@@ -139,11 +163,7 @@ def legendre_conversion(d: int, n: int) -> int:
 
 def poly_eval(p: OrthogonalPolynomial, t):
     """Evaluate an orthogonal polynomial at cosines ``t`` in [-1, 1]."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + _CLIP_TOL):
-        raise ValueError("polynomial argument outside [-1, 1]")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
-    vals = _gegenbauer_values(p.dim, p.order, t_arr)
+    vals = _gegenbauer_values(p.dim, p.order, _cosines(t, "polynomial"))
     if p.family == "legendre":
         vals = vals / legendre_conversion(p.dim, p.order)
     return vals if vals.ndim else float(vals)
@@ -269,6 +289,20 @@ class AnalyticSpectrum:
         return np.repeat(self.eigenvalues[order], reps)
 
 
+def degree_for_count(d: int, count: int) -> int:
+    """Smallest degree n_max whose nonzero-eigenvalue harmonics number at least ``count``.
+
+    Odd degrees >= 3 have eigenvalue zero and add no usable entries, so
+    ``analytic_spectrum(d, n_max).flatten(count)`` is positive throughout.
+    """
+    n_max, total = -1, 0
+    while total < count:
+        n_max += 1
+        if analytic_eigenvalue(d, n_max) > 0.0:
+            total += harmonic_multiplicity(d, n_max)
+    return n_max
+
+
 def analytic_spectrum(d: int, n_max: int) -> AnalyticSpectrum:
     eigenvalues = np.array([analytic_eigenvalue(d, n) for n in range(n_max + 1)])
     mult = tuple(harmonic_multiplicity(d, n) for n in range(n_max + 1))
@@ -338,14 +372,15 @@ def gegenbauer_kernel_moment(d: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# calibration against empirical kernels
+# Monte-Carlo check of the kernel scale, and the spectrum's scale
 # ---------------------------------------------------------------------------
 
 def fit_profile_scale(feats, points: np.ndarray) -> tuple[float, float]:
     """Least-squares scalar c with (1/m) Phi Phi^T ~ c * k_profile(X X^T).
 
     Fitted over all pairs of the supplied points; returns (c, rms residual).
-    For ReLU features on the sphere c converges to 1/(2 pi d).
+    For ReLU features on the sphere c converges to the exact 1/(2 pi d) of
+    ``feature_kernel``; nothing needs the fitted value.
     """
     from . import features as _features
 

@@ -25,17 +25,29 @@ from typing import Sequence
 
 import numpy as np
 
+from .features import FeatureSet, feature_values
 from .kernel_analytic import adaptive_quadrature
 
 _SYM_TOL = 1e-10
 
 
-def gram_matrix(phi, n: int, m: int) -> np.ndarray:
-    """G = Phi Phi^T / (nm)."""
-    mat = np.asarray(phi, dtype=float)
-    if mat.shape != (n, m):
-        raise ValueError(f"expected a {n}x{m} feature matrix, got {mat.shape}")
-    return mat @ mat.T / (n * m)
+def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
+    """G = Phi Phi^T / (nm) of the m features at the n points, without Phi.
+
+    Phi_b Phi_b^T is summed over blocks of at most n feature directions and
+    divided once at the end, so memory stays O(n^2) however large m is; an
+    m <= n Gram is one block, the plain product.
+    """
+    points = np.asarray(points, dtype=float)
+    n, m = points.shape[0], feats.count
+    if m == 0:
+        raise ValueError("empty feature set")
+    gram = 0.0
+    for lo in range(0, m, n):
+        block = feature_values(FeatureSet(feats.directions[lo:lo + n], feats.kind), points)
+        gram += block @ block.T  # the first block turns the 0.0 into an array
+    gram /= n * m
+    return gram
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:

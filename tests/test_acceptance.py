@@ -186,17 +186,14 @@ def test_a07_gram_vs_kernel_matrix_at_gamma8():
     t0 = time.perf_counter()
     d, n, gamma = 10, 500, 8.0
     m = int(gamma * n)
-    cal_feats = features.sample_features([9010, d], d, 100_000, "relu")
-    cal_pts = features.sample_sphere([9011, d], d, 64)
-    c_fit, _ = ka.fit_profile_scale(cal_feats, cal_pts)
     rels = []
     for seed in range(5):
         data = features.sample_dataset([seed, 1], n, d,
                                        features.TargetSpec(kind="constant-harmonic"))
         feats = features.sample_features([seed, 2], d, m, "relu")
-        phi = features.build_feature_matrix(data, feats)
-        ev_g = rm.symmetric_eigenvalues(rm.gram_matrix(phi, n, m))
-        kmat = c_fit * ka.kernel_profile(data.points @ data.points.T) / n
+        ev_g = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
+        # the exact ReLU kernel k(t)/(2 pi d)
+        kmat = ka.feature_kernel(data.points @ data.points.T, d, "relu") / n
         ev_k = rm.symmetric_eigenvalues(kmat)
         rels.append(np.abs(ev_g[:10] - ev_k[:10]) / ev_k[:10])
     med = np.median(np.array(rels), axis=0)

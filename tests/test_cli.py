@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,30 @@ def test_spectra_verb_in_high_dimension(tmp_path):
     table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
     assert table.shape == (50, 4)
     assert np.all(np.isfinite(table)) and np.all(table[:, 3] > 0)
+
+
+def test_spectra_verb_covers_every_row_with_nonzero_harmonics(tmp_path):
+    # at d = 3 the harmonics up to degree 16 with nonzero eigenvalues number
+    # only 156; n_max grows with n so that all 300 analytic values are positive
+    assert main(["spectra", "--out", str(tmp_path),
+                 "--set", "d=3", "--set", "n=300", "--gamma", "2"]) == 0
+    table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
+    assert table.shape == (300, 4)
+    assert np.all(table[:, 3] > 0) and np.all(np.diff(table[:, 3]) <= 0)
+
+
+@pytest.mark.parametrize("gamma,d", [(8, 10), (8, 90), (32, 10)])
+def test_spectra_verb_memory_is_bounded_in_m_and_d(tmp_path, gamma, d):
+    # the n x m feature matrix is never held: the Gram is summed over blocks
+    # of at most n feature directions, and no calibration draw is made
+    tracemalloc.start()
+    try:
+        assert main(["spectra", "--out", str(tmp_path), "--set", "n=200",
+                     "--set", f"d={d}", "--gamma", str(gamma)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 _MNIST_ARGS = ["--set", "n=40", "--set", "t_log_start=-1", "--set", "t_log_stop=2",

@@ -7,6 +7,8 @@ from scipy.integrate import quad as scipy_quad
 
 from rfflow import features
 from rfflow import kernel_analytic as ka
+from rfflow import random_matrix as rm
+from rfflow.runner import feature_norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +362,63 @@ def test_fit_profile_scale_recovers_half_over_pi_d():
     c, resid = ka.fit_profile_scale(feats, pts)
     assert c == pytest.approx(1.0 / (2 * np.pi * d), rel=0.02)
     assert resid < 0.01 * c * np.pi
+
+
+# ---------------------------------------------------------------------------
+# exact feature kernels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("d", [3, 10])
+def test_feature_kernel_matches_monte_carlo(kind, d):
+    feats = features.sample_features([50, d], d, 200_000, kind)
+    xs = features.sample_sphere([51, d], d, 8)
+    ys = features.sample_sphere([52, d], d, 8)
+    for x, y in zip(xs, ys):
+        val, se = ka.kernel_mc(x, y, feats)
+        assert abs(ka.feature_kernel(float(x @ y), d, kind) - val) <= 5 * se
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("d", [3, 10, 90])
+def test_feature_kernel_diagonal_is_the_mean_square(kind, d):
+    assert ka.feature_kernel(1.0, d, kind) == pytest.approx(feature_norm_sq(d, kind), rel=1e-15)
+
+
+def test_feature_kernel_validation():
+    with pytest.raises(ValueError, match="unknown feature kind"):
+        ka.feature_kernel(0.5, 4, "tanh")
+    for kind in features.FEATURE_KINDS:
+        with pytest.raises(ValueError, match="outside"):
+            ka.feature_kernel(1.0 + 1e-9, 4, kind)
+        with pytest.raises(ValueError, match="outside"):
+            ka.feature_kernel(np.array([0.0, -2.5]), 4, kind)
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_gram_tracks_the_exact_kernel_matrix(kind):
+    # gamma = 8, n = 500, d = 10: the top-10 Gram eigenvalues agree with the
+    # exact kernel matrix's within 10%, median over three seeds
+    d, n, m = 10, 500, 4000
+    rels = []
+    for seed in range(3):
+        points = features.sample_sphere([seed, 1], d, n)
+        feats = features.sample_features([seed, 2], d, m, kind)
+        ev_g = rm.symmetric_eigenvalues(rm.gram_matrix(points, feats))[:10]
+        ev_k = rm.symmetric_eigenvalues(ka.feature_kernel(points @ points.T, d, kind) / n)[:10]
+        rels.append(np.abs(ev_g - ev_k) / ev_k)
+    assert np.max(np.median(rels, axis=0)) <= 0.10
+
+
+@pytest.mark.parametrize("d", [3, 10, 90])
+@pytest.mark.parametrize("count", [1, 4, 156, 157, 300, 1000])
+def test_degree_for_count_is_the_smallest_covering_degree(d, count):
+    def nonzero_harmonics(n_max):
+        return sum(ka.harmonic_multiplicity(d, n) for n in range(n_max + 1)
+                   if ka.analytic_eigenvalue(d, n) > 0)
+
+    n_max = ka.degree_for_count(d, count)
+    assert nonzero_harmonics(n_max) >= count
+    assert n_max == 0 or nonzero_harmonics(n_max - 1) < count
+    flat = ka.analytic_spectrum(d, n_max).flatten(count)
+    assert np.all(flat > 0) and np.all(np.diff(flat) <= 0)

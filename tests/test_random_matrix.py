@@ -10,11 +10,15 @@ from rfflow import random_matrix as rm
 from rfflow.flow import decompose
 
 
-def _phi(seed, n, m, d=10, kind="relu"):
+def _draw(seed, n, m, d=10, kind="relu"):
     data = features.sample_dataset([seed, 1], n, d,
                                    features.TargetSpec(kind="constant-harmonic"))
-    feats = features.sample_features([seed, 2], d, m, kind)
-    return features.build_feature_matrix(data, feats), data
+    return data.points, features.sample_features([seed, 2], d, m, kind)
+
+
+def _phi(seed, n, m, d=10, kind="relu"):
+    points, feats = _draw(seed, n, m, d, kind)
+    return features.feature_values(feats, points)
 
 
 # ---------------------------------------------------------------------------
@@ -22,23 +26,39 @@ def _phi(seed, n, m, d=10, kind="relu"):
 # ---------------------------------------------------------------------------
 
 def test_gram_identity_matrix():
+    # ReLU features along the coordinate axes at the coordinate points: Phi = I
     n = 4
-    g = rm.gram_matrix(np.eye(n), n, n)
+    g = rm.gram_matrix(np.eye(n), features.FeatureSet(np.eye(n), "relu"))
     np.testing.assert_allclose(g, np.eye(n) / n ** 2, atol=1e-15)
 
 
 def test_gram_eigenvalues_match_svd():
-    phi, _ = _phi(0, 12, 9)
-    dec = decompose(phi)
-    ev = rm.symmetric_eigenvalues(rm.gram_matrix(phi, 12, 9))
+    points, feats = _draw(0, 12, 9)
+    dec = decompose(features.feature_values(feats, points))
+    ev = rm.symmetric_eigenvalues(rm.gram_matrix(points, feats))
     expect = np.zeros(12)
     expect[: dec.singular_values.size] = dec.singular_values ** 2 / (12 * 9)
     np.testing.assert_allclose(ev, np.sort(expect)[::-1], rtol=1e-8, atol=1e-14)
 
 
 def test_gram_shape_validation():
-    with pytest.raises(ValueError):
-        rm.gram_matrix(np.eye(3), 3, 4)
+    with pytest.raises(ValueError, match="point dimension"):
+        rm.gram_matrix(np.eye(3), features.FeatureSet(np.eye(4), "relu"))
+    with pytest.raises(ValueError, match="empty feature set"):
+        rm.gram_matrix(np.eye(3), features.FeatureSet(np.empty((0, 3)), "relu"))
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("m", [13, 40, 100])  # m < n, m = n, m = 2.5n
+def test_gram_block_sum_matches_full_product(kind, m):
+    n = 40
+    points, feats = _draw(3, n, m, 6, kind)
+    phi = features.feature_values(feats, points)
+    full = phi @ phi.T / (n * m)
+    gram = rm.gram_matrix(points, feats)
+    assert np.max(np.abs(gram - full)) <= 1e-14 * np.linalg.eigvalsh(full)[-1]
+    if m <= n:  # one block: the plain product, to the last bit
+        assert gram.tobytes() == full.tobytes()
 
 
 def test_symmetric_eigenvalues_diag_and_rank_one():
@@ -64,8 +84,9 @@ def test_symmetric_eigenvalues_rejects_asymmetric():
 
 
 def test_companion_spectra_match_on_rectangular():
-    phi, _ = _phi(1, 10, 6)
-    g_big = rm.gram_matrix(phi, 10, 6)
+    points, feats = _draw(1, 10, 6)
+    phi = features.feature_values(feats, points)
+    g_big = rm.gram_matrix(points, feats)
     g_small = phi.T @ phi / (10 * 6)
     ev_big = rm.symmetric_eigenvalues(g_big)
     ev_small = rm.symmetric_eigenvalues(g_small)
@@ -74,7 +95,7 @@ def test_companion_spectra_match_on_rectangular():
 
 
 def test_smallest_gram_eigenvalue_uses_companion():
-    phi, _ = _phi(2, 12, 5)
+    phi = _phi(2, 12, 5)
     val = rm.smallest_gram_eigenvalue(phi, 12, 5)
     ev = rm.symmetric_eigenvalues(phi.T @ phi / (12 * 5))
     assert val == pytest.approx(ev[-1], rel=1e-10)
@@ -124,15 +145,11 @@ def test_smallest_gram_eigenvalue_shape_errors(shape, m, message):
 
 
 def test_gram_top_eigenvalue_matches_calibrated_analytic():
-    # n = m = 500 ReLU at d = 10: top Gram eigenvalue tracks the calibrated
-    # top operator eigenvalue within 10%
+    # n = m = 500 ReLU at d = 10: top Gram eigenvalue tracks the top operator
+    # eigenvalue at the exact ReLU kernel scale 1/(2 pi d) within 10%
     d, n, m = 10, 500, 500
-    phi, _ = _phi(0, n, m, d)
-    top = rm.symmetric_eigenvalues(rm.gram_matrix(phi, n, m))[0]
-    feats = features.sample_features([900, 1], d, 50_000, "relu")
-    pts = features.sample_sphere([900, 2], d, 48)
-    c_fit, _ = ka.fit_profile_scale(feats, pts)
-    lam0 = ka.analytic_eigenvalue(d, 0) * ka.spectrum_feature_scale(d, c_fit)
+    top = rm.symmetric_eigenvalues(rm.gram_matrix(*_draw(0, n, m, d)))[0]
+    lam0 = ka.analytic_eigenvalue(d, 0) * ka.spectrum_feature_scale(d, 1 / (2 * np.pi * d))
     assert top == pytest.approx(lam0, rel=0.10)
 
 
@@ -198,10 +215,9 @@ def test_calibrate_rejects_resonance_only():
 def test_smallest_eigenvalue_dip_at_resonance():
     # gamma = 1 collapses the smallest eigenvalue versus gamma = 2
     n, d, seeds = 300, 10, range(10)
-    at_1 = np.median([rm.smallest_gram_eigenvalue(*(
-        lambda p: (p[0], n, n))(_phi(s, n, n, d))) for s in seeds])
-    at_2 = np.median([rm.smallest_gram_eigenvalue(*(
-        lambda p: (p[0], n, 2 * n))(_phi(s, n, 2 * n, d))) for s in seeds])
+    at_1 = np.median([rm.smallest_gram_eigenvalue(_phi(s, n, n, d), n, n) for s in seeds])
+    at_2 = np.median([rm.smallest_gram_eigenvalue(_phi(s, n, 2 * n, d), n, 2 * n)
+                      for s in seeds])
     assert at_1 <= 0.01 * at_2
 
 
