@@ -74,7 +74,7 @@ LIST_FLAGS = {
 }
 
 
-def _parse_flags(args) -> None:
+def _parse_flags(args, cfg) -> None:
     """Replace the list flags by lists of numbers and check the verb's flags.
 
     Runs before the output directory is made; a ValueError names the flag.
@@ -94,6 +94,10 @@ def _parse_flags(args) -> None:
         raise ValueError("sweep needs --m-list or --gamma-list")
     if args.verb == "sweep" and args.m_list and args.gamma_list:
         raise ValueError("sweep takes --m-list or --gamma-list, not both")
+    # spectra's analytic family needs d >= 3; below that every smallest Gram
+    # eigenvalue mp measures is round-off, and its calibration fails
+    if args.verb in ("spectra", "mp") and cfg.d < 3:
+        raise ValueError(f"d must be >= 3 for {args.verb}, got {cfg.d}")
     if args.verb == "mp" and all(g == 1.0 for g in args.gamma_list):
         raise ValueError("--gamma-list must hold a gamma other than 1: "
                          "the calibration fit has no point at gamma = 1")
@@ -176,17 +180,17 @@ def cmd_spectra(args, cfg) -> int:
     from . import features as feat
     from . import kernel_analytic as ka
     from . import random_matrix as rm
+    from .runner import _STREAM_DATA, _STREAM_FEATS
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
     m = max(1, int(round(args.gamma * n)))
-    data = feat.sample_dataset([cfg.seed, 1], n, d,
+    data = feat.sample_dataset([cfg.seed, _STREAM_DATA], n, d,
                                feat.TargetSpec(kind="constant-harmonic"))
-    feats = feat.sample_features([cfg.seed, 2], d, m, cfg.feature_kind)
+    feats = feat.sample_features([cfg.seed, _STREAM_FEATS], d, m, cfg.feature_kind)
 
     gram_ev = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
-    kmat = ka.feature_kernel(data.points @ data.points.T, d, cfg.feature_kind) / n
-    kernel_ev = rm.symmetric_eigenvalues(kmat)
+    kernel_ev = rm.symmetric_eigenvalues(rm.kernel_matrix(data.points, cfg.feature_kind))
 
     # the analytic column is the ReLU family at the exact ReLU kernel scale
     spectrum = ka.analytic_spectrum(d, ka.degree_for_count(d, n))
@@ -217,21 +221,20 @@ def cmd_spectra(args, cfg) -> int:
 def cmd_mp(args, cfg) -> int:
     from . import features as feat
     from . import random_matrix as rm
+    from .runner import _STREAM_DATA, _STREAM_FEATS
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
     m_values = [max(1, int(round(g * n))) for g in args.gamma_list]
 
     # One pass per seed: the m-row feature draw is the first m rows of the
-    # draw at the largest m, so one matrix serves every gamma.
+    # draw at the largest m, so one draw serves every gamma.
     per_seed = []
     for seed in args.seeds:
-        data = feat.sample_dataset([seed, 1], n, d,
+        data = feat.sample_dataset([seed, _STREAM_DATA], n, d,
                                    feat.TargetSpec(kind="constant-harmonic"))
-        feats = feat.sample_features([seed, 2], d, max(m_values), cfg.feature_kind)
-        phi = feat.build_feature_matrix(data, feats)
-        per_seed.append(rm.smallest_gram_eigenvalue(phi, n, m_values))
-        del phi
+        feats = feat.sample_features([seed, _STREAM_FEATS], d, max(m_values), cfg.feature_kind)
+        per_seed.append(rm.smallest_gram_eigenvalue(data.points, feats, m_values))
     rows = [(g, float(np.mean(vals)), float(np.median(vals)))
             for g, vals in zip(args.gamma_list, np.array(per_seed).T)]
 
@@ -377,7 +380,7 @@ def main(argv=None) -> int:
         return _usage_error(args, f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _build_config(args)
-        _parse_flags(args)
+        _parse_flags(args, cfg)
     except (KeyError, ValueError) as exc:  # a bad flag or config value, not a failed run
         return _usage_error(args, exc.args[0])
     Path(args.out).mkdir(parents=True, exist_ok=True)

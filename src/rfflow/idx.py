@@ -13,6 +13,7 @@ LABEL_MAGIC = 2049  # 0x00000801: ubyte, 1 dimension
 
 
 def _read_header(payload: bytes, path, expected_magic: int, n_dims: int):
+    """The header's dimensions and a view of the body after it (no copy)."""
     head = 4 * (1 + n_dims)
     if len(payload) < head:
         raise ValueError(f"{path}: truncated IDX header")
@@ -20,7 +21,7 @@ def _read_header(payload: bytes, path, expected_magic: int, n_dims: int):
     if magic != expected_magic:
         raise ValueError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
     dims = struct.unpack(f">{n_dims}i", payload[4:head])
-    return dims, payload[head:]
+    return dims, memoryview(payload)[head:]
 
 
 def read_idx_images(path) -> np.ndarray:

@@ -16,6 +16,12 @@ The MP density here carries the 1/gamma mass factor,
 
 so that continuous mass plus the point mass max(0, 1 - 1/gamma) at zero is
 exactly one for every aspect ratio.
+
+Memory stays O(n^2) at any m: the Gram matrices are summed over feature
+blocks of at most n directions and the kernel matrix is filled in row
+blocks, so besides the block being evaluated no array is larger than
+n x n, and at most one n x n temporary lives beside the result and
+LAPACK's own copy.
 """
 
 from __future__ import annotations
@@ -26,9 +32,25 @@ from typing import Sequence
 import numpy as np
 
 from .features import FeatureSet, feature_values
-from .kernel_analytic import adaptive_quadrature
+from .kernel_analytic import adaptive_quadrature, feature_kernel
 
 _SYM_TOL = 1e-10
+_KERNEL_ROWS = 128  # rows of the kernel matrix filled per block
+
+
+def _feature_blocks(points: np.ndarray, feats: FeatureSet, stops: Sequence[int]):
+    """Feature values at the points in blocks of at most n directions.
+
+    Yields (lo, hi, Phi[:, lo:hi]); the blocks tile the first max(stops)
+    directions in order, and one ends at every count in the ascending
+    ``stops``.
+    """
+    n, lo = points.shape[0], 0
+    for stop in stops:
+        while lo < stop:
+            hi = min(lo + n, stop)
+            yield lo, hi, feature_values(FeatureSet(feats.directions[lo:hi], feats.kind), points)
+            lo = hi
 
 
 def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
@@ -43,55 +65,75 @@ def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
     if m == 0:
         raise ValueError("empty feature set")
     gram = 0.0
-    for lo in range(0, m, n):
-        block = feature_values(FeatureSet(feats.directions[lo:lo + n], feats.kind), points)
+    for _, _, block in _feature_blocks(points, feats, [m]):
         gram += block @ block.T  # the first block turns the 0.0 into an array
     gram /= n * m
     return gram
 
 
+def kernel_matrix(points, kind: str) -> np.ndarray:
+    """K = feature_kernel(x_i . x_j, d, kind) / n of the n points, in row blocks.
+
+    Besides the n x n result only one block of cosines and its kernel
+    temporaries is alive, a few 128 x n arrays.
+    """
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    kmat = np.empty((n, n))
+    for lo in range(0, n, _KERNEL_ROWS):
+        rows = kmat[lo:lo + _KERNEL_ROWS]
+        rows[...] = feature_kernel(points[lo:lo + _KERNEL_ROWS] @ points.T, d, kind)
+        rows /= n
+    return kmat
+
+
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Descending spectrum of a symmetric matrix."""
     a = np.asarray(a, dtype=float)
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if np.max(np.abs(a - a.T)) > _SYM_TOL * scale:
+    scale = max(float(a.max()), -float(a.min()), 1.0)
+    asym = np.subtract(a, a.T)  # the one temporary: |a - a^T| in place
+    if np.abs(asym, out=asym).max() > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
+    del asym
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def smallest_gram_eigenvalue(phi, n: int, m: int | Sequence[int]) -> float | np.ndarray:
-    """Smallest eigenvalue of the min(n, m)-sized Gram spectrum of phi[:, :m].
+def smallest_gram_eigenvalue(points, feats: FeatureSet,
+                             m: int | Sequence[int]) -> float | np.ndarray:
+    """Smallest eigenvalue of the min(n, m)-sized Gram spectrum of the first m features.
 
     For m < n the n x n Gram matrix is rank deficient by construction, so the
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
 
     A scalar ``m`` gives a float, a sequence of feature counts an array in the
-    given order, all served from the one n x M matrix ``phi``: every m < n
-    companion is a leading block of one product over the largest such m, and
-    the m >= n companions are a running sum of column-block products
-    Phi[:, a:b] Phi[:, a:b]^T, taken in ascending m.
+    given order.  The features are evaluated at the n points in blocks of at
+    most n directions, so Phi is never built: every m < n companion is a
+    leading block of the first block's product, and the m >= n companions are
+    the running sum of Phi_b Phi_b^T over the blocks, taken in ascending m.
+    Each value is the smallest eigenvalue of the unscaled product divided by nm.
     """
-    mat = np.asarray(phi, dtype=float)
+    points = np.asarray(points, dtype=float)
+    n, total = points.shape[0], feats.count
     counts = np.atleast_1d(m)
-    if mat.ndim != 2 or mat.shape[0] != n:
-        raise ValueError(f"expected a feature matrix with {n} rows, got shape {mat.shape}")
     if (counts.size == 0 or not np.issubdtype(counts.dtype, np.integer)
-            or counts.min() < 1 or counts.max() > mat.shape[1]):
-        raise ValueError(f"feature counts must be integers in 1..{mat.shape[1]} for a feature "
-                         f"matrix of shape {mat.shape}, got {counts.tolist()}")
-    smallest = {}
+            or counts.min() < 1 or counts.max() > total):
+        raise ValueError(f"feature counts must be integers in 1..{total} for a feature "
+                         f"matrix of shape ({n}, {total}), got {counts.tolist()}")
     below = sorted({int(k) for k in counts if k < n})
-    if below:
-        head = mat[:, :below[-1]]
-        comp = head.T @ head
-        for k in below:
-            smallest[k] = float(np.linalg.eigvalsh(comp[:k, :k] / (n * k))[0])
-    comp, done = 0.0, 0
-    for k in sorted({int(k) for k in counts if k >= n}):
-        block = mat[:, done:k]
-        comp += block @ block.T  # the first block turns the 0.0 into an array
-        done = k
-        smallest[k] = float(np.linalg.eigvalsh(comp / (n * k))[0])
+    above = sorted({int(k) for k in counts if k >= n})
+    smallest, gram = {}, 0.0
+    for lo, hi, block in _feature_blocks(points, feats, [min(n, int(counts.max()))] + above):
+        if lo == 0 and below:
+            head = block[:, :below[-1]]
+            comp = head.T @ head
+            for k in below:
+                smallest[k] = float(np.linalg.eigvalsh(comp[:k, :k])[0]) / (n * k)
+            del head, comp
+        if above:
+            gram += block @ block.T  # the first block turns the 0.0 into an array
+        del block  # freed before the next block is evaluated
+        if hi in above:
+            smallest[hi] = float(np.linalg.eigvalsh(gram)[0]) / (n * hi)
     if np.ndim(m) == 0:
         return smallest[int(m)]
     return np.array([smallest[int(k)] for k in counts])

@@ -193,8 +193,7 @@ def test_a07_gram_vs_kernel_matrix_at_gamma8():
         feats = features.sample_features([seed, 2], d, m, "relu")
         ev_g = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
         # the exact ReLU kernel k(t)/(2 pi d)
-        kmat = ka.feature_kernel(data.points @ data.points.T, d, "relu") / n
-        ev_k = rm.symmetric_eigenvalues(kmat)
+        ev_k = rm.symmetric_eigenvalues(rm.kernel_matrix(data.points, "relu"))
         rels.append(np.abs(ev_g[:10] - ev_k[:10]) / ev_k[:10])
     med = np.median(np.array(rels), axis=0)
     elapsed = time.perf_counter() - t0
@@ -210,12 +209,11 @@ def test_a08_smallest_eigenvalue_dip_and_mp_fit():
     gammas = [0.5, 0.7, 0.85, 1.0, 1.2, 1.5, 2.0]
     m_values = [int(round(g * n)) for g in gammas]
     per_seed = []
-    for seed in range(10):  # one feature matrix per seed serves every gamma
+    for seed in range(10):  # one feature draw per seed serves every gamma
         data = features.sample_dataset([seed, 1], n, d,
                                        features.TargetSpec(kind="constant-harmonic"))
         feats = features.sample_features([seed, 2], d, max(m_values), "relu")
-        phi = features.build_feature_matrix(data, feats)
-        per_seed.append(rm.smallest_gram_eigenvalue(phi, n, m_values))
+        per_seed.append(rm.smallest_gram_eigenvalue(data.points, feats, m_values))
     means = [float(np.mean(vals)) for vals in np.array(per_seed).T]
     dip_at_one = gammas[int(np.argmin(means))] == 1.0
     fit_pts = [(g, v) for g, v in zip(gammas, means) if 0.8 <= g <= 1.25 and g != 1.0]

@@ -116,6 +116,8 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["mp", "--gamma", "2"], "rfflow mp: error: unrecognized arguments: --gamma 2"),  # no prefixes
     (["sweep", "--m-list", "10", "--gamma-list", "2"],
      "rfflow sweep: error: sweep takes --m-list or --gamma-list, not both"),
+    (["spectra", "--set", "d=2"], "rfflow spectra: error: d must be >= 3 for spectra, got 2"),
+    (["mp", "--set", "d=2"], "rfflow mp: error: d must be >= 3 for mp, got 2"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -212,6 +214,20 @@ def test_mp_verb_matches_a_per_cell_recomputation(tmp_path):
         bound = 1e-14 * max(top)
         assert abs(mean - np.mean(smallest)) <= bound
         assert abs(median - np.median(smallest)) <= bound
+
+
+def test_mp_verb_memory_is_bounded_in_gamma(tmp_path):
+    # gamma up to 16 at n = 200: the features are evaluated in blocks of at
+    # most n directions, never as the 200 x 3200 matrix (5.1 MB)
+    argv = ["mp", "--set", "n=200", "--gamma-list", "0.5,1,2,4,16", "--seeds", "0"]
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0  # imports the verb's modules
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_spectra_verb(tmp_path, capsys):

@@ -165,8 +165,7 @@ def test_smallest_gram_eigenvalue_read_from_the_svd(m):
                                    runner.target_spec_for(cfg))
     feats = features.sample_features([cfg.seed, runner._STREAM_FEATS], cfg.d, m,
                                      cfg.feature_kind)
-    want = random_matrix.smallest_gram_eigenvalue(
-        features.build_feature_matrix(data, feats), cfg.n, m)
+    want = random_matrix.smallest_gram_eigenvalue(data.points, feats, m)
     top = rec.summary["top_gram_eigenvalue"]
     assert abs(rec.summary["smallest_gram_eigenvalue"] - want) <= 1e-12 * top
 

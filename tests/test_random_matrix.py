@@ -16,11 +16,6 @@ def _draw(seed, n, m, d=10, kind="relu"):
     return data.points, features.sample_features([seed, 2], d, m, kind)
 
 
-def _phi(seed, n, m, d=10, kind="relu"):
-    points, feats = _draw(seed, n, m, d, kind)
-    return features.feature_values(feats, points)
-
-
 # ---------------------------------------------------------------------------
 # gram matrix and eigenvalues
 # ---------------------------------------------------------------------------
@@ -61,6 +56,23 @@ def test_gram_block_sum_matches_full_product(kind, m):
         assert gram.tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_kernel_matrix_matches_the_full_product(kind):
+    # 300 rows: two full row blocks of 128 and a short one of 44
+    n, d = 300, 10
+    points = features.sample_sphere([0, 1], d, n)
+    full = ka.feature_kernel(points @ points.T, d, kind) / n
+    kmat = rm.kernel_matrix(points, kind)
+    assert kmat.shape == (n, n)
+    diag = np.eye(n, dtype=bool)
+    assert np.max(np.abs(kmat - full)[~diag]) <= 1e-15 * np.max(full)
+    # A block's product and the full one may round a diagonal |x|^2 to
+    # 1 - 2^-53 and to 1; the indicator's slope is infinite at t = 1, where
+    # that ulp moves (pi - arccos t)/(2 pi) by 2.4e-9, 4.7e-9 of its value 1/2.
+    diag_tol = 1e-8 if kind == "indicator" else 1e-15
+    assert np.max(np.abs(kmat - full)[diag]) <= diag_tol * np.max(full)
+
+
 def test_symmetric_eigenvalues_diag_and_rank_one():
     np.testing.assert_allclose(
         rm.symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
@@ -95,8 +107,9 @@ def test_companion_spectra_match_on_rectangular():
 
 
 def test_smallest_gram_eigenvalue_uses_companion():
-    phi = _phi(2, 12, 5)
-    val = rm.smallest_gram_eigenvalue(phi, 12, 5)
+    points, feats = _draw(2, 12, 5)
+    phi = features.feature_values(feats, points)
+    val = rm.smallest_gram_eigenvalue(points, feats, 5)
     ev = rm.symmetric_eigenvalues(phi.T @ phi / (12 * 5))
     assert val == pytest.approx(ev[-1], rel=1e-10)
     assert val > 1e-12  # the small companion is full rank
@@ -104,43 +117,67 @@ def test_smallest_gram_eigenvalue_uses_companion():
 
 @st.composite
 def _multi_m_cases(draw):
-    """An n x M matrix of any rank and feature counts in 1..M: unsorted, with
-    repeats, always m = n, and m < n and m > n whenever the shape allows."""
+    """Points, directions and feature counts in 1..M: unsorted, with repeats,
+    always m = n, and m < n and m > n whenever the shape allows.  The M
+    directions span up to four blocks of n; small d and repeated points give
+    rank-deficient feature matrices."""
     n = draw(st.integers(1, 25))
-    cols = n + draw(st.integers(0, 15))
-    rank = draw(st.integers(0, min(n, cols)))
+    total = n + draw(st.integers(0, 3 * n))
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(features.FEATURE_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    phi = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, cols))
-    ms = draw(st.lists(st.integers(1, cols), min_size=1, max_size=8)) + [n]
+    pool = features.sample_sphere(rng, d, draw(st.integers(1, n)))
+    points = pool[rng.integers(0, pool.shape[0], size=n)]
+    feats = features.sample_features(rng, d, total, kind)
+    ms = draw(st.lists(st.integers(1, total), min_size=1, max_size=8)) + [n]
     ms += [draw(st.integers(1, n - 1))] if n > 1 else []
-    ms += [draw(st.integers(n + 1, cols))] if cols > n else []
-    return phi, n, draw(st.permutations(ms))
+    ms += [draw(st.integers(n + 1, total))] if total > n else []
+    return points, feats, draw(st.permutations(ms))
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_multi_m_cases())
 def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case):
-    phi, n, ms = case
-    got = rm.smallest_gram_eigenvalue(phi, n, ms)
+    points, feats, ms = case
+    n = points.shape[0]
+    got = rm.smallest_gram_eigenvalue(points, feats, ms)
     assert isinstance(got, np.ndarray) and got.shape == (len(ms),)
     for m, value in zip(ms, got):
-        copy = phi[:, :m].copy()  # exactly m columns
-        comp = copy @ copy.T if n <= m else copy.T @ copy
+        head = features.FeatureSet(feats.directions[:m], feats.kind)  # exactly m features
+        phi = features.feature_values(head, points)
+        comp = phi @ phi.T if n <= m else phi.T @ phi
         ev = np.linalg.eigvalsh(comp / (n * m))
         assert abs(value - ev[0]) <= 1e-14 * ev[-1]
-        one = rm.smallest_gram_eigenvalue(copy, n, m)
+        one = rm.smallest_gram_eigenvalue(points, head, m)
         assert type(one) is float and abs(one - ev[0]) <= 1e-14 * ev[-1]
 
 
+def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
+    # blocks of at most n = 20 directions that end at every count >= n; the
+    # first block also serves the m < n companions
+    widths = []
+
+    def spy(feats, points):
+        widths.append(feats.count)
+        return features.feature_values(feats, points)
+
+    monkeypatch.setattr(rm, "feature_values", spy)
+    points, feats = _draw(0, 20, 75, 5)
+    rm.smallest_gram_eigenvalue(points, feats, [33, 5, 20, 19, 75])
+    assert widths == [20, 13, 20, 20, 2]
+
+
 @pytest.mark.parametrize("shape,m,message", [
-    ((5, 8), [3, 8], "with 6 rows, got shape (5, 8)"),  # row count is not n
-    ((6, 8), [0, 3], "got [0, 3]"),                     # a feature count below 1
-    ((6, 8), [3, 9], "1..8 for a feature matrix of shape (6, 8)"),  # beyond the columns
-    ((6, 8), [2.5], "got [2.5]"),                       # not a count
+    ((6, 8, 4), [3, 8], "dimension does not match feature directions"),  # directions in another dimension
+    ((6, 8, 3), [0, 3], "got [0, 3]"),                     # a feature count below 1
+    ((6, 8, 3), [3, 9], "1..8 for a feature matrix of shape (6, 8)"),  # beyond the directions
+    ((6, 8, 3), [2.5], "got [2.5]"),                       # not a count
 ])
 def test_smallest_gram_eigenvalue_shape_errors(shape, m, message):
+    n, total, dim = shape  # points in 3 dimensions, directions in dim
+    feats = features.sample_features([0, 2], dim, total)
     with pytest.raises(ValueError) as err:
-        rm.smallest_gram_eigenvalue(np.ones(shape), 6, m)
+        rm.smallest_gram_eigenvalue(features.sample_sphere([0, 1], 3, n), feats, m)
     assert message in str(err.value)
 
 
@@ -215,9 +252,8 @@ def test_calibrate_rejects_resonance_only():
 def test_smallest_eigenvalue_dip_at_resonance():
     # gamma = 1 collapses the smallest eigenvalue versus gamma = 2
     n, d, seeds = 300, 10, range(10)
-    at_1 = np.median([rm.smallest_gram_eigenvalue(_phi(s, n, n, d), n, n) for s in seeds])
-    at_2 = np.median([rm.smallest_gram_eigenvalue(_phi(s, n, 2 * n, d), n, 2 * n)
-                      for s in seeds])
+    at_1, at_2 = np.median([rm.smallest_gram_eigenvalue(*_draw(s, n, 2 * n, d), [n, 2 * n])
+                            for s in seeds], axis=0)
     assert at_1 <= 0.01 * at_2
 
 
