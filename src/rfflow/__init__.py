@@ -11,7 +11,7 @@ from .features import (
 )
 from .flow import (
     SpectralDecomposition,
-    TrajectorySnapshot,
+    Trajectory,
     coefficients_at,
     decompose,
     errors_on_grid,
@@ -29,7 +29,7 @@ __all__ = [
     "RunRecord",
     "SpectralDecomposition",
     "TargetSpec",
-    "TrajectorySnapshot",
+    "Trajectory",
     "build_feature_matrix",
     "coefficients_at",
     "decompose",

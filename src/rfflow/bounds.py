@@ -9,10 +9,10 @@ capped growth rate
 
     d(t) = min(sqrt(t), lh_{floor(sqrt(n))+1} * t, 1 / lh_n),
 
-where lh_i = s_i / n are the scaled singular values.  The finer bound is
-reported in two algebraic forms whose constants differ (the published
-statement and the proof-term sum); both are returned so the harness can
-record which holds empirically.
+where lh_i = s_i / n are the scaled singular values.  ``finer_bound``
+returns the finer bound in two algebraic forms whose constants differ (the
+published statement and the proof-term sum); a run keeps only the stated
+form, the ``bound_finer`` column of its trajectory CSV.
 """
 
 from __future__ import annotations

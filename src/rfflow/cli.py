@@ -94,6 +94,9 @@ def _parse_flags(args, cfg) -> None:
         raise ValueError("sweep needs --m-list or --gamma-list")
     if args.verb == "sweep" and args.m_list and args.gamma_list:
         raise ValueError("sweep takes --m-list or --gamma-list, not both")
+    if args.verb != "mnist" and cfg.target_kind == "external-labels":
+        raise ValueError("target_kind external-labels needs labelled data, "
+                         "which only the mnist verb reads")
     # spectra's analytic family needs d >= 3; below that every smallest Gram
     # eigenvalue mp measures is round-off, and its calibration fails
     if args.verb in ("spectra", "mp") and cfg.d < 3:
@@ -112,16 +115,16 @@ def _parse_flags(args, cfg) -> None:
 def _trajectory_svg(record, path):
     from .svgplot import PlotSpec, Series, emit_svg
 
-    snaps = [s for s in record.snapshots if math.isfinite(s.time)]
-    t = np.array([s.time for s in snaps])
+    traj = record.trajectory
+    fin = np.isfinite(traj.time)
+    t = traj.time[fin]
     emit_svg(PlotSpec(
         title=f"gradient-flow trajectory (config {record.metadata['config_hash']})",
         series=(
-            Series("train error", t, np.array([s.train_error for s in snaps])),
-            Series("test error", t, np.array([s.test_error for s in snaps])),
-            Series("parameter norm", t, np.array([s.param_norm for s in snaps])),
-            Series("sqrt-t norm bound", t,
-                   np.array(record.bound_rough[: len(snaps)]), dashed=True),
+            Series("train error", t, traj.train_error[fin]),
+            Series("test error", t, traj.test_error[fin]),
+            Series("parameter norm", t, traj.param_norm[fin]),
+            Series("sqrt-t norm bound", t, record.bound_rough[fin], dashed=True),
         ),
         x_label="flow time t",
     ), path)
@@ -135,10 +138,10 @@ def cmd_run(args, cfg) -> int:
     csv_path = out / f"run_{record.metadata['config_hash']}.csv"
     emit_csv(record, csv_path)
     _trajectory_svg(record, out / f"run_{record.metadata['config_hash']}.svg")
-    best = min((s for s in record.snapshots if math.isfinite(s.time)),
-               key=lambda s: s.test_error)
+    traj = record.trajectory
+    best = np.argmin(traj.test_error[np.isfinite(traj.time)])  # inf can only be last
     print(f"wrote {csv_path}")
-    print(f"min test error {best.test_error:.6g} at t={best.time:.6g}; "
+    print(f"min test error {traj.test_error[best]:.6g} at t={traj.time[best]:.6g}; "
           f"min-norm test error {record.summary['min_norm_test_error']:.6g}")
     return 0
 
@@ -156,38 +159,28 @@ def cmd_sweep(args, cfg) -> int:
     emit_sweep_csv(sweep, out / f"sweep_{sweep.axis}_minnorm.csv")
     emit_budget_csv(sweep, out / f"sweep_{sweep.axis}_budgets.csv")
 
-    values = sorted({v for v, *_ in sweep.min_norm_table})
-    series = []
-    rec0 = sweep.records[(values[0], seeds[0])]
-    t = np.array([s.time for s in rec0.snapshots if math.isfinite(s.time)])
-    curves = []
-    for v in values:
-        rec = sweep.records[(v, seeds[0])]
-        curves.append(np.array([s.test_error for s in rec.snapshots
-                                if math.isfinite(s.time)]))
+    values = sorted({v for v, _ in sweep.records})
+    time = sweep.records[(values[0], seeds[0])].trajectory.time  # every cell's grid
+    fin = np.isfinite(time)
+    curves = [sweep.records[(v, seeds[0])].trajectory.test_error[fin] for v in values]
     if args.translate:
         curves, _ = translate_curves(curves)
-    for v, c in zip(values, curves):
-        series.append(Series(f"{sweep.axis}={v:g}", t, c))
+    series = tuple(Series(f"{sweep.axis}={v:g}", time[fin], c) for v, c in zip(values, curves))
     emit_svg(PlotSpec(title=f"test error curves over {sweep.axis}",
-                      series=tuple(series), x_label="flow time t"),
+                      series=series, x_label="flow time t"),
              out / f"sweep_{sweep.axis}_curves.svg")
     print(f"wrote sweep tables under {out}")
     return 0
 
 
 def cmd_spectra(args, cfg) -> int:
-    from . import features as feat
     from . import kernel_analytic as ka
     from . import random_matrix as rm
-    from .runner import _STREAM_DATA, _STREAM_FEATS
+    from .runner import m_for_gamma, seed_draw
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
-    m = max(1, int(round(args.gamma * n)))
-    data = feat.sample_dataset([cfg.seed, _STREAM_DATA], n, d,
-                               feat.TargetSpec(kind="constant-harmonic"))
-    feats = feat.sample_features([cfg.seed, _STREAM_FEATS], d, m, cfg.feature_kind)
+    data, feats = seed_draw(cfg, m_for_gamma(args.gamma, n))
 
     gram_ev = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
     kernel_ev = rm.symmetric_eigenvalues(rm.kernel_matrix(data.points, cfg.feature_kind))
@@ -219,21 +212,17 @@ def cmd_spectra(args, cfg) -> int:
 
 
 def cmd_mp(args, cfg) -> int:
-    from . import features as feat
     from . import random_matrix as rm
-    from .runner import _STREAM_DATA, _STREAM_FEATS
+    from .runner import m_for_gamma, seed_draw
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
-    m_values = [max(1, int(round(g * n))) for g in args.gamma_list]
+    m_values = [m_for_gamma(g, n) for g in args.gamma_list]
 
-    # One pass per seed: the m-row feature draw is the first m rows of the
-    # draw at the largest m, so one draw serves every gamma.
+    # one pass per seed: its draw at the largest m serves every gamma
     per_seed = []
     for seed in args.seeds:
-        data = feat.sample_dataset([seed, _STREAM_DATA], n, d,
-                                   feat.TargetSpec(kind="constant-harmonic"))
-        feats = feat.sample_features([seed, _STREAM_FEATS], d, max(m_values), cfg.feature_kind)
+        data, feats = seed_draw(replace(cfg, seed=seed), max(m_values))
         per_seed.append(rm.smallest_gram_eigenvalue(data.points, feats, m_values))
     rows = [(g, float(np.mean(vals)), float(np.median(vals)))
             for g, vals in zip(args.gamma_list, np.array(per_seed).T)]
@@ -282,9 +271,8 @@ def _mnist_paths(args):
 
 
 def cmd_mnist(args, cfg) -> int:
-    from . import features as feat
     from .idx import load_idx
-    from .runner import emit_budget_csv, emit_sweep_csv, run_sweep
+    from .runner import emit_budget_csv, emit_sweep_csv, m_for_gamma, run_sweep
     from .svgplot import PlotSpec, Series, emit_svg
 
     img, lab, timg, tlab = _mnist_paths(args)
@@ -295,7 +283,7 @@ def cmd_mnist(args, cfg) -> int:
     if args.m_list:
         m_values = args.m_list
     else:
-        m_values = sorted({max(1, int(round(cfg.n * g)))
+        m_values = sorted({m_for_gamma(g, cfg.n)
                            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2,
                                      1.5, 2.0, 3.0)})
     sweep = run_sweep(cfg, m_values=m_values, seeds=args.seeds,
@@ -305,14 +293,10 @@ def cmd_mnist(args, cfg) -> int:
     emit_budget_csv(sweep, out / "mnist_budgets.csv")
 
     values = np.array(m_values, dtype=float)
-    med_err = np.array([
-        np.median([rec for v2, s, rec, _ in sweep.min_norm_table if v2 == v])
-        for v in m_values
-    ])
-    med_eig = np.array([
-        np.median([eig for v2, s, _, eig in sweep.min_norm_table if v2 == v])
-        for v in m_values
-    ])
+    med_err, med_eig = (
+        np.array([np.median([sweep.records[(v, seed)].summary[key] for seed in args.seeds])
+                  for v in m_values])
+        for key in ("min_norm_test_error", "smallest_gram_eigenvalue"))
     emit_svg(PlotSpec(
         title=f"MNIST double descent (n={cfg.n})",
         series=(Series("min-norm test error", values, med_err),

@@ -113,22 +113,24 @@ def coefficients_at(dec: SpectralDecomposition, y: np.ndarray, t) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrajectorySnapshot:
-    """One sampled point of the flow path."""
+class Trajectory:
+    """The flow path on a time grid: one array per quantity, one entry per time."""
 
-    time: float
-    train_error: float     # ||Phi a - y||^2 / (2n)
-    test_error: float      # RMS of (f_t - f*) over the test set
-    param_norm: float      # ||a(t)||
-    pred_norm: float       # RMS of f_t over the test set
+    time: np.ndarray          # the grid; inf last for the minimum-norm limit
+    train_error: np.ndarray   # ||Phi a - y||^2 / (2n)
+    test_error: np.ndarray    # RMS of (f_t - f*) over the test set
+    param_norm: np.ndarray    # ||a(t)||
+    pred_norm: np.ndarray     # RMS of f_t over the test set
 
 
 def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
-                   test_points: Dataset, times) -> list[TrajectorySnapshot]:
-    """Trajectory snapshots over an ascending grid (inf allowed as last entry).
+                   test_points: Dataset, times) -> Trajectory:
+    """The trajectory over an ascending grid (inf allowed as last entry).
 
     Training error is evaluated in the spectral basis, test error by
-    root-mean-square against ``test_points.targets``.
+    root-mean-square against ``test_points.targets``.  Each time's values
+    depend on no other time, so a sub-grid gives the same values up to
+    rounding.
     """
     grid = _check_times(list(times))
     if np.any(np.isinf(grid[:-1])):
@@ -162,10 +164,8 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     np.subtract(preds, test_points.targets[:, None], out=preds)
     test_err = np.sqrt(np.mean(np.square(preds, out=sq), axis=0))
 
-    return [TrajectorySnapshot(time=t, train_error=float(train[j]),
-                               test_error=float(test_err[j]), param_norm=float(param[j]),
-                               pred_norm=float(pred_norm[j]))
-            for j, t in enumerate(grid.tolist())]
+    return Trajectory(time=grid, train_error=train, test_error=test_err,
+                      param_norm=param, pred_norm=pred_norm)
 
 
 def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:

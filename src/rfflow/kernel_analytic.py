@@ -18,7 +18,10 @@ evaluates the closed-form eigenvalue family, anchored at
 
     lambda_0 = 2 sqrt(pi) d Gamma(d/2) / (Gamma(d) Gamma((d-1)/2)),
 
-and ``quadrature_eigenvalue`` provides the independent integral route
+which underflows to 0 from d = 185; ``analytic_spectrum`` therefore holds
+the family relative to lambda_0, and ``spectrum_feature_scale`` gives the
+top eigenvalue at the Gram scale in closed form.  ``quadrature_eigenvalue``
+provides the independent integral route
 
     lambda_n = (1/Omega_{d-1}) Int_{-1}^{1} k(t) P_n(t) (1-t^2)^((d-3)/2) dt,
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, exp, gamma, lgamma, log
+from math import comb, exp, gamma, lgamma, log, prod
 
 import numpy as np
 
@@ -238,6 +241,19 @@ def _log_lambda_factor(d: int, n: int) -> float:
             - lgamma(n + d) - lgamma((n + d - 1) / 2) - 2.0 * lgamma((3 - n) / 2))
 
 
+def _vanishes(n: int) -> bool:
+    """Odd degrees >= 3 have eigenvalue exactly zero (the Gamma((3-n)/2)^-2 pole)."""
+    return n >= 3 and n % 2 == 1
+
+
+def _eigenvalue_ratio(d: int, n: int) -> float:
+    """lambda_n / lambda_0 from differences of the log factors; finite and
+    nonzero for every nonvanishing degree, even where lambda_0 underflows."""
+    if _vanishes(n):
+        return 0.0
+    return exp(_log_lambda_factor(d, n) - _log_lambda_factor(d, 0)) if n else 1.0
+
+
 def analytic_eigenvalue(d: int, n: int) -> float:
     """Closed-form operator eigenvalue for harmonic degree n.
 
@@ -256,17 +272,16 @@ def analytic_eigenvalue(d: int, n: int) -> float:
         raise ValueError("analytic eigenvalues require d >= 3")
     if n < 0:
         raise ValueError("order must be >= 0")
-    if n >= 3 and n % 2:
-        return 0.0
-    log_ratio = _log_lambda_factor(d, n) - _log_lambda_factor(d, 0) if n else 0.0
-    return exp(_log_lambda_zero(d) + log_ratio)
+    return exp(_log_lambda_zero(d)) * _eigenvalue_ratio(d, n)
 
 
 @dataclass(frozen=True)
 class AnalyticSpectrum:
-    """Operator eigenvalues lambda_n with multiplicities N(d, n) up to n_max.
+    """Relative operator eigenvalues lambda_n / lambda_0 with multiplicities
+    N(d, n) up to n_max.
 
-    The multiplicities are exact Python integers: N(d, 16) passes 2^63 from d = 97.
+    Relative values stay representable where lambda_0 underflows.  The
+    multiplicities are exact Python integers: N(d, 16) passes 2^63 from d = 97.
     """
 
     dim: int
@@ -298,14 +313,15 @@ def degree_for_count(d: int, count: int) -> int:
     n_max, total = -1, 0
     while total < count:
         n_max += 1
-        if analytic_eigenvalue(d, n_max) > 0.0:
+        if not _vanishes(n_max):
             total += harmonic_multiplicity(d, n_max)
     return n_max
 
 
 def analytic_spectrum(d: int, n_max: int) -> AnalyticSpectrum:
-    eigenvalues = np.array([analytic_eigenvalue(d, n) for n in range(n_max + 1)])
-    mult = tuple(harmonic_multiplicity(d, n) for n in range(n_max + 1))
+    """Degrees 0..n_max of the eigenvalue family, relative to lambda_0."""
+    mult = tuple(harmonic_multiplicity(d, n) for n in range(n_max + 1))  # rejects d < 3
+    eigenvalues = np.array([_eigenvalue_ratio(d, n) for n in range(n_max + 1)])
     return AnalyticSpectrum(dim=d, eigenvalues=eigenvalues, multiplicities=mult)
 
 
@@ -397,19 +413,15 @@ def fit_profile_scale(feats, points: np.ndarray) -> tuple[float, float]:
     return c, resid
 
 
-@functools.lru_cache(maxsize=32)
-def _profile_degree_zero_integral(d: int) -> float:
-    return weighted_cosine_integral(d, kernel_profile)
-
-
 def spectrum_feature_scale(d: int, profile_scale: float) -> float:
-    """Multiplier mapping analytic eigenvalues onto the Gram-matrix scale.
+    """Top eigenvalue of the kernel c * k(x.x') under the uniform sphere measure;
+    times ``analytic_spectrum``'s relative eigenvalues it gives the Gram scale.
 
-    The top operator eigenvalue of the empirical kernel c * k(x.x') under
-    the uniform sphere measure is c (Omega_{d-2}/Omega_{d-1}) Int k w dt;
-    dividing by the analytic lambda_0 gives a single global conversion used
-    by every spectrum comparison.
+    It is c (Omega_{d-2}/Omega_{d-1}) Int k w dt = c 2d R_d^2 / (d-1)^2 with
+    R_d = Gamma(d/2)/Gamma((d-1)/2), taken as a product by
+    R_{k+2} = R_k k/(k-1) from R_3 or R_4: within 1e-14 up to d = 10^4, where
+    exp(2 (lgamma(d/2) - lgamma((d-1)/2))) is off by 1e-13 at d = 170.
     """
-    top = profile_scale * surface_area(d - 2) / surface_area(d - 1) \
-        * _profile_degree_zero_integral(d)
-    return top / analytic_eigenvalue(d, 0)
+    first, ratio_sq = (3, np.pi / 4) if d % 2 else (4, 4 / np.pi)
+    ratio_sq *= prod((k / (k - 1)) ** 2 for k in range(first, d, 2))
+    return profile_scale * 2.0 * d * ratio_sq / (d - 1) ** 2

@@ -98,27 +98,26 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def smallest_gram_eigenvalue(points, feats: FeatureSet,
-                             m: int | Sequence[int]) -> float | np.ndarray:
-    """Smallest eigenvalue of the min(n, m)-sized Gram spectrum of the first m features.
+def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.ndarray:
+    """Smallest eigenvalue of the min(n, m)-sized Gram spectrum of the first m
+    features, for each feature count in ``m``, as an array in the given order.
 
     For m < n the n x n Gram matrix is rank deficient by construction, so the
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
 
-    A scalar ``m`` gives a float, a sequence of feature counts an array in the
-    given order.  The features are evaluated at the n points in blocks of at
-    most n directions, so Phi is never built: every m < n companion is a
-    leading block of the first block's product, and the m >= n companions are
-    the running sum of Phi_b Phi_b^T over the blocks, taken in ascending m.
+    The features are evaluated at the n points in blocks of at most n
+    directions, so Phi is never built: every m < n companion is a leading
+    block of the first block's product, and the m >= n companions are the
+    running sum of Phi_b Phi_b^T over the blocks, taken in ascending m.
     Each value is the smallest eigenvalue of the unscaled product divided by nm.
     """
     points = np.asarray(points, dtype=float)
     n, total = points.shape[0], feats.count
-    counts = np.atleast_1d(m)
-    if (counts.size == 0 or not np.issubdtype(counts.dtype, np.integer)
+    counts = np.asarray(m)
+    if (counts.ndim != 1 or counts.size == 0 or not np.issubdtype(counts.dtype, np.integer)
             or counts.min() < 1 or counts.max() > total):
-        raise ValueError(f"feature counts must be integers in 1..{total} for a feature "
-                         f"matrix of shape ({n}, {total}), got {counts.tolist()}")
+        raise ValueError(f"feature counts must be a sequence of integers in 1..{total} for "
+                         f"a feature matrix of shape ({n}, {total}), got {counts.tolist()}")
     below = sorted({int(k) for k in counts if k < n})
     above = sorted({int(k) for k in counts if k >= n})
     smallest, gram = {}, 0.0
@@ -134,8 +133,6 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet,
         del block  # freed before the next block is evaluated
         if hi in above:
             smallest[hi] = float(np.linalg.eigvalsh(gram)[0]) / (n * hi)
-    if np.ndim(m) == 0:
-        return smallest[int(m)]
     return np.array([smallest[int(k)] for k in counts])
 
 

@@ -73,14 +73,33 @@ class RunRecord:
     """All artifacts of one experiment cell."""
 
     config: ExperimentConfig
-    snapshots: list
+    trajectory: flow_mod.Trajectory
     bound_rough: np.ndarray
     bound_finer: np.ndarray          # stated form; nan when hypothesis fails
-    bound_finer_proof: np.ndarray
     assumption: Optional[bounds_mod.AssumptionReport]
     summary: dict
     metadata: dict
-    budget_errors: dict              # T -> (flow time, test error)
+    budget_errors: dict              # T -> (flow time, test error), ascending T
+
+
+def m_for_gamma(gamma: float, n: int) -> int:
+    """Feature count of the aspect ratio gamma = m/n: round(gamma n), at least 1."""
+    return max(1, int(round(gamma * n)))
+
+
+def seed_draw(cfg: ExperimentConfig, m: int, train: Optional[feat_mod.Dataset] = None,
+              feats: Optional[feat_mod.FeatureSet] = None) -> tuple:
+    """The config seed's n training points and m feature directions, each
+    drawn from its stream unless given.  The m-direction draw is the first
+    m rows of any larger draw, so one draw at a seed's largest m serves all.
+    """
+    if train is None:
+        train = feat_mod.sample_dataset([cfg.seed, _STREAM_DATA], cfg.n, cfg.d,
+                                        target_spec_for(cfg))
+    if feats is None:
+        feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], train.points.shape[1],
+                                         m, cfg.feature_kind)
+    return train, feats
 
 
 def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
@@ -97,17 +116,13 @@ def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
         mc_points = test
     else:
         target = target_spec_for(cfg)
-        if train is None:
-            train = feat_mod.sample_dataset([cfg.seed, _STREAM_DATA], cfg.n, cfg.d, target)
         if test is None:
             test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], cfg.test_count,
                                            cfg.d, target)
         if mc_points is None:
             mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
                                                 cfg.assumption_points, cfg.d, target)
-    if feats is None:
-        feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], train.points.shape[1],
-                                         m, cfg.feature_kind)
+    train, feats = seed_draw(cfg, m, train, feats)
     return train, test, feats, mc_points
 
 
@@ -142,7 +157,7 @@ def run_experiment(cfg: ExperimentConfig,
     y = train.targets
 
     times = cfg.time_grid()
-    snapshots = flow_mod.errors_on_grid(dec, y, feats, test, times)
+    trajectory = flow_mod.errors_on_grid(dec, y, feats, test, times)
 
     # learning rate; under the flow's 1/(mn) rate convention one discrete
     # step at learning rate eta advances flow time by eta
@@ -151,10 +166,10 @@ def run_experiment(cfg: ExperimentConfig,
 
     budget_errors = {}
     if iteration_budgets:
-        budget_times = sorted(eta * float(T) for T in iteration_budgets)
-        snaps = flow_mod.errors_on_grid(dec, y, feats, test, budget_times)
-        for T, snap in zip(sorted(float(T) for T in iteration_budgets), snaps):
-            budget_errors[T] = (snap.time, snap.test_error)
+        budgets = sorted(float(T) for T in iteration_budgets)
+        at_budgets = flow_mod.errors_on_grid(dec, y, feats, test, [eta * T for T in budgets])
+        budget_errors = dict(zip(budgets, zip(at_budgets.time.tolist(),
+                                              at_budgets.test_error.tolist())))
 
     # bound constants
     if external:
@@ -175,16 +190,12 @@ def run_experiment(cfg: ExperimentConfig,
     assumption = None
     hypothesis_ok = False
     bound_finer = np.full(len(times), np.nan)
-    bound_finer_proof = np.full(len(times), np.nan)
     try:
         assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points, cfg.delta)
         lh = dec.scaled_values
         for j, t in enumerate(times):
-            stated, proof = bounds_mod.finer_bound(
-                t, assumption.c_measured, assumption.m_kernel,
-                float(lh[0]), lh, n)
-            bound_finer[j] = stated
-            bound_finer_proof[j] = proof
+            bound_finer[j], _ = bounds_mod.finer_bound(
+                t, assumption.c_measured, assumption.m_kernel, float(lh[0]), lh, n)
         hypothesis_ok = True
     except bounds_mod.HypothesisError:
         pass  # bounds stay nan, flagged by finer_bound_hypothesis_ok below
@@ -193,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig,
         "top_gram_eigenvalue": top_gram,
         # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
         "smallest_gram_eigenvalue": float(dec.singular_values[-1] ** 2 / (n * m)),
-        "min_norm_test_error": snapshots[-1].test_error,
+        "min_norm_test_error": float(trajectory.test_error[-1]),
         "concentration_index": assumption.concentration_index if assumption else None,
     }
     metadata = {
@@ -209,10 +220,9 @@ def run_experiment(cfg: ExperimentConfig,
     }
     return RunRecord(
         config=cfg,
-        snapshots=snapshots,
+        trajectory=trajectory,
         bound_rough=bound_rough,
         bound_finer=bound_finer,
-        bound_finer_proof=bound_finer_proof,
         assumption=assumption,
         summary=summary,
         metadata=metadata,
@@ -226,12 +236,10 @@ def run_experiment(cfg: ExperimentConfig,
 
 @dataclass
 class SweepResult:
-    """RunRecords of a sweep keyed by (axis value, seed), plus derived tables."""
+    """RunRecords of a sweep keyed by (axis value, seed), in value-major order."""
 
     axis: str                      # "m" | "gamma"
     records: dict
-    min_norm_table: list           # rows (value, seed, min-norm error, smallest eig)
-    budget_table: list             # rows (value, seed, T, flow t, test error)
 
 
 def run_sweep(base: ExperimentConfig,
@@ -254,7 +262,7 @@ def run_sweep(base: ExperimentConfig,
         cell_m = {v: v for v in values}
     else:
         axis, values = "gamma", list(gamma_values)
-        cell_m = {g: max(1, int(round(g * base.n))) for g in values}
+        cell_m = {g: m_for_gamma(g, base.n) for g in values}
     if not values:
         raise ValueError("empty sweep axis")
     if len(set(values)) < len(values) or len(set(seeds)) < len(seeds):
@@ -273,19 +281,8 @@ def run_sweep(base: ExperimentConfig,
                 raise RuntimeError(f"sweep cell {axis}={value} seed={seed} failed: {exc}") from exc
         del draws   # free this seed's draws before the next seed's are made
 
-    # tables and records in value-major order
-    records = {(value, seed): records[(value, seed)] for value in values for seed in seeds}
-    min_norm_table, budget_table = [], []
-    for (value, seed), rec in records.items():
-        min_norm_table.append((value, seed,
-                               rec.summary["min_norm_test_error"],
-                               rec.summary["smallest_gram_eigenvalue"]))
-        for T in sorted(rec.budget_errors):
-            t_flow, err = rec.budget_errors[T]
-            budget_table.append((value, seed, T, t_flow, err))
-
-    return SweepResult(axis=axis, records=records,
-                       min_norm_table=min_norm_table, budget_table=budget_table)
+    return SweepResult(axis=axis, records={(value, seed): records[(value, seed)]
+                                           for value in values for seed in seeds})
 
 
 def translate_curves(curves: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[float]]:
@@ -318,11 +315,10 @@ def emit_csv(record: Optional[RunRecord], path) -> None:
             lines.append(f"# {key} = {record.metadata[key]}")
     lines.append(CSV_HEADER)
     if record is not None:
-        for j, snap in enumerate(record.snapshots):
-            lines.append(",".join(_g17(v) for v in (
-                snap.time, snap.train_error, snap.test_error, snap.param_norm,
-                record.bound_rough[j], record.bound_finer[j],
-            )))
+        traj = record.trajectory
+        for row in zip(traj.time, traj.train_error, traj.test_error, traj.param_norm,
+                       record.bound_rough, record.bound_finer):
+            lines.append(",".join(map(_g17, row)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -349,8 +345,9 @@ def read_csv(path) -> tuple[dict, list[str], np.ndarray]:
 def emit_sweep_csv(sweep: SweepResult, path) -> None:
     """Min-norm / smallest-eigenvalue table of a sweep, one row per cell."""
     lines = [f"{sweep.axis},seed,min_norm_test_error,smallest_gram_eigenvalue"]
-    for value, seed, err, eig in sweep.min_norm_table:
-        lines.append(f"{_g17(float(value))},{seed},{_g17(err)},{_g17(eig)}")
+    for (value, seed), rec in sweep.records.items():
+        lines.append(f"{_g17(float(value))},{seed},{_g17(rec.summary['min_norm_test_error'])},"
+                     f"{_g17(rec.summary['smallest_gram_eigenvalue'])}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -358,7 +355,8 @@ def emit_sweep_csv(sweep: SweepResult, path) -> None:
 def emit_budget_csv(sweep: SweepResult, path) -> None:
     """Fixed-iteration-budget test errors of a sweep."""
     lines = [f"{sweep.axis},seed,iterations,flow_time,test_error"]
-    for value, seed, T, t_flow, err in sweep.budget_table:
-        lines.append(f"{_g17(float(value))},{seed},{_g17(T)},{_g17(t_flow)},{_g17(err)}")
+    for (value, seed), rec in sweep.records.items():
+        for T, (t_flow, err) in rec.budget_errors.items():
+            lines.append(f"{_g17(float(value))},{seed},{_g17(T)},{_g17(t_flow)},{_g17(err)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

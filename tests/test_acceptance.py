@@ -33,8 +33,8 @@ def _base_500(seed: int, m: int = 500) -> ExperimentConfig:
 
 
 def _median_curve(records):
-    times = np.array([s.time for s in records[0].snapshots])
-    stack = np.array([[s.test_error for s in rec.snapshots] for rec in records])
+    times = records[0].trajectory.time
+    stack = np.array([rec.trajectory.test_error for rec in records])
     return times, np.median(stack, axis=0)
 
 
@@ -88,8 +88,7 @@ def test_a03_sqrt_t_envelope():
     per_curve = {}
     for m in (100, 250, 500, 1000, 2500):
         rec = runner.run_experiment(_base_500(0, m=m))
-        times = np.array([s.time for s in rec.snapshots])
-        errs = np.array([s.test_error for s in rec.snapshots])
+        times, errs = rec.trajectory.time, rec.trajectory.test_error
         fin = np.isfinite(times)
         times, errs = times[fin], errs[fin]
         i0 = int(np.argmin(errs))
@@ -112,8 +111,8 @@ def test_a04_norm_bound_holds_on_most_seeds():
     hits = 0
     for seed in range(20):
         rec = runner.run_experiment(_base_500(seed))
-        measured = np.array([s.pred_norm for s in rec.snapshots])
-        fin = np.array([math.isfinite(s.time) for s in rec.snapshots])
+        measured = rec.trajectory.pred_norm
+        fin = np.isfinite(rec.trajectory.time)
         if np.all(measured[fin] <= rec.bound_rough[fin]):
             hits += 1
     elapsed = time.perf_counter() - t0

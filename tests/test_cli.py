@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfflow
 from rfflow import features, idx
+from rfflow import kernel_analytic as ka
 from rfflow.cli import main
 
 
@@ -118,6 +124,10 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
      "rfflow sweep: error: sweep takes --m-list or --gamma-list, not both"),
     (["spectra", "--set", "d=2"], "rfflow spectra: error: d must be >= 3 for spectra, got 2"),
     (["mp", "--set", "d=2"], "rfflow mp: error: d must be >= 3 for mp, got 2"),
+    (["run", "--set", "target_kind=external-labels"],   # only mnist has labelled data
+     "rfflow run: error: target_kind external-labels needs labelled data"),
+    (["spectra", "--set", "target_kind=external-labels"],
+     "rfflow spectra: error: target_kind external-labels needs labelled data"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -250,6 +260,46 @@ def test_spectra_verb_in_high_dimension(tmp_path):
     table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
     assert table.shape == (50, 4)
     assert np.all(np.isfinite(table)) and np.all(table[:, 3] > 0)
+
+
+def _mpmath_analytic_column(d, count):
+    """The analytic column at 50 digits: the top eigenvalue
+    (Gamma(d/2)/Gamma((d-1)/2))^2 / (pi (d-1)^2) times lambda_n/lambda_0 from
+    the Gamma-function family, each repeated by N(d, n), descending."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def log_factor(n):
+        n, dd = mp.mpf(n), mp.mpf(d)
+        return ((n - mp.mpf(1) / 2) * mp.log(2) + mp.loggamma((n + dd - 2) / 2)
+                - mp.loggamma(n + dd - 2) - mp.loggamma(n + dd)
+                - mp.loggamma((n + dd - 1) / 2) - 2 * mp.log(abs(mp.gamma((3 - n) / 2))))
+
+    top = (mp.gamma(mp.mpf(d) / 2) / mp.gamma(mp.mpf(d - 1) / 2)) ** 2 / (mp.pi * (d - 1) ** 2)
+    column, n = [], 0
+    while len(column) < count:
+        if n < 3 or n % 2 == 0:   # odd degrees >= 3 vanish
+            column += [top * mp.exp(log_factor(n) - log_factor(0))] * ka.harmonic_multiplicity(d, n)
+        n += 1
+    return np.array([float(v) for v in sorted(column, reverse=True)[:count]])
+
+
+@pytest.mark.parametrize("d", [10, 120, 200])
+def test_spectra_verb_returns_in_any_dimension(tmp_path, d):
+    # lambda_0 underflows to 0 from d = 185; the column is the closed-form top
+    # eigenvalue times ratios lambda_n/lambda_0 that stay representable.  A
+    # subprocess with a timeout turns a non-terminating degree search into a failure.
+    src = str(Path(rfflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rfflow.cli", "spectra", "--set", "n=50", "--set", f"d={d}",
+         "--gamma", "2", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
+    analytic = table[:, 3]
+    assert np.all(np.isfinite(analytic)) and np.all(analytic > 0)
+    np.testing.assert_allclose(analytic, _mpmath_analytic_column(d, 50), rtol=1e-12, atol=0.0)
 
 
 def test_spectra_verb_covers_every_row_with_nonzero_harmonics(tmp_path):

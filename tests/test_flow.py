@@ -238,7 +238,7 @@ def test_min_norm_interpolates_full_rank():
     assert resid <= 1e-8 * np.linalg.norm(y)
 
 
-def _snapshots(seed, n, m, times, d=5):
+def _trajectory(seed, n, m, times, d=5):
     phi, y, feats, data = _random_instance(seed, n, m, d)
     dec = flow.decompose(phi)
     target = features.TargetSpec(kind="constant-harmonic")
@@ -247,33 +247,46 @@ def _snapshots(seed, n, m, times, d=5):
 
 
 def test_errors_on_grid_time_zero():
-    snaps, y, _ = _snapshots(11, 6, 4, [0.0])
-    assert snaps[0].train_error == pytest.approx(float(y @ y) / (2 * 6))
-    assert snaps[0].param_norm == 0.0
+    traj, y, _ = _trajectory(11, 6, 4, [0.0])
+    assert traj.train_error[0] == pytest.approx(float(y @ y) / (2 * 6))
+    assert traj.param_norm[0] == 0.0
 
 
 def test_errors_on_grid_interpolation_at_inf():
-    snaps, y, dec = _snapshots(12, 6, 6, [0.0, np.inf])
+    traj, y, dec = _trajectory(12, 6, 6, [0.0, np.inf])
     if not np.all(dec.positive):
         pytest.skip("instance not full rank")
-    assert snaps[-1].train_error <= 1e-12 * snaps[0].train_error
+    assert traj.train_error[-1] <= 1e-12 * traj.train_error[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(times=_finite_times, **_instance)
 def test_errors_on_grid_train_error_non_increasing(seed, n, m, d, times):
-    snaps, y, _ = _snapshots(seed, n, m, times + [np.inf], d)
-    errs = np.array([s.train_error for s in snaps])
-    assert np.all(np.diff(errs) <= 1e-12 * float(y @ y) / (2 * n))
+    traj, y, _ = _trajectory(seed, n, m, times + [np.inf], d)
+    assert np.all(np.diff(traj.train_error) <= 1e-12 * float(y @ y) / (2 * n))
 
 
 @settings(max_examples=60, deadline=None)
 @given(times=_finite_times, **_instance)
 def test_errors_on_grid_param_norm_non_decreasing(seed, n, m, d, times):
-    # the t = inf snapshot is last, so this also bounds every norm by ||a(inf)||
-    snaps, _, _ = _snapshots(seed, n, m, times + [np.inf], d)
-    norms = np.array([s.param_norm for s in snaps])
+    # the t = inf entry is last, so this also bounds every norm by ||a(inf)||
+    traj, _, _ = _trajectory(seed, n, m, times + [np.inf], d)
+    norms = traj.param_norm
     assert np.all(np.diff(norms) >= -1e-12 * norms[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(times=_finite_times, inf=st.booleans(), data=st.data(), **_instance)
+def test_errors_on_grid_sub_grid_gives_the_same_columns(seed, n, m, d, times, inf, data):
+    # a cell's budget times are evaluated as a grid of their own, so every
+    # time's values must not depend on the rest of the grid
+    grid = times + [np.inf] * inf
+    keep = sorted(data.draw(st.sets(st.integers(0, len(grid) - 1), min_size=1)))
+    full, _, _ = _trajectory(seed, n, m, grid, d)
+    sub, _, _ = _trajectory(seed, n, m, [grid[i] for i in keep], d)
+    for col in ("time", "train_error", "test_error", "param_norm", "pred_norm"):
+        np.testing.assert_allclose(getattr(sub, col), getattr(full, col)[keep],
+                                   rtol=1e-12, atol=0.0, err_msg=col)
 
 
 def test_errors_on_grid_validation():
@@ -299,11 +312,11 @@ def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
                             targets=rng.standard_normal(30), dim=5,
                             distribution_tag="external")
     times = [0.0, 1.0, 100.0, np.inf]
-    snaps = flow.errors_on_grid(dec, y, feats, test, times)
+    traj = flow.errors_on_grid(dec, y, feats, test, times)
     phi_test = features.feature_values(feats, test.points)
-    for snap, t in zip(snaps, times):
+    for err, t in zip(traj.test_error, times):
         resid = phi_test @ flow.coefficients_at(dec, y, t) - test.targets
-        assert snap.test_error == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=1e-10)
+        assert err == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=1e-10)
 
 
 def test_energy_profile_single_mode():

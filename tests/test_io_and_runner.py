@@ -125,12 +125,12 @@ def test_run_experiment_scalar_toy_matches_closed_form():
     phi = features.build_feature_matrix(data, feats)
     s = float(phi[0, 0])
     y = float(data.targets[0])
-    for snap in rec.snapshots:
-        if math.isinf(snap.time):
+    for t, norm in zip(rec.trajectory.time, rec.trajectory.param_norm):
+        if math.isinf(t):
             expect = y / s
         else:
-            expect = (1 - math.exp(-s * s * snap.time)) * y / s
-        assert snap.param_norm == pytest.approx(abs(expect), rel=1e-10)
+            expect = (1 - math.exp(-s * s * t)) * y / s
+        assert norm == pytest.approx(abs(expect), rel=1e-10)
 
 
 def test_run_experiment_deterministic_csv(tmp_path):
@@ -144,7 +144,7 @@ def test_run_experiment_deterministic_csv(tmp_path):
 def test_run_record_contents():
     cfg = _tiny_config()
     rec = runner.run_experiment(cfg, iteration_budgets=(10.0, 100.0))
-    times = [s.time for s in rec.snapshots]
+    times = rec.trajectory.time.tolist()
     assert all(b > a for a, b in zip(times[:-1], times[1:-1]))
     assert rec.bound_rough.shape == (len(times),)
     assert rec.metadata["config_hash"] == cfg.digest()
@@ -161,11 +161,8 @@ def test_smallest_gram_eigenvalue_read_from_the_svd(m):
     # m < n, m = n and m > n: s_min^2/(nm) against eigvalsh of the Gram companion
     cfg = _tiny_config(n=30, m=str(m))
     rec = runner.run_experiment(cfg)
-    data = features.sample_dataset([cfg.seed, runner._STREAM_DATA], cfg.n, cfg.d,
-                                   runner.target_spec_for(cfg))
-    feats = features.sample_features([cfg.seed, runner._STREAM_FEATS], cfg.d, m,
-                                     cfg.feature_kind)
-    want = random_matrix.smallest_gram_eigenvalue(data.points, feats, m)
+    data, feats = runner.seed_draw(cfg, m)
+    [want] = random_matrix.smallest_gram_eigenvalue(data.points, feats, [m])
     top = rec.summary["top_gram_eigenvalue"]
     assert abs(rec.summary["smallest_gram_eigenvalue"] - want) <= 1e-12 * top
 
@@ -178,7 +175,7 @@ def test_grid_without_finite_times_fails():
     # a single finite time is the smallest valid grid
     cfg = _tiny_config(t_log_start=1.0, t_log_stop=1.0)
     assert cfg.time_grid() == [10.0, math.inf]
-    assert [s.time for s in runner.run_experiment(cfg).snapshots] == [10.0, math.inf]
+    assert runner.run_experiment(cfg).trajectory.time.tolist() == [10.0, math.inf]
 
 
 @pytest.mark.parametrize("key,overrides", [
@@ -292,9 +289,8 @@ def test_sweep_single_cell_matches_run(tmp_path):
     rec = sweep.records[(15, 0)]
     solo = runner.run_experiment(replace(cfg, m="15"),
                                  iteration_budgets=(100.0,))
-    assert [s.test_error for s in rec.snapshots] == \
-        [s.test_error for s in solo.snapshots]
-    assert sweep.min_norm_table[0][2] == solo.snapshots[-1].test_error
+    assert rec.trajectory.test_error.tolist() == solo.trajectory.test_error.tolist()
+    assert rec.summary["min_norm_test_error"] == solo.trajectory.test_error[-1]
 
 
 def _external_data(d=6, n=30, n_test=50):
@@ -305,6 +301,10 @@ def _external_data(d=6, n=30, n_test=50):
                                     distribution_tag="external")
                    for k in (n, n_test))
     return train, test
+
+
+def _csv_row(*values):
+    return ",".join(f"{v:.17g}" for v in values)
 
 
 @pytest.mark.parametrize("axis,values,external", [
@@ -330,12 +330,14 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
         runner.emit_csv(rec, tmp_path / "sweep.csv")
         runner.emit_csv(solo, tmp_path / "solo.csv")
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
-        minnorm.append((value, seed, solo.summary["min_norm_test_error"],
-                        solo.summary["smallest_gram_eigenvalue"]))
-        budget.extend((value, seed, T, *solo.budget_errors[T]) for T in budgets)
+        minnorm.append(_csv_row(value, seed, solo.summary["min_norm_test_error"],
+                                solo.summary["smallest_gram_eigenvalue"]))
+        budget.extend(_csv_row(value, seed, T, *solo.budget_errors[T]) for T in budgets)
     # the sweep tables, value-major, hold the same values
-    assert sweep.min_norm_table == minnorm
-    assert sweep.budget_table == budget
+    runner.emit_sweep_csv(sweep, tmp_path / "minnorm.csv")
+    runner.emit_budget_csv(sweep, tmp_path / "budgets.csv")
+    assert (tmp_path / "minnorm.csv").read_text().splitlines()[1:] == minnorm
+    assert (tmp_path / "budgets.csv").read_text().splitlines()[1:] == budget
 
 
 def test_a_feature_set_shorter_than_m_is_rejected():
@@ -400,9 +402,10 @@ def test_csv_round_trip_is_lossless(rows, metadata):
     table = np.array(rows, dtype=float).reshape(-1, 6)
     rec = runner.RunRecord(
         config=ExperimentConfig(),
-        snapshots=[flow.TrajectorySnapshot(time=r[0], train_error=r[1], test_error=r[2],
-                                           param_norm=r[3], pred_norm=0.0) for r in rows],
-        bound_rough=table[:, 4], bound_finer=table[:, 5], bound_finer_proof=table[:, 5],
+        trajectory=flow.Trajectory(time=table[:, 0], train_error=table[:, 1],
+                                   test_error=table[:, 2], param_norm=table[:, 3],
+                                   pred_norm=np.zeros(len(rows))),
+        bound_rough=table[:, 4], bound_finer=table[:, 5],
         assumption=None, summary={}, metadata=metadata, budget_errors={})
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.csv"

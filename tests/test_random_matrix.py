@@ -109,7 +109,7 @@ def test_companion_spectra_match_on_rectangular():
 def test_smallest_gram_eigenvalue_uses_companion():
     points, feats = _draw(2, 12, 5)
     phi = features.feature_values(feats, points)
-    val = rm.smallest_gram_eigenvalue(points, feats, 5)
+    [val] = rm.smallest_gram_eigenvalue(points, feats, [5])
     ev = rm.symmetric_eigenvalues(phi.T @ phi / (12 * 5))
     assert val == pytest.approx(ev[-1], rel=1e-10)
     assert val > 1e-12  # the small companion is full rank
@@ -148,8 +148,8 @@ def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case):
         comp = phi @ phi.T if n <= m else phi.T @ phi
         ev = np.linalg.eigvalsh(comp / (n * m))
         assert abs(value - ev[0]) <= 1e-14 * ev[-1]
-        one = rm.smallest_gram_eigenvalue(points, head, m)
-        assert type(one) is float and abs(one - ev[0]) <= 1e-14 * ev[-1]
+        [one] = rm.smallest_gram_eigenvalue(points, head, [m])
+        assert abs(one - ev[0]) <= 1e-14 * ev[-1]
 
 
 def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
@@ -172,6 +172,7 @@ def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
     ((6, 8, 3), [0, 3], "got [0, 3]"),                     # a feature count below 1
     ((6, 8, 3), [3, 9], "1..8 for a feature matrix of shape (6, 8)"),  # beyond the directions
     ((6, 8, 3), [2.5], "got [2.5]"),                       # not a count
+    ((6, 8, 3), 5, "must be a sequence of integers"),      # one count, not a sequence
 ])
 def test_smallest_gram_eigenvalue_shape_errors(shape, m, message):
     n, total, dim = shape  # points in 3 dimensions, directions in dim
@@ -186,7 +187,7 @@ def test_gram_top_eigenvalue_matches_calibrated_analytic():
     # eigenvalue at the exact ReLU kernel scale 1/(2 pi d) within 10%
     d, n, m = 10, 500, 500
     top = rm.symmetric_eigenvalues(rm.gram_matrix(*_draw(0, n, m, d)))[0]
-    lam0 = ka.analytic_eigenvalue(d, 0) * ka.spectrum_feature_scale(d, 1 / (2 * np.pi * d))
+    lam0 = ka.spectrum_feature_scale(d, 1 / (2 * np.pi * d))
     assert top == pytest.approx(lam0, rel=0.10)
 
 
