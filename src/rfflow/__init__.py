@@ -15,7 +15,6 @@ from .flow import (
     coefficients_at,
     decompose,
     errors_on_grid,
-    ode_oracle,
     spectral_energy_profile,
 )
 from .runner import RunRecord, run_experiment, run_sweep, translate_curves
@@ -34,7 +33,6 @@ __all__ = [
     "coefficients_at",
     "decompose",
     "errors_on_grid",
-    "ode_oracle",
     "run_experiment",
     "run_sweep",
     "sample_features",

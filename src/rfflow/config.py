@@ -8,16 +8,13 @@ from dataclasses import dataclass, fields, replace
 
 from .features import FEATURE_KINDS, TARGET_KINDS
 
-M_RULES = ("sqrt-n", "n^2")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully serialisable description of one experiment cell: every field
     determines results, so the text form and its hash identify the result.
 
-    ``m`` accepts an integer or one of the rules "sqrt-n" / "n^2".  The time
-    grid is logarithmic between 10^t_log_start and 10^t_log_stop with
+    The time grid is logarithmic between 10^t_log_start and 10^t_log_stop with
     ``t_per_decade`` points per decade, followed by the t = inf (min-norm)
     snapshot.  ``eta`` only affects the recorded discrete-iteration
     correspondence: under the flow's 1/(mn) rate convention a discrete step
@@ -27,7 +24,7 @@ class ExperimentConfig:
 
     seed: int = 0
     n: int = 500
-    m: str = "500"
+    m: int = 500
     d: int = 10
     feature_kind: str = "relu"
     target_kind: str = "constant-harmonic"
@@ -46,10 +43,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
 
         need(self.seed >= 0, "seed", "must be >= 0")
-        for key in ("n", "d", "t_per_decade", "test_count", "assumption_points"):
+        for key in ("n", "m", "d", "t_per_decade", "test_count", "assumption_points"):
             need(getattr(self, key) >= 1, key, "must be a count >= 1")
-        need(self.m in M_RULES or 1 <= _parsed(int, self.m), "m",
-             f"must be an integer >= 1 or one of {M_RULES}")
         need(self.feature_kind in FEATURE_KINDS, "feature_kind", f"must be one of {FEATURE_KINDS}")
         need(self.target_kind in TARGET_KINDS + ("external-labels",), "target_kind",
              f"must be one of {TARGET_KINDS} or 'external-labels'")
@@ -60,13 +55,6 @@ class ExperimentConfig:
         need(0.0 < self.delta < 1.0, "delta", "must lie in (0, 1)")
         need(self.eta == "auto" or 0.0 < _parsed(float, self.eta) < math.inf, "eta",
              "must be 'auto' or a positive finite number")
-
-    def resolve_m(self) -> int:
-        if self.m == "sqrt-n":
-            return max(1, int(round(math.sqrt(self.n))))
-        if self.m == "n^2":
-            return self.n * self.n
-        return int(self.m)
 
     def time_grid(self) -> list[float]:
         decades = self.t_log_stop - self.t_log_start

@@ -9,9 +9,8 @@ has the closed-form solution, with Phi = U Sigma V^T,
     a(t) = sum_{i: s_i > 0} (1 - exp(-s_i^2 t / (mn))) / s_i (u_i.y) v_i.
 
 Every trajectory quantity (training error, parameter norm, predictions at
-arbitrary points) follows from the decomposition without time stepping;
-``ode_oracle`` provides the brute-force explicit-Euler reference used in
-tests.  ``t = inf`` is an explicit sentinel yielding the exact minimum-norm
+arbitrary points) follows from the decomposition without time stepping.
+``t = inf`` is an explicit sentinel yielding the exact minimum-norm
 least-squares solution.
 """
 
@@ -144,8 +143,10 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     r = dec.rank
     s = dec.singular_values[:r]
     uy = (dec.left_vectors.T @ y)[:r]
-    # energy the flow can never fit: outside the column span or on zero modes
-    perp = float(y @ y - uy @ uy)
+    # energy the flow can never fit, outside the span of the positive modes;
+    # y.y - uy.uy would cancel to about -1e-16 when y lies in that span
+    outside = y - dec.left_vectors[:, :r] @ uy
+    perp = float(outside @ outside)
 
     phi_test = feature_values(feats, test_points.points)
 
@@ -166,38 +167,6 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
 
     return Trajectory(time=grid, train_error=train, test_error=test_err,
                       param_norm=param, pred_norm=pred_norm)
-
-
-def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
-    """Explicit-Euler integration of the flow from a(0) = 0 to time t.
-
-    Reference implementation for tests only; requires
-    step * s_max^2 / (mn) < 0.1 for stability.  Each step
-    a <- (I - hH) a + h r is affine, so the N full steps are one power of
-    the (m+1)x(m+1) matrix [[I - hH, h r], [0, 1]] applied to (0, 1).
-    """
-    mat = np.asarray(phi, dtype=float)
-    n, m = mat.shape
-    t = float(_check_times(t))
-    if np.isinf(t):
-        raise ValueError("the Euler oracle needs a finite horizon")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    top = np.linalg.norm(mat, 2)
-    if step * top * top / (m * n) >= 0.1:
-        raise ValueError("unstable step size for the Euler oracle")
-
-    hmat = mat.T @ mat / (m * n)
-    rhs = mat.T @ y / (m * n)
-    step_map = np.eye(m + 1)
-    step_map[:m, :m] -= step * hmat
-    step_map[:m, m] = step * rhs
-    n_steps = int(t / step)
-    a = np.linalg.matrix_power(step_map, n_steps)[:m, m]
-    rem = t - n_steps * step
-    if rem > 0.0:
-        a += rem * (rhs - hmat @ a)
-    return a
 
 
 def spectral_energy_profile(dec: SpectralDecomposition, y: np.ndarray,

@@ -1,4 +1,4 @@
-"""IDX binary format reading and writing (MNIST-style ubyte files)."""
+"""IDX binary format reading (MNIST-style ubyte files)."""
 
 from __future__ import annotations
 
@@ -41,24 +41,6 @@ def read_idx_labels(path) -> np.ndarray:
     if len(body) != count:
         raise ValueError(f"{path}: truncated IDX payload")
     return np.frombuffer(body, dtype=np.uint8)
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError("images must be (count, rows, cols)")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">4i", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">2i", LABEL_MAGIC, labels.size))
-        fh.write(labels.tobytes())
 
 
 def load_idx(images_path, labels_path, classes=None, subsample: int | None = None,

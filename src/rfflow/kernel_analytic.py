@@ -13,20 +13,19 @@ converges to 1/(2 pi d).
 
 The induced integral operator on the uniform sphere is zonal, so spherical
 harmonics are its eigenfunctions and the eigenvalue depends only on the
-harmonic degree n, with multiplicity N(d, n).  ``analytic_eigenvalue``
-evaluates the closed-form eigenvalue family, anchored at
+harmonic degree n, with multiplicity N(d, n).  The closed-form eigenvalue
+family is anchored at
 
     lambda_0 = 2 sqrt(pi) d Gamma(d/2) / (Gamma(d) Gamma((d-1)/2)),
 
 which underflows to 0 from d = 185; ``analytic_spectrum`` therefore holds
 the family relative to lambda_0, and ``spectrum_feature_scale`` gives the
-top eigenvalue at the Gram scale in closed form.  ``quadrature_eigenvalue``
-provides the independent integral route
+top eigenvalue at the Gram scale in closed form.
 
-    lambda_n = (1/Omega_{d-1}) Int_{-1}^{1} k(t) P_n(t) (1-t^2)^((d-3)/2) dt,
-
-where P_n is the degree-n Legendre polynomial in d dimensions: the Gegenbauer
-polynomial C_n of index (d-2)/2 divided by the exact integer
+``weighted_cosine_integral`` is the independent integral route: it
+evaluates Int_{-1}^{1} g(t) (1-t^2)^((d-3)/2) dt, for instance with
+g = k P_n.  P_n is the degree-n Legendre polynomial in d dimensions: the
+Gegenbauer polynomial C_n of index (d-2)/2 divided by the exact integer
 C_n(1) = binom(n+d-3, n), so that P_n(1) = 1.  All quadratures substitute
 t = cos(theta), which absorbs the (1-t^2) weight analytically and removes the
 endpoint derivative singularities of k at d = 3.
@@ -36,21 +35,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, exp, gamma, lgamma, log, prod
+from math import comb, exp, lgamma, log, prod
 
 import numpy as np
 
 _CLIP_TOL = 1e-12
-
-
-def _rgamma(x: float) -> float:
-    """1/Gamma(x), exactly 0 at the poles x = 0, -1, -2, ..."""
-    return 0.0 if x <= 0 and x == int(x) else 1.0 / gamma(x)
-
-
-def surface_area(k: int) -> float:
-    """Surface area of the unit sphere S^k embedded in R^(k+1)."""
-    return 2.0 * np.pi ** ((k + 1) / 2) / gamma((k + 1) / 2)
 
 
 def _cosines(t, what: str) -> np.ndarray:
@@ -89,25 +78,6 @@ def feature_kernel(t, d: int, kind: str):
     if kind == "affine-relu":
         return kernel_profile((1.0 + _cosines(t, "kernel")) / 2.0) / (np.pi * (d + 1))
     raise ValueError(f"unknown feature kind {kind!r}")
-
-
-def kernel_mc(x, x_prime, feats) -> tuple[float, float]:
-    """Monte-Carlo kernel estimate (1/m) sum_k phi(x;b_k) phi(x';b_k).
-
-    Returns the estimate together with its standard error.
-    """
-    from . import features as _features
-
-    x = np.asarray(x, dtype=float)
-    x_prime = np.asarray(x_prime, dtype=float)
-    if feats.count == 0:
-        raise ValueError("empty feature set")
-    fx = _features.feature_values(feats, x[None, :])[0]
-    fy = _features.feature_values(feats, x_prime[None, :])[0]
-    prods = fx * fy
-    m = prods.size
-    se = float(prods.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-    return float(prods.mean()), se
 
 
 def harmonic_multiplicity(d: int, n: int) -> int:
@@ -229,11 +199,6 @@ def weighted_cosine_integral(d: int, g, tol: float = 1e-12, order: int = 64) -> 
 # eigenvalue formulas
 # ---------------------------------------------------------------------------
 
-def _log_lambda_zero(d: int) -> float:
-    # log of 2 sqrt(pi) d Gamma(d/2) / (Gamma(d) Gamma((d-1)/2))
-    return log(2.0 * np.sqrt(np.pi) * d) + lgamma(d / 2) - lgamma(d) - lgamma((d - 1) / 2)
-
-
 def _log_lambda_factor(d: int, n: int) -> float:
     # log of 2^(n-1/2) Gamma((n+d-2)/2) / (Gamma(n+d-2) Gamma(n+d) Gamma((n+d-1)/2)
     # Gamma((3-n)/2)^2); lgamma is log|Gamma|, and the square drops the sign
@@ -252,27 +217,6 @@ def _eigenvalue_ratio(d: int, n: int) -> float:
     if _vanishes(n):
         return 0.0
     return exp(_log_lambda_factor(d, n) - _log_lambda_factor(d, 0)) if n else 1.0
-
-
-def analytic_eigenvalue(d: int, n: int) -> float:
-    """Closed-form operator eigenvalue for harmonic degree n.
-
-    Degree 0 uses the direct-integral value lambda_0; higher degrees follow
-    the Gamma-function eigenvalue family anchored at lambda_0, so that the
-    two-step decay identity
-
-        lambda_{n+2} / lambda_n = (n-1)^2 / ((n+d-1)^2 (n+d+1) (n+d))
-
-    holds exactly across all n >= 0, and odd degrees >= 3 vanish identically
-    (the Gamma((3-n)/2)^-2 pole).  The Gamma functions are combined in log
-    space, so the value stays finite in every dimension where it is
-    representable.
-    """
-    if d < 3:
-        raise ValueError("analytic eigenvalues require d >= 3")
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    return exp(_log_lambda_zero(d)) * _eigenvalue_ratio(d, n)
 
 
 @dataclass(frozen=True)
@@ -323,68 +267,6 @@ def analytic_spectrum(d: int, n_max: int) -> AnalyticSpectrum:
     mult = tuple(harmonic_multiplicity(d, n) for n in range(n_max + 1))  # rejects d < 3
     eigenvalues = np.array([_eigenvalue_ratio(d, n) for n in range(n_max + 1)])
     return AnalyticSpectrum(dim=d, eigenvalues=eigenvalues, multiplicities=mult)
-
-
-def quadrature_eigenvalue(d: int, n: int, node_count: int = 96) -> float:
-    """Integral-route eigenvalue (1/Omega_{d-1}) Int k(t) P_n(t) w(t) dt.
-
-    Independent of the closed-form family; used as an oracle for shapes and
-    vanishing odd orders.  Its absolute normalisation (and, beyond degree 0,
-    its two-step decay rate) differs from ``analytic_eigenvalue`` by more
-    than one global constant; ratios of quadrature values satisfy
-    (n-1)^2/(n+d+1)^2 instead.  Comparisons are therefore made per identity,
-    never by blanket rescaling.
-    """
-    if d < 3:
-        raise ValueError("quadrature eigenvalues require d >= 3")
-    if node_count < 64:
-        raise ValueError("node_count must be >= 64")
-    conv = legendre_conversion(d, n)
-
-    def g(t):
-        return kernel_profile(t) * _gegenbauer_values(d, n, t) / conv
-
-    val = weighted_cosine_integral(d, g, order=node_count)
-    return val / surface_area(d - 1)
-
-
-# closed forms of the three Gegenbauer moments entering the spectrum derivation
-
-def gegenbauer_sqrt_moment(d: int, n: int) -> float:
-    """Int (1-t^2)^((d-2)/2) C_n(t) dt in closed form."""
-    num = np.pi ** 1.5 * 2.0 ** (n - 2) * (d - 2) * gamma((n + d - 2) / 2)
-    rec = (
-        _rgamma(n + 1)
-        * _rgamma((1 - n) / 2)
-        * _rgamma((3 - n) / 2)
-        * _rgamma((n + d + 1) / 2)
-    )
-    return float(num * rec)
-
-
-def gegenbauer_arc_moment(d: int, n: int) -> float:
-    """Int (1-t^2)^((d-3)/2) t (pi - arccos t) C_n(t) dt in closed form."""
-    num = (
-        np.pi ** 1.5 * 2.0 ** (n - 3) * (d - 2) * (n * n + (d - 2) * n + 1)
-        * gamma((n + d - 2) / 2)
-    )
-    rec = (
-        _rgamma(n + 1)
-        * _rgamma((3 - n) / 2) ** 2
-        * _rgamma((n + d + 1) / 2)
-    )
-    return float(num * rec / (n + d - 1))
-
-
-def gegenbauer_kernel_moment(d: int, n: int) -> float:
-    """Int (1-t^2)^((d-3)/2) k(t) C_n(t) dt in closed form (sum of the above)."""
-    num = np.pi ** 1.5 * d * (d - 2) * 2.0 ** (n - 2) * gamma((n + d - 2) / 2)
-    rec = (
-        _rgamma(n + 1)
-        * _rgamma((3 - n) / 2) ** 2
-        * _rgamma((n + d - 1) / 2)
-    )
-    return float(num * rec / (n + d - 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,6 @@ the smallest eigenvalue scales like c * (1 - sqrt(gamma))^2 for gamma <= 1
 and c * (1 - sqrt(1/gamma))^2 above, with a calibration constant c fitted
 from measurements near gamma = 1.
 
-The MP density here carries the 1/gamma mass factor,
-
-    v_gamma(x) = sqrt((x_+ - x)(x - x_-)) / (2 pi gamma x),
-    x_pm = (1 pm sqrt(gamma))^2,
-
-so that continuous mass plus the point mass max(0, 1 - 1/gamma) at zero is
-exactly one for every aspect ratio.
-
 Memory stays O(n^2) at any m: the Gram matrices are summed over feature
 blocks of at most n directions and the kernel matrix is filled in row
 blocks, so besides the block being evaluated no array is larger than
@@ -26,13 +18,12 @@ LAPACK's own copy.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .features import FeatureSet, feature_values
-from .kernel_analytic import adaptive_quadrature, feature_kernel
+from .kernel_analytic import feature_kernel
 
 _SYM_TOL = 1e-10
 _KERNEL_ROWS = 128  # rows of the kernel matrix filled per block
@@ -139,49 +130,6 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur model
 # ---------------------------------------------------------------------------
-
-def mp_edges(gamma: float) -> tuple[float, float]:
-    """Support edges ((1-sqrt(gamma))^2, (1+sqrt(gamma))^2)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    r = math.sqrt(gamma)
-    return (1.0 - r) ** 2, (1.0 + r) ** 2
-
-
-def mp_atom(gamma: float) -> float:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return max(0.0, 1.0 - 1.0 / gamma)
-
-
-def mp_density(gamma: float, lam) -> np.ndarray | float:
-    """Continuous MP density at lam; zero outside the support."""
-    lo, hi = mp_edges(gamma)
-    lam_arr = np.asarray(lam, dtype=float)
-    inside = (lam_arr > lo) & (lam_arr < hi) & (lam_arr > 0)
-    out = np.zeros_like(lam_arr)
-    lx = lam_arr[inside]
-    out[inside] = np.sqrt((hi - lx) * (lx - lo)) / (2.0 * np.pi * gamma * lx)
-    return out if out.ndim else float(out)
-
-
-def mp_mass(gamma: float, tol: float = 1e-10) -> float:
-    """Integral of the continuous density over its support.
-
-    Substituting lam = lo + (hi - lo) sin^2(psi) removes the square-root
-    endpoint behaviour, so plain adaptive quadrature converges fast even at
-    gamma = 1 where the lower edge touches zero.
-    """
-    lo, hi = mp_edges(gamma)
-    width = hi - lo
-
-    def integrand(psi):
-        sp, cp = np.sin(psi), np.cos(psi)
-        lam = lo + width * sp * sp
-        return width * width * sp * sp * cp * cp / (np.pi * gamma * lam)
-
-    return adaptive_quadrature(integrand, 0.0, np.pi / 2, tol=tol)
-
 
 def mp_shape(gamma) -> np.ndarray | float:
     """Unit-calibration smallest-eigenvalue shape, symmetric in gamma <-> 1/gamma."""

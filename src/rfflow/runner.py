@@ -140,7 +140,7 @@ def run_experiment(cfg: ExperimentConfig,
     hold more than m directions, and its first m rows are exactly the m-row
     draw of the same stream.
     """
-    m = cfg.resolve_m()
+    m = cfg.m
     external = cfg.target_kind == "external-labels"
     train, test, feats, mc_points = _draws(cfg, m, train, test, feats, mc_points)
     if feats.count < m:
@@ -268,8 +268,8 @@ def run_sweep(base: ExperimentConfig,
     if len(set(values)) < len(values) or len(set(seeds)) < len(seeds):
         raise ValueError("sweep axis values and seeds must be distinct")
 
-    cells = {v: replace(base, m=str(cell_m[v])) for v in values}
-    m_max = max(cell.resolve_m() for cell in cells.values())
+    cells = {v: replace(base, m=cell_m[v]) for v in values}
+    m_max = max(cell_m.values())
     records = {}
     for seed in seeds:
         draws = _draws(replace(base, seed=seed), m_max, train, test)
@@ -321,25 +321,6 @@ def emit_csv(record: Optional[RunRecord], path) -> None:
             lines.append(",".join(map(_g17, row)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path) -> tuple[dict, list[str], np.ndarray]:
-    """Parse an emitted CSV back into (metadata, column names, value array)."""
-    meta, rows, header = {}, [], None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    table = np.array(rows) if rows else np.empty((0, len(header or [])))
-    return meta, header or [], table
 
 
 def emit_sweep_csv(sweep: SweepResult, path) -> None:

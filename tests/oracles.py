@@ -1,0 +1,211 @@
+"""Reference implementations that only the tests call.
+
+Each is an independent route to a quantity the package computes another
+way, kept out of ``rfflow`` because no CLI verb runs it:
+
+- ``ode_oracle``: explicit-Euler integration of the flow (A01, test_flow);
+- ``analytic_eigenvalue`` with ``_log_lambda_zero``: the absolute ReLU
+  operator eigenvalue family, lambda_0 times ``_eigenvalue_ratio`` (A05, A06);
+- ``quadrature_eigenvalue``: the integral route, normalised differently;
+- ``gegenbauer_*_moment``: closed forms of the three Gegenbauer moments (A05);
+- ``surface_area`` (A06) and ``kernel_mc``, a Monte-Carlo kernel estimate (A10);
+- ``mp_edges`` and ``mp_density``: the Marchenko-Pastur support and density (A09).
+
+The MP density carries the 1/gamma mass factor,
+
+    v_gamma(x) = sqrt((x_+ - x)(x - x_-)) / (2 pi gamma x),
+    x_pm = (1 pm sqrt(gamma))^2,
+
+so that continuous mass plus the point mass max(0, 1 - 1/gamma) at zero is
+exactly one for every aspect ratio.
+"""
+
+from __future__ import annotations
+
+import math
+from math import exp, gamma, lgamma, log
+
+import numpy as np
+from scipy.special import rgamma
+
+from rfflow.flow import _check_times
+from rfflow.kernel_analytic import (_eigenvalue_ratio, _gegenbauer_values, kernel_profile,
+                                    legendre_conversion, weighted_cosine_integral)
+
+# ---------------------------------------------------------------------------
+# flow
+# ---------------------------------------------------------------------------
+
+
+def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
+    """Explicit-Euler integration of the flow from a(0) = 0 to time t.
+
+    Reference implementation for tests only; requires
+    step * s_max^2 / (mn) < 0.1 for stability.  Each step
+    a <- (I - hH) a + h r is affine, so the N full steps are one power of
+    the (m+1)x(m+1) matrix [[I - hH, h r], [0, 1]] applied to (0, 1).
+    """
+    mat = np.asarray(phi, dtype=float)
+    n, m = mat.shape
+    t = float(_check_times(t))
+    if np.isinf(t):
+        raise ValueError("the Euler oracle needs a finite horizon")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    top = np.linalg.norm(mat, 2)
+    if step * top * top / (m * n) >= 0.1:
+        raise ValueError("unstable step size for the Euler oracle")
+
+    hmat = mat.T @ mat / (m * n)
+    rhs = mat.T @ y / (m * n)
+    step_map = np.eye(m + 1)
+    step_map[:m, :m] -= step * hmat
+    step_map[:m, m] = step * rhs
+    n_steps = int(t / step)
+    a = np.linalg.matrix_power(step_map, n_steps)[:m, m]
+    rem = t - n_steps * step
+    if rem > 0.0:
+        a += rem * (rhs - hmat @ a)
+    return a
+
+
+# ---------------------------------------------------------------------------
+# kernel_analytic
+# ---------------------------------------------------------------------------
+
+
+def surface_area(k: int) -> float:
+    """Surface area of the unit sphere S^k embedded in R^(k+1)."""
+    return 2.0 * np.pi ** ((k + 1) / 2) / gamma((k + 1) / 2)
+
+
+def kernel_mc(x, x_prime, feats) -> tuple[float, float]:
+    """Monte-Carlo kernel estimate (1/m) sum_k phi(x;b_k) phi(x';b_k).
+
+    Returns the estimate together with its standard error.
+    """
+    from rfflow import features as _features
+
+    x = np.asarray(x, dtype=float)
+    x_prime = np.asarray(x_prime, dtype=float)
+    if feats.count == 0:
+        raise ValueError("empty feature set")
+    fx = _features.feature_values(feats, x[None, :])[0]
+    fy = _features.feature_values(feats, x_prime[None, :])[0]
+    prods = fx * fy
+    m = prods.size
+    se = float(prods.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
+    return float(prods.mean()), se
+
+
+def _log_lambda_zero(d: int) -> float:
+    # log of 2 sqrt(pi) d Gamma(d/2) / (Gamma(d) Gamma((d-1)/2))
+    return log(2.0 * np.sqrt(np.pi) * d) + lgamma(d / 2) - lgamma(d) - lgamma((d - 1) / 2)
+
+
+def analytic_eigenvalue(d: int, n: int) -> float:
+    """Closed-form operator eigenvalue for harmonic degree n.
+
+    Degree 0 uses the direct-integral value lambda_0; higher degrees follow
+    the Gamma-function eigenvalue family anchored at lambda_0, so that the
+    two-step decay identity
+
+        lambda_{n+2} / lambda_n = (n-1)^2 / ((n+d-1)^2 (n+d+1) (n+d))
+
+    holds exactly across all n >= 0, and odd degrees >= 3 vanish identically
+    (the Gamma((3-n)/2)^-2 pole).  The Gamma functions are combined in log
+    space, so the value stays finite in every dimension where it is
+    representable.
+    """
+    if d < 3:
+        raise ValueError("analytic eigenvalues require d >= 3")
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    return exp(_log_lambda_zero(d)) * _eigenvalue_ratio(d, n)
+
+
+def quadrature_eigenvalue(d: int, n: int, node_count: int = 96) -> float:
+    """Integral-route eigenvalue (1/Omega_{d-1}) Int k(t) P_n(t) w(t) dt.
+
+    Independent of the closed-form family; used as an oracle for shapes and
+    vanishing odd orders.  Its absolute normalisation (and, beyond degree 0,
+    its two-step decay rate) differs from ``analytic_eigenvalue`` by more
+    than one global constant; ratios of quadrature values satisfy
+    (n-1)^2/(n+d+1)^2 instead.  Comparisons are therefore made per identity,
+    never by blanket rescaling.
+    """
+    if d < 3:
+        raise ValueError("quadrature eigenvalues require d >= 3")
+    if node_count < 64:
+        raise ValueError("node_count must be >= 64")
+    conv = legendre_conversion(d, n)
+
+    def g(t):
+        return kernel_profile(t) * _gegenbauer_values(d, n, t) / conv
+
+    val = weighted_cosine_integral(d, g, order=node_count)
+    return val / surface_area(d - 1)
+
+
+# closed forms of the three Gegenbauer moments entering the spectrum derivation
+
+
+def gegenbauer_sqrt_moment(d: int, n: int) -> float:
+    """Int (1-t^2)^((d-2)/2) C_n(t) dt in closed form."""
+    num = np.pi ** 1.5 * 2.0 ** (n - 2) * (d - 2) * gamma((n + d - 2) / 2)
+    rec = (
+        rgamma(n + 1)
+        * rgamma((1 - n) / 2)
+        * rgamma((3 - n) / 2)
+        * rgamma((n + d + 1) / 2)
+    )
+    return float(num * rec)
+
+
+def gegenbauer_arc_moment(d: int, n: int) -> float:
+    """Int (1-t^2)^((d-3)/2) t (pi - arccos t) C_n(t) dt in closed form."""
+    num = (
+        np.pi ** 1.5 * 2.0 ** (n - 3) * (d - 2) * (n * n + (d - 2) * n + 1)
+        * gamma((n + d - 2) / 2)
+    )
+    rec = (
+        rgamma(n + 1)
+        * rgamma((3 - n) / 2) ** 2
+        * rgamma((n + d + 1) / 2)
+    )
+    return float(num * rec / (n + d - 1))
+
+
+def gegenbauer_kernel_moment(d: int, n: int) -> float:
+    """Int (1-t^2)^((d-3)/2) k(t) C_n(t) dt in closed form (sum of the above)."""
+    num = np.pi ** 1.5 * d * (d - 2) * 2.0 ** (n - 2) * gamma((n + d - 2) / 2)
+    rec = (
+        rgamma(n + 1)
+        * rgamma((3 - n) / 2) ** 2
+        * rgamma((n + d - 1) / 2)
+    )
+    return float(num * rec / (n + d - 1) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# random_matrix: the Marchenko-Pastur model
+# ---------------------------------------------------------------------------
+
+
+def mp_edges(gamma: float) -> tuple[float, float]:
+    """Support edges ((1-sqrt(gamma))^2, (1+sqrt(gamma))^2)."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    r = math.sqrt(gamma)
+    return (1.0 - r) ** 2, (1.0 + r) ** 2
+
+
+def mp_density(gamma: float, lam) -> np.ndarray | float:
+    """Continuous MP density at lam; zero outside the support."""
+    lo, hi = mp_edges(gamma)
+    lam_arr = np.asarray(lam, dtype=float)
+    inside = (lam_arr > lo) & (lam_arr < hi) & (lam_arr > 0)
+    out = np.zeros_like(lam_arr)
+    lx = lam_arr[inside]
+    out[inside] = np.sqrt((hi - lx) * (lx - lo)) / (2.0 * np.pi * gamma * lx)
+    return out if out.ndim else float(out)

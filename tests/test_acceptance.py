@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
+import oracles
 from rfflow import features, flow, runner
 from rfflow import kernel_analytic as ka
 from rfflow import random_matrix as rm
@@ -25,7 +27,7 @@ def _report(cid: str, ok: bool, detail: str):
 
 
 def _base_500(seed: int, m: int = 500) -> ExperimentConfig:
-    return ExperimentConfig(seed=seed, n=500, m=str(m), d=10,
+    return ExperimentConfig(seed=seed, n=500, m=m, d=10,
                             feature_kind="relu",
                             target_kind="constant-harmonic",
                             t_log_start=-2.0, t_log_stop=10.0, t_per_decade=20,
@@ -53,7 +55,7 @@ def test_a01_trajectory_oracle_equivalence():
         dec = flow.decompose(phi)
         for t in (0.1, 1.0, 10.0):
             exact = flow.coefficients_at(dec, y, t)
-            euler = flow.ode_oracle(phi, y, t, 1e-4)
+            euler = oracles.ode_oracle(phi, y, t, 1e-4)
             rel = np.linalg.norm(exact - euler) / np.linalg.norm(exact)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -126,8 +128,8 @@ def test_a05_analytic_spectrum_identities():
     failures = []
     for d in (3, 10):
         for n in (0, 1, 2, 4, 6):
-            lam_n = ka.analytic_eigenvalue(d, n)
-            lam_n2 = ka.analytic_eigenvalue(d, n + 2)
+            lam_n = oracles.analytic_eigenvalue(d, n)
+            lam_n2 = oracles.analytic_eigenvalue(d, n + 2)
             expect = (n - 1) ** 2 / ((n + d - 1) ** 2 * (n + d + 1) * (n + d))
             if n == 1:
                 if lam_n2 != 0.0:
@@ -135,7 +137,7 @@ def test_a05_analytic_spectrum_identities():
             elif abs(lam_n2 / lam_n - expect) > 1e-12 * expect:
                 failures.append(f"ratio d={d} n={n}")
         for n in (3, 5, 7, 9):
-            if ka.analytic_eigenvalue(d, n) != 0.0:
+            if oracles.analytic_eigenvalue(d, n) != 0.0:
                 failures.append(f"odd d={d} n={n}")
         for n in range(0, 9):
             def geg(t, _d=d, _n=n):
@@ -144,12 +146,12 @@ def test_a05_analytic_spectrum_identities():
 
             checks = (
                 (ka.weighted_cosine_integral(d, lambda t: np.sqrt(1 - t * t) * geg(t)),
-                 ka.gegenbauer_sqrt_moment(d, n)),
+                 oracles.gegenbauer_sqrt_moment(d, n)),
                 (ka.weighted_cosine_integral(
                     d, lambda t: t * (np.pi - np.arccos(np.clip(t, -1, 1))) * geg(t)),
-                 ka.gegenbauer_arc_moment(d, n)),
+                 oracles.gegenbauer_arc_moment(d, n)),
                 (ka.weighted_cosine_integral(d, lambda t: ka.kernel_profile(t) * geg(t)),
-                 ka.gegenbauer_kernel_moment(d, n)),
+                 oracles.gegenbauer_kernel_moment(d, n)),
             )
             for idx_c, (lhs, rhs) in enumerate(checks, 1):
                 if abs(rhs) < 1e-14:
@@ -172,8 +174,8 @@ def test_a06_lambda0_monte_carlo_cross_check():
     axis = np.zeros(d)
     axis[0] = 1.0
     mean = float(np.mean(ka.kernel_profile(samples @ axis)))
-    oracle = ka.surface_area(d - 1) / np.pi * mean
-    analytic = ka.analytic_eigenvalue(d, 0)
+    oracle = oracles.surface_area(d - 1) / np.pi * mean
+    analytic = oracles.analytic_eigenvalue(d, 0)
     rel = abs(oracle - analytic) / analytic
     ok = rel <= 0.005 and abs(analytic - 3 * np.pi / 2) < 1e-12
     _report("A06 lambda_0 Monte-Carlo cross-check (d=3)",
@@ -232,10 +234,12 @@ def test_a08_smallest_eigenvalue_dip_and_mp_fit():
 def test_a09_mp_mass_and_edges():
     worst = 0.0
     for gamma in (0.5, 1.0, 2.0, 8.0):
-        total = rm.mp_mass(gamma) + rm.mp_atom(gamma)
+        mass, _ = scipy_quad(lambda x, g=gamma: oracles.mp_density(g, x),
+                             *oracles.mp_edges(gamma), limit=200)
+        total = mass + max(0.0, 1.0 - 1.0 / gamma)
         worst = max(worst, abs(total - 1.0))
-    edges_ok = (rm.mp_edges(0.25) == ((1 - 0.5) ** 2, (1 + 0.5) ** 2)
-                and rm.mp_edges(1.0) == (0.0, 4.0))
+    edges_ok = (oracles.mp_edges(0.25) == ((1 - 0.5) ** 2, (1 + 0.5) ** 2)
+                and oracles.mp_edges(1.0) == (0.0, 4.0))
     ok = worst <= 1e-6 and edges_ok
     _report("A09 MP mass and edges",
             ok, f"max |mass+atom-1| = {worst:.2e} (<=1e-6); edges exact: {edges_ok}")
@@ -251,7 +255,7 @@ def test_a10_kernel_profile_identities_and_shape():
     ys = features.sample_sphere([40, 3], d, 16)
     vals, ses, prof = [], [], []
     for x, y in zip(xs, ys):
-        v, se = ka.kernel_mc(x, y, feats)
+        v, se = oracles.kernel_mc(x, y, feats)
         vals.append(v)
         ses.append(se)
         prof.append(ka.kernel_profile(float(x @ y)))
@@ -306,7 +310,7 @@ def test_a11_mnist_pipeline_optional():
 
 
 def test_a12_determinism_and_worker_independence(tmp_path):
-    cfg = replace(_base_500(0), n=120, m="120", test_count=400,
+    cfg = replace(_base_500(0), n=120, m=120, test_count=400,
                   assumption_points=300, t_log_stop=6.0)
     paths = []
     for tag in ("a", "b", "c"):

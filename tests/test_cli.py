@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -128,6 +129,7 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
      "rfflow run: error: target_kind external-labels needs labelled data"),
     (["spectra", "--set", "target_kind=external-labels"],
      "rfflow spectra: error: target_kind external-labels needs labelled data"),
+    (["run", "--set", "m=sqrt-n"], "rfflow run: error: m: expected int, got 'sqrt-n'"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -338,8 +340,10 @@ def _write_synthetic_idx(root):
         images = rng.integers(0, 256, size=(count, 5, 5), dtype=np.uint8)
         labels = (rng.random(count) < 0.5).astype(np.uint8)
         names[split] = (root / f"{split}-images-idx3-ubyte", root / f"{split}-labels-idx1-ubyte")
-        idx.write_idx_images(names[split][0], images)
-        idx.write_idx_labels(names[split][1], labels)
+        for path, magic, array in zip(names[split], (idx.IMAGE_MAGIC, idx.LABEL_MAGIC),
+                                      (images, labels)):
+            path.write_bytes(struct.pack(f">{1 + array.ndim}i", magic, *array.shape)
+                             + array.tobytes())
     return ["--images", str(names["train"][0]), "--labels", str(names["train"][1]),
             "--test-images", str(names["t10k"][0]), "--test-labels", str(names["t10k"][1])]
 

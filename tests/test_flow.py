@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rfflow import features, flow
 
 
@@ -169,24 +170,24 @@ def test_ode_oracle_matches_step_loop(seed, n, m, t, step):
     rem = t - n_steps * step
     if rem > 0.0:
         a = a + rem * (rhs - hmat @ a)
-    oracle = flow.ode_oracle(phi, y, t, step)
+    oracle = oracles.ode_oracle(phi, y, t, step)
     assert np.linalg.norm(oracle - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_ode_oracle_scalar():
-    a = flow.ode_oracle(np.array([[2.0]]), np.array([3.0]), 1.0, 1e-5)
+    a = oracles.ode_oracle(np.array([[2.0]]), np.array([3.0]), 1.0, 1e-5)
     assert a[0] == pytest.approx(1.5 * (1 - np.exp(-4.0)), abs=1e-4)
 
 
 def test_ode_oracle_zero_time():
     phi, y, _, _ = _random_instance(5, 4, 4)
-    np.testing.assert_array_equal(flow.ode_oracle(phi, y, 0.0, 1e-3), 0.0)
+    np.testing.assert_array_equal(oracles.ode_oracle(phi, y, 0.0, 1e-3), 0.0)
 
 
 def test_ode_oracle_rejects_unstable_step():
     phi = np.array([[2.0]])
     with pytest.raises(ValueError):
-        flow.ode_oracle(phi, np.array([1.0]), 1.0, 1.0)
+        oracles.ode_oracle(phi, np.array([1.0]), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
@@ -194,7 +195,7 @@ def test_oracle_equivalence_5x5(t):
     phi, y, _, _ = _random_instance(6, 5, 5)
     dec = flow.decompose(phi)
     exact = flow.coefficients_at(dec, y, t)
-    euler = flow.ode_oracle(phi, y, t, 1e-5)
+    euler = oracles.ode_oracle(phi, y, t, 1e-5)
     assert np.linalg.norm(exact - euler) <= 1e-3 * np.linalg.norm(exact)
 
 
@@ -204,7 +205,7 @@ def test_oracle_equivalence_small_instances(seed, n, m):
     dec = flow.decompose(phi)
     for t in (0.5, 5.0):
         exact = flow.coefficients_at(dec, y, t)
-        euler = flow.ode_oracle(phi, y, t, 1e-4)
+        euler = oracles.ode_oracle(phi, y, t, 1e-4)
         assert np.linalg.norm(exact - euler) <= 1e-3 * np.linalg.norm(exact)
 
 
@@ -264,6 +265,15 @@ def test_errors_on_grid_interpolation_at_inf():
 def test_errors_on_grid_train_error_non_increasing(seed, n, m, d, times):
     traj, y, _ = _trajectory(seed, n, m, times + [np.inf], d)
     assert np.all(np.diff(traj.train_error) <= 1e-12 * float(y @ y) / (2 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=_finite_times, **_instance)
+def test_errors_on_grid_train_error_is_never_negative(seed, n, m, d, times):
+    # where y lies in the feature span, y.y - (U^T y).(U^T y) cancels to about
+    # -1e-16; the energy outside the span is a squared norm, never negative
+    traj, _, _ = _trajectory(seed, n, m, times + [np.inf], d)
+    assert np.all(traj.train_error >= 0.0)
 
 
 @settings(max_examples=60, deadline=None)

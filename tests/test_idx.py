@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from rfflow import idx
 
 
+def _write_idx(path, magic, array):
+    """An IDX file: the big-endian magic and dimensions, then the uint8 bytes."""
+    path.write_bytes(struct.pack(f">{1 + array.ndim}i", magic, *array.shape) + array.tobytes())
+
+
 def _write_pair(tmp_path, images, labels):
     img_path = tmp_path / "imgs-idx3-ubyte"
     lab_path = tmp_path / "labs-idx1-ubyte"
-    idx.write_idx_images(img_path, images)
-    idx.write_idx_labels(lab_path, labels)
+    _write_idx(img_path, idx.IMAGE_MAGIC, images)
+    _write_idx(lab_path, idx.LABEL_MAGIC, labels)
     return img_path, lab_path
 
 

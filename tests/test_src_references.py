@@ -1,0 +1,47 @@
+"""Everything defined in ``src/rfflow`` is reached from the package itself.
+
+A function or class that only the tests call belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import rfflow
+
+SRC = Path(rfflow.__file__).parent
+
+# kept though nothing in src/ names them: name -> reason
+ALLOWED = {
+    "fit_profile_scale": "perfbench/spans.TRACED wraps it by name, and Tracer.install "
+                         "fails on a missing name; it goes once TRACED drops it",
+    "weighted_cosine_integral": "the Funk-Hecke route to the analytic spectrum makes "
+                                "the spectra verb its caller",
+}
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):  # from .module import name
+        return node.name
+    return None
+
+
+def test_every_src_definition_is_named_in_src_exported_or_allowed():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    unreferenced = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            named = any(_name(sub) == node.name
+                        for other in trees for sub in ast.walk(other)
+                        if id(sub) not in own)
+            if not named and node.name not in rfflow.__all__:
+                unreferenced.append(node.name)
+    # a name beyond the allowlist moves to tests/oracles.py; an entry whose
+    # reason has gone (a caller appeared) leaves the allowlist
+    assert sorted(unreferenced) == sorted(ALLOWED)
