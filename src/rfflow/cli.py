@@ -97,8 +97,9 @@ def _parse_flags(args, cfg) -> None:
     if args.verb != "mnist" and cfg.target_kind == "external-labels":
         raise ValueError("target_kind external-labels needs labelled data, "
                          "which only the mnist verb reads")
-    # spectra's analytic family needs d >= 3; below that every smallest Gram
-    # eigenvalue mp measures is round-off, and its calibration fails
+    # below d = 3 there are no Gegenbauer weights (1-t^2)^((d-3)/2) or
+    # multiplicities N(d, n) for spectra, and every smallest Gram eigenvalue
+    # mp measures is round-off, so its calibration fails
     if args.verb in ("spectra", "mp") and cfg.d < 3:
         raise ValueError(f"d must be >= 3 for {args.verb}, got {cfg.d}")
     if args.verb == "mp" and all(g == 1.0 for g in args.gamma_list):
@@ -185,24 +186,21 @@ def cmd_spectra(args, cfg) -> int:
     gram_ev = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
     kernel_ev = rm.symmetric_eigenvalues(rm.kernel_matrix(data.points, cfg.feature_kind))
 
-    # the analytic column is the ReLU family at the exact ReLU kernel scale
-    spectrum = ka.analytic_spectrum(d, ka.degree_for_count(d, n))
-    scale = ka.spectrum_feature_scale(d, 1.0 / (2.0 * np.pi * d))
+    analytic = ka.analytic_spectrum(d, cfg.feature_kind, n)
 
     out = Path(args.out)
     path = out / f"spectra_gamma{args.gamma:g}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,gram,kernel_matrix,analytic\n")
-        flat = spectrum.flatten(n) * scale
         for i in range(n):
-            fh.write(f"{i + 1},{gram_ev[i]:.17g},{kernel_ev[i]:.17g},{flat[i]:.17g}\n")
+            fh.write(f"{i + 1},{gram_ev[i]:.17g},{kernel_ev[i]:.17g},{analytic[i]:.17g}\n")
     ranks = np.arange(1, n + 1)
     emit_svg(PlotSpec(
         title=f"spectra at gamma={args.gamma:g} (n={n}, d={d})",
         series=(
-            Series("gram", ranks, np.maximum(gram_ev, 1e-300)),
-            Series("kernel matrix", ranks, np.maximum(kernel_ev, 1e-300)),
-            Series("analytic (ReLU family)", ranks, flat, dashed=True),
+            Series("gram", ranks, gram_ev),
+            Series("kernel matrix", ranks, kernel_ev),
+            Series("analytic (Funk-Hecke)", ranks, analytic, dashed=True),
         ),
         x_label="rank", y_label="eigenvalue",
     ), out / f"spectra_gamma{args.gamma:g}.svg")
@@ -245,8 +243,8 @@ def cmd_mp(args, cfg) -> int:
     pred_v = np.array([rm.predict_smallest(g, c) for g in gam])
     emit_svg(PlotSpec(
         title=f"smallest Gram eigenvalue vs gamma (n={n}, d={d}, c={c:.3e})",
-        series=(Series("measured mean", gam, np.maximum(mean_v, 1e-300)),
-                Series("MP prediction", gam, np.maximum(pred_v, 1e-300), dashed=True)),
+        series=(Series("measured mean", gam, mean_v),
+                Series("MP prediction", gam, pred_v, dashed=True)),
         log_x=False, x_label="gamma = m/n", y_label="smallest eigenvalue",
     ), out / "mp_smallest.svg")
     print(f"wrote {path}; calibration c={c:.6e} (rms residual {resid:.3e})")

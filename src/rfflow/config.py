@@ -55,6 +55,8 @@ class ExperimentConfig:
         need(0.0 < self.delta < 1.0, "delta", "must lie in (0, 1)")
         need(self.eta == "auto" or 0.0 < _parsed(float, self.eta) < math.inf, "eta",
              "must be 'auto' or a positive finite number")
+        if self.eta != "auto":  # one spelling per value: 0.5, 0.50 and 5e-1 hash alike
+            object.__setattr__(self, "eta", repr(float(self.eta)))
 
     def time_grid(self) -> list[float]:
         decades = self.t_log_stop - self.t_log_start

@@ -1,4 +1,4 @@
-"""Closed-form feature kernels on the sphere and the ReLU operator spectrum.
+"""Closed-form feature kernels on the sphere and their operator spectra.
 
 For directions b uniform on S^(d-1), the expected product of two ReLU
 features E_b[max(0, b.x) max(0, b.x')] depends only on t = x.x' and is
@@ -13,29 +13,21 @@ converges to 1/(2 pi d).
 
 The induced integral operator on the uniform sphere is zonal, so spherical
 harmonics are its eigenfunctions and the eigenvalue depends only on the
-harmonic degree n, with multiplicity N(d, n).  The closed-form eigenvalue
-family is anchored at
-
-    lambda_0 = 2 sqrt(pi) d Gamma(d/2) / (Gamma(d) Gamma((d-1)/2)),
-
-which underflows to 0 from d = 185; ``analytic_spectrum`` therefore holds
-the family relative to lambda_0, and ``spectrum_feature_scale`` gives the
-top eigenvalue at the Gram scale in closed form.
-
-``weighted_cosine_integral`` is the independent integral route: it
-evaluates Int_{-1}^{1} g(t) (1-t^2)^((d-3)/2) dt, for instance with
-g = k P_n.  P_n is the degree-n Legendre polynomial in d dimensions: the
-Gegenbauer polynomial C_n of index (d-2)/2 divided by the exact integer
-C_n(1) = binom(n+d-3, n), so that P_n(1) = 1.  All quadratures substitute
-t = cos(theta), which absorbs the (1-t^2) weight analytically and removes the
-endpoint derivative singularities of k at d = 3.
+harmonic degree n, with multiplicity N(d, n).  ``analytic_spectrum`` takes
+each eigenvalue by the Funk-Hecke formula, the integral of the feature
+kernel against P_n in ``weighted_cosine_integral``, which evaluates
+Int_{-1}^{1} g(t) (1-t^2)^((d-3)/2) dt.  P_n is the degree-n Legendre
+polynomial in d dimensions: the Gegenbauer polynomial C_n of index (d-2)/2
+divided by the exact integer C_n(1) = binom(n+d-3, n), so that P_n(1) = 1.
+All quadratures substitute t = cos(theta), which absorbs the (1-t^2) weight
+analytically and removes the endpoint derivative singularities of k at d = 3.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, exp, lgamma, log, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -196,77 +188,49 @@ def weighted_cosine_integral(d: int, g, tol: float = 1e-12, order: int = 64) -> 
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue formulas
+# the operator spectrum by Funk-Hecke
 # ---------------------------------------------------------------------------
 
-def _log_lambda_factor(d: int, n: int) -> float:
-    # log of 2^(n-1/2) Gamma((n+d-2)/2) / (Gamma(n+d-2) Gamma(n+d) Gamma((n+d-1)/2)
-    # Gamma((3-n)/2)^2); lgamma is log|Gamma|, and the square drops the sign
-    return ((n - 0.5) * log(2.0) + lgamma((n + d - 2) / 2) - lgamma(n + d - 2)
-            - lgamma(n + d) - lgamma((n + d - 1) / 2) - 2.0 * lgamma((3 - n) / 2))
+def _vanishes(kind: str, n: int) -> bool:
+    """Degrees whose eigenvalue is exactly zero by the kernel's parity.
 
-
-def _vanishes(n: int) -> bool:
-    """Odd degrees >= 3 have eigenvalue exactly zero (the Gamma((3-n)/2)^-2 pole)."""
-    return n >= 3 and n % 2 == 1
-
-
-def _eigenvalue_ratio(d: int, n: int) -> float:
-    """lambda_n / lambda_0 from differences of the log factors; finite and
-    nonzero for every nonvanishing degree, even where lambda_0 underflows."""
-    if _vanishes(n):
-        return 0.0
-    return exp(_log_lambda_factor(d, n) - _log_lambda_factor(d, 0)) if n else 1.0
-
-
-@dataclass(frozen=True)
-class AnalyticSpectrum:
-    """Relative operator eigenvalues lambda_n / lambda_0 with multiplicities
-    N(d, n) up to n_max.
-
-    Relative values stay representable where lambda_0 underflows.  The
-    multiplicities are exact Python integers: N(d, 16) passes 2^63 from d = 97.
+    ReLU is t/(4d) plus an even function, so its odd degrees >= 3 vanish; the
+    indicator kernel 1/4 + arcsin(t)/(2 pi) is a constant plus an odd
+    function, so its even degrees >= 2 vanish; the affine ReLU has none.
     """
-
-    dim: int
-    eigenvalues: np.ndarray
-    multiplicities: tuple[int, ...]
-
-    def flatten(self, count: int) -> np.ndarray:
-        """The ``count`` largest eigenvalues, each repeated by its multiplicity, descending.
-
-        Each eigenvalue is repeated only as often as the first ``count``
-        entries need, never N(d, n) times.
-        """
-        order = np.argsort(self.eigenvalues)[::-1]
-        reps, left = [], count
-        for i in order:
-            reps.append(min(self.multiplicities[i], left))
-            left -= reps[-1]
-        if left > 0:
-            raise ValueError("spectrum truncation: raise n_max to flatten this many")
-        return np.repeat(self.eigenvalues[order], reps)
+    if kind == "relu":
+        return n >= 3 and n % 2 == 1
+    if kind == "indicator":
+        return n >= 2 and n % 2 == 0
+    return False
 
 
-def degree_for_count(d: int, count: int) -> int:
-    """Smallest degree n_max whose nonzero-eigenvalue harmonics number at least ``count``.
+def analytic_spectrum(d: int, kind: str, count: int) -> np.ndarray:
+    """The ``count`` largest operator eigenvalues of ``feature_kernel``, descending.
 
-    Odd degrees >= 3 have eigenvalue zero and add no usable entries, so
-    ``analytic_spectrum(d, n_max).flatten(count)`` is positive throughout.
+    Under the uniform probability measure on S^(d-1) the degree-n eigenvalue
+    is lambda_n = Int k P_n w dt / Int w dt with w = (1-t^2)^((d-3)/2), and
+    it repeats N(d, n) times.  Degrees n = 0, 1, 2, ... are taken until the
+    nonzero ones cover ``count``, and each eigenvalue is repeated only as far
+    as ``count`` needs, never N(d, n) times.
     """
-    n_max, total = -1, 0
+    mass = weighted_cosine_integral(d, np.ones_like)
+    values, mults, total, n = [], [], 0, 0
     while total < count:
-        n_max += 1
-        if not _vanishes(n_max):
-            total += harmonic_multiplicity(d, n_max)
-    return n_max
-
-
-def analytic_spectrum(d: int, n_max: int) -> AnalyticSpectrum:
-    """Degrees 0..n_max of the eigenvalue family, relative to lambda_0."""
-    mult = tuple(harmonic_multiplicity(d, n) for n in range(n_max + 1))  # rejects d < 3
-    eigenvalues = np.array([_eigenvalue_ratio(d, n) for n in range(n_max + 1)])
-    return AnalyticSpectrum(dim=d, eigenvalues=eigenvalues, multiplicities=mult)
+        if not _vanishes(kind, n):
+            conv = legendre_conversion(d, n)
+            values.append(weighted_cosine_integral(
+                d, lambda t: feature_kernel(t, d, kind) * _gegenbauer_values(d, n, t) / conv)
+                / mass)
+            mults.append(harmonic_multiplicity(d, n))
+            total += mults[-1]
+        n += 1
+    order = np.argsort(values)[::-1]
+    reps, left = [], count
+    for i in order:
+        reps.append(min(mults[i], left))
+        left -= reps[-1]
+    return np.repeat(np.array(values)[order], reps)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +260,13 @@ def fit_profile_scale(feats, points: np.ndarray) -> tuple[float, float]:
 
 
 def spectrum_feature_scale(d: int, profile_scale: float) -> float:
-    """Top eigenvalue of the kernel c * k(x.x') under the uniform sphere measure;
-    times ``analytic_spectrum``'s relative eigenvalues it gives the Gram scale.
+    """Top eigenvalue of the kernel c * k(x.x') under the uniform sphere measure.
 
     It is c (Omega_{d-2}/Omega_{d-1}) Int k w dt = c 2d R_d^2 / (d-1)^2 with
     R_d = Gamma(d/2)/Gamma((d-1)/2), taken as a product by
-    R_{k+2} = R_k k/(k-1) from R_3 or R_4: within 1e-14 up to d = 10^4, where
-    exp(2 (lgamma(d/2) - lgamma((d-1)/2))) is off by 1e-13 at d = 170.
+    R_{k+2} = R_k k/(k-1) from R_3 or R_4: within 1e-14 up to d = 10^4.
+    No verb calls it: the benchmark's tracer wraps it by name, and the tests
+    check ``analytic_spectrum``'s ReLU lambda_0 against it.
     """
     first, ratio_sq = (3, np.pi / 4) if d % 2 else (4, 4 / np.pi)
     ratio_sq *= prod((k / (k - 1)) ** 2 for k in range(first, d, 2))

@@ -4,8 +4,8 @@ Each is an independent route to a quantity the package computes another
 way, kept out of ``rfflow`` because no CLI verb runs it:
 
 - ``ode_oracle``: explicit-Euler integration of the flow (A01, test_flow);
-- ``analytic_eigenvalue`` with ``_log_lambda_zero``: the absolute ReLU
-  operator eigenvalue family, lambda_0 times ``_eigenvalue_ratio`` (A05, A06);
+- ``analytic_eigenvalue`` with ``_log_lambda_zero`` and ``_eigenvalue_ratio``:
+  the paper's closed-form ReLU eigenvalue family in log space (A05, A06);
 - ``quadrature_eigenvalue``: the integral route, normalised differently;
 - ``gegenbauer_*_moment``: closed forms of the three Gegenbauer moments (A05);
 - ``surface_area`` (A06) and ``kernel_mc``, a Monte-Carlo kernel estimate (A10);
@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import rgamma
 
 from rfflow.flow import _check_times
-from rfflow.kernel_analytic import (_eigenvalue_ratio, _gegenbauer_values, kernel_profile,
-                                    legendre_conversion, weighted_cosine_integral)
+from rfflow.kernel_analytic import (_gegenbauer_values, kernel_profile, legendre_conversion,
+                                    weighted_cosine_integral)
 
 # ---------------------------------------------------------------------------
 # flow
@@ -96,6 +96,26 @@ def kernel_mc(x, x_prime, feats) -> tuple[float, float]:
     m = prods.size
     se = float(prods.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
     return float(prods.mean()), se
+
+
+def _log_lambda_factor(d: int, n: int) -> float:
+    # log of 2^(n-1/2) Gamma((n+d-2)/2) / (Gamma(n+d-2) Gamma(n+d) Gamma((n+d-1)/2)
+    # Gamma((3-n)/2)^2); lgamma is log|Gamma|, and the square drops the sign
+    return ((n - 0.5) * log(2.0) + lgamma((n + d - 2) / 2) - lgamma(n + d - 2)
+            - lgamma(n + d) - lgamma((n + d - 1) / 2) - 2.0 * lgamma((3 - n) / 2))
+
+
+def _vanishes(n: int) -> bool:
+    """Odd degrees >= 3 have eigenvalue exactly zero (the Gamma((3-n)/2)^-2 pole)."""
+    return n >= 3 and n % 2 == 1
+
+
+def _eigenvalue_ratio(d: int, n: int) -> float:
+    """lambda_n / lambda_0 from differences of the log factors; finite and
+    nonzero for every nonvanishing degree, even where lambda_0 underflows."""
+    if _vanishes(n):
+        return 0.0
+    return exp(_log_lambda_factor(d, n) - _log_lambda_factor(d, 0)) if n else 1.0
 
 
 def _log_lambda_zero(d: int) -> float:

@@ -324,3 +324,27 @@ def test_a12_determinism_and_worker_independence(tmp_path):
     ok = paths[0] == paths[1] == paths[2]
     _report("A12 determinism across reruns",
             ok, "byte-identical sweep and trajectory CSVs over three serial runs")
+
+
+def test_a15_analytic_spectrum_matches_the_kernel_matrix():
+    # each nonzero degree among 0-2 fills one rank block of the kernel matrix's
+    # spectrum; the block's mean eigenvalue is the degree's operator eigenvalue
+    t0 = time.perf_counter()
+    n, worst, failures = 2000, 0.0, []
+    for d in (3, 10):
+        points = features.sample_sphere([0, 1], d, n)
+        for kind in features.FEATURE_KINDS:
+            kernel_ev = rm.symmetric_eigenvalues(rm.kernel_matrix(points, kind))
+            analytic = ka.analytic_spectrum(d, kind, n)
+            start = 0
+            for deg in (0, 1) if kind == "indicator" else (0, 1, 2):  # its degree 2 vanishes
+                stop = start + ka.harmonic_multiplicity(d, deg)
+                rel = abs(np.mean(kernel_ev[start:stop]) / analytic[start] - 1)
+                worst = max(worst, rel)
+                if rel > 0.05 or np.any(analytic[start:stop] != analytic[start]):
+                    failures.append(f"{kind} d={d} degree {deg}: {rel:.4f}")
+                start = stop
+    ok = not failures
+    _report("A15 analytic spectrum vs kernel-matrix blocks (n=2000)",
+            ok, f"worst block-mean relative difference {worst:.4f} (<=0.05), "
+                f"{time.perf_counter() - t0:.1f}s" if ok else f"failed: {failures}")

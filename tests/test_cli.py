@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -183,6 +184,15 @@ def test_mp_verb(tmp_path, capsys):
     assert (tmp_path / "mp_smallest.svg").exists()
 
 
+def test_mp_plot_axis_spans_only_the_plotted_values(tmp_path):
+    # the MP prediction is exactly 0 at gamma = 1; the log axis drops that
+    # point instead of reaching down to it, which took 299 labels to 1e-300
+    assert main(["mp", "--set", "n=300", "--seeds", "0,1", "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "mp_smallest.svg").read_text()
+    y_ticks = [float(v) for v in re.findall(r'text-anchor="end" font-size="11">([^<]+)<', svg)]
+    assert y_ticks and min(y_ticks) >= 1e-20 and len(y_ticks) <= 12
+
+
 def test_mp_verb_widens_empty_fit_window(tmp_path):
     # default window [0.8, 1.25] misses this grid; fit falls back to all
     # off-resonance cells instead of failing
@@ -256,7 +266,6 @@ def test_spectra_verb(tmp_path, capsys):
 
 
 def test_spectra_verb_in_high_dimension(tmp_path):
-    # at d = 90 the analytic eigenvalues' Gamma products overflow unless combined in log space
     assert main(["spectra", "--out", str(tmp_path),
                  "--set", "n=50", "--set", "d=90", "--gamma", "2"]) == 0
     table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
@@ -264,34 +273,20 @@ def test_spectra_verb_in_high_dimension(tmp_path):
     assert np.all(np.isfinite(table)) and np.all(table[:, 3] > 0)
 
 
-def _mpmath_analytic_column(d, count):
-    """The analytic column at 50 digits: the top eigenvalue
-    (Gamma(d/2)/Gamma((d-1)/2))^2 / (pi (d-1)^2) times lambda_n/lambda_0 from
-    the Gamma-function family, each repeated by N(d, n), descending."""
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 50
-
-    def log_factor(n):
-        n, dd = mp.mpf(n), mp.mpf(d)
-        return ((n - mp.mpf(1) / 2) * mp.log(2) + mp.loggamma((n + dd - 2) / 2)
-                - mp.loggamma(n + dd - 2) - mp.loggamma(n + dd)
-                - mp.loggamma((n + dd - 1) / 2) - 2 * mp.log(abs(mp.gamma((3 - n) / 2))))
-
-    top = (mp.gamma(mp.mpf(d) / 2) / mp.gamma(mp.mpf(d - 1) / 2)) ** 2 / (mp.pi * (d - 1) ** 2)
-    column, n = [], 0
-    while len(column) < count:
-        if n < 3 or n % 2 == 0:   # odd degrees >= 3 vanish
-            column += [top * mp.exp(log_factor(n) - log_factor(0))] * ka.harmonic_multiplicity(d, n)
-        n += 1
-    return np.array([float(v) for v in sorted(column, reverse=True)[:count]])
+def _relu_closed_form_column(d, count):
+    """The first ``count`` ReLU eigenvalues in closed form: lambda_0, then d
+    copies of 1/(4 d^2), then N(d, 2) copies of lambda_0 / (d+1)^2."""
+    lam0 = ka.spectrum_feature_scale(d, 1 / (2 * np.pi * d))
+    column = [lam0] + [1 / (4 * d * d)] * d + [lam0 / (d + 1) ** 2] * ka.harmonic_multiplicity(d, 2)
+    assert len(column) >= count
+    return np.array(column[:count])
 
 
 @pytest.mark.parametrize("d", [10, 120, 200])
 def test_spectra_verb_returns_in_any_dimension(tmp_path, d):
-    # lambda_0 underflows to 0 from d = 185; the column is the closed-form top
-    # eigenvalue times ratios lambda_n/lambda_0 that stay representable.  A
-    # subprocess with a timeout turns a non-terminating degree search into a failure.
+    # the paper's Gamma-function family underflows from d = 185; the Funk-Hecke
+    # integrals stay O(1/d).  A subprocess with a timeout turns a
+    # non-terminating degree search into a failure.
     src = str(Path(rfflow.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "rfflow.cli", "spectra", "--set", "n=50", "--set", f"d={d}",
@@ -301,12 +296,12 @@ def test_spectra_verb_returns_in_any_dimension(tmp_path, d):
     table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)
     analytic = table[:, 3]
     assert np.all(np.isfinite(analytic)) and np.all(analytic > 0)
-    np.testing.assert_allclose(analytic, _mpmath_analytic_column(d, 50), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(analytic, _relu_closed_form_column(d, 50), rtol=1e-11, atol=0.0)
 
 
 def test_spectra_verb_covers_every_row_with_nonzero_harmonics(tmp_path):
     # at d = 3 the harmonics up to degree 16 with nonzero eigenvalues number
-    # only 156; n_max grows with n so that all 300 analytic values are positive
+    # only 156; the degrees grow with n so that all 300 analytic values are positive
     assert main(["spectra", "--out", str(tmp_path),
                  "--set", "d=3", "--set", "n=300", "--gamma", "2"]) == 0
     table = np.loadtxt(tmp_path / "spectra_gamma2.csv", delimiter=",", skiprows=1)

@@ -84,6 +84,12 @@ def test_config_overrides_and_types():
         apply_overrides(cfg, ["n77"])
 
 
+def test_config_digest_does_not_depend_on_how_eta_is_spelled():
+    cfgs = [apply_overrides(ExperimentConfig(), [f"eta={text}"]) for text in ("0.5", "0.50", "5e-1")]
+    assert {cfg.eta for cfg in cfgs} == {"0.5"}
+    assert len({cfg.digest() for cfg in cfgs}) == 1
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("# comment\nn = 40\nm = 20\n\nseed = 9\n")

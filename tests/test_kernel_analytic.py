@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,15 +215,14 @@ def test_stage_decay_inequality(d):
 
 
 def test_spectrum_container():
-    spec = ka.analytic_spectrum(10, 8)
-    assert spec.eigenvalues.shape == (9,)
-    assert spec.multiplicities[0] == 1
-    assert np.all(spec.eigenvalues >= 0)
-    flat = spec.flatten(12)
-    assert np.all(np.diff(flat) <= 0)
-    # degree-0 then d copies of degree 1
-    assert flat[0] == spec.eigenvalues[0]
-    np.testing.assert_allclose(flat[1:11], spec.eigenvalues[1])
+    d = 10
+    for kind in features.FEATURE_KINDS:
+        flat = ka.analytic_spectrum(d, kind, 12)
+        assert flat.shape == (12,)
+        assert np.all(flat > 0) and np.all(np.diff(flat) <= 0)
+        # degree 0, then d copies of degree 1, then the next nonzero degree
+        assert flat[0] > flat[1] > flat[11]
+        np.testing.assert_array_equal(flat[1:11], flat[1])
 
 
 @pytest.mark.parametrize("d", [68, 88, 90, 150])
@@ -243,23 +243,27 @@ def test_analytic_eigenvalues_stay_finite_in_high_dimension(d):
 
 @pytest.mark.parametrize("d", [3, 5, 10])
 def test_flatten_is_the_truncated_expansion(d):
-    spec = ka.analytic_spectrum(d, 16)
-    full = np.sort(np.repeat(spec.eigenvalues, spec.multiplicities))[::-1]
-    for count in (1, 2, d, d + 1, 100, 289):
-        np.testing.assert_array_equal(spec.flatten(count), full[:count])
-    with pytest.raises(ValueError, match="n_max"):
-        ka.analytic_spectrum(d, 2).flatten(1 + d + ka.harmonic_multiplicity(d, 2) + 1)
+    for kind in features.FEATURE_KINDS:
+        full = ka.analytic_spectrum(d, kind, 289)
+        for count in (1, 2, d, d + 1, 100, 289):
+            np.testing.assert_array_equal(ka.analytic_spectrum(d, kind, count), full[:count])
 
 
 def test_flatten_never_expands_the_whole_spectrum():
-    # at d = 200 the multiplicities up to degree 16 sum past 2^63 entries
-    spec = ka.analytic_spectrum(200, 16)
-    assert sum(spec.multiplicities) > 2 ** 63
-    flat = spec.flatten(500)
-    assert flat.shape == (500,)
-    assert flat[0] == spec.eigenvalues[0]
-    np.testing.assert_array_equal(flat[1:201], spec.eigenvalues[1])
-    np.testing.assert_array_equal(flat[201:], spec.eigenvalues[2])
+    # at d = 200 the third nonzero degree has N(200, 2) = 20,099 harmonics
+    # (N(200, 3) = 1,353,400 for the indicator); 500 values need 299 of them
+    for kind in features.FEATURE_KINDS:
+        tracemalloc.start()
+        try:
+            flat = ka.analytic_spectrum(200, kind, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+        assert flat.shape == (500,)
+        assert flat[0] > flat[1] > flat[201] > 0
+        np.testing.assert_array_equal(flat[1:201], flat[1])
+        np.testing.assert_array_equal(flat[201:], flat[201])
 
 
 def test_analytic_eigenvalue_rejects_low_dim():
@@ -404,15 +408,64 @@ def test_gram_tracks_the_exact_kernel_matrix(kind):
     assert np.max(np.median(rels, axis=0)) <= 0.10
 
 
+def _funk_hecke(d, kind, n):
+    """lambda_n of one kind by the Funk-Hecke integral, written out as a reference."""
+    poly = ka.OrthogonalPolynomial("legendre", d, n)
+    num = ka.weighted_cosine_integral(
+        d, lambda t: ka.feature_kernel(t, d, kind) * np.asarray(ka.poly_eval(poly, t)))
+    return num / ka.weighted_cosine_integral(d, np.ones_like)
+
+
 @pytest.mark.parametrize("d", [3, 10, 90])
 @pytest.mark.parametrize("count", [1, 4, 156, 157, 300, 1000])
-def test_degree_for_count_is_the_smallest_covering_degree(d, count):
-    def nonzero_harmonics(n_max):
-        return sum(ka.harmonic_multiplicity(d, n) for n in range(n_max + 1)
-                   if oracles.analytic_eigenvalue(d, n) > 0)
+def test_degree_for_count_is_the_smallest_covering_degree(d, count, monkeypatch):
+    calls = []
+    quadrature = ka.weighted_cosine_integral
+    monkeypatch.setattr(ka, "weighted_cosine_integral",
+                        lambda *a, **k: calls.append(1) or quadrature(*a, **k))
+    for kind in features.FEATURE_KINDS:
+        # the nonzero degrees, found by their integrals, until their harmonics
+        # cover count; at these d and counts the smallest kept eigenvalue is
+        # above 1e-12 lambda_0 and every vanishing integral below 1e-15 lambda_0
+        lam0 = _funk_hecke(d, kind, 0)
+        mults, n = [], 0
+        while sum(mults) < count:
+            if abs(_funk_hecke(d, kind, n)) > 1e-12 * lam0:
+                mults.append(ka.harmonic_multiplicity(d, n))
+            n += 1
 
-    n_max = ka.degree_for_count(d, count)
-    assert nonzero_harmonics(n_max) >= count
-    assert n_max == 0 or nonzero_harmonics(n_max - 1) < count
-    flat = ka.analytic_spectrum(d, n_max).flatten(count)
-    assert np.all(flat > 0) and np.all(np.diff(flat) <= 0)
+        calls.clear()
+        flat = ka.analytic_spectrum(d, kind, count)
+        assert len(calls) == 1 + len(mults)  # the measure's mass, then one per nonzero degree
+        assert flat.shape == (count,)
+        assert np.all(flat > 0) and np.all(np.diff(flat) <= 0)
+        # one run of equal values per degree: whole multiplicities, the last one cut at count
+        runs = np.unique(flat, return_counts=True)[1][::-1]
+        assert list(runs) == mults[:-1] + [count - sum(mults[:-1])]
+
+
+@pytest.mark.parametrize("d", [3, 10, 90, 200, 1000])
+def test_relu_spectrum_matches_closed_forms(d):
+    # lambda_0 is the closed-form top eigenvalue, lambda_1 = 1/(4 d^2) and
+    # lambda_2 = lambda_0 / (d+1)^2, with multiplicities 1, d and N(d, 2)
+    lam0 = ka.spectrum_feature_scale(d, 1 / (2 * np.pi * d))
+    expect = np.concatenate([[lam0], np.full(d, 1 / (4 * d * d)),
+                             np.full(ka.harmonic_multiplicity(d, 2), lam0 / (d + 1) ** 2)])
+    np.testing.assert_allclose(ka.analytic_spectrum(d, "relu", expect.size), expect,
+                               rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("d", [3, 10, 200])
+def test_skipped_degrees_vanish(kind, d):
+    # the spectrum skips exactly the degrees whose integral is zero: relu's odd
+    # degrees >= 3, the indicator's even degrees >= 2, none for the affine ReLU
+    skipped = {"relu": [3, 5, 7], "indicator": [2, 4, 6, 8], "affine-relu": []}[kind]
+    assert [n for n in range(9) if ka._vanishes(kind, n)] == skipped
+    lam0 = _funk_hecke(d, kind, 0)
+    for n in range(9):
+        lam = _funk_hecke(d, kind, n)
+        if n in skipped:
+            assert abs(lam) <= 1e-14 * lam0
+        else:  # no threshold: at d = 200 relu's lambda_8 is 7.5e-17 lambda_0
+            assert lam > 0

@@ -14,8 +14,8 @@ SRC = Path(rfflow.__file__).parent
 ALLOWED = {
     "fit_profile_scale": "perfbench/spans.TRACED wraps it by name, and Tracer.install "
                          "fails on a missing name; it goes once TRACED drops it",
-    "weighted_cosine_integral": "the Funk-Hecke route to the analytic spectrum makes "
-                                "the spectra verb its caller",
+    "spectrum_feature_scale": "perfbench/spans.TRACED wraps it by name, and Tracer.install "
+                              "fails on a missing name; it goes once TRACED drops it",
 }
 
 
