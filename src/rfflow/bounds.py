@@ -10,9 +10,8 @@ capped growth rate
     d(t) = min(sqrt(t), lh_{floor(sqrt(n))+1} * t, 1 / lh_n),
 
 where lh_i = s_i / n are the scaled singular values.  ``finer_bound``
-returns the finer bound in two algebraic forms whose constants differ (the
-published statement and the proof-term sum); a run keeps only the stated
-form, the ``bound_finer`` column of its trajectory CSV.
+returns the finer bound in its stated form, the ``bound_finer`` column of a
+run's trajectory CSV.
 """
 
 from __future__ import annotations
@@ -68,24 +67,19 @@ def capped_rate(t: float, scaled_values: np.ndarray) -> float:
 
 
 def finer_bound(t: float, C: float, M_kernel: float, lamhat1: float,
-                scaled_values: np.ndarray, n: int) -> tuple[float, float]:
-    """Spectral-alignment error bound; returns (stated form, proof form).
+                scaled_values: np.ndarray, n: int) -> float:
+    """Spectral-alignment error bound in its stated form,
 
-    stated:  3 exp(-2 lh1^2 t) + (5C + 1 + 2 sqrt(C) M d(t))^2 / sqrt(n)
-    proof:   exp(-lh1^2 t) + 3C/sqrt(n) + (2C+1) n^(-1/4)
-             + 2 sqrt(C) M d(t) n^(-1/4)
+        3 exp(-2 lh1^2 t) + (5C + 1 + 2 sqrt(C) M d(t))^2 / sqrt(n).
+
     Requires the hypothesis C / sqrt(n) < 1.
     """
     if C / math.sqrt(n) >= 1.0:
         raise HypothesisError("alignment hypothesis violated: C/sqrt(n) >= 1")
     dt = capped_rate(t, scaled_values)
     decay = lamhat1 * lamhat1 * t
-    stated = 3.0 * math.exp(-2.0 * decay) \
+    return 3.0 * math.exp(-2.0 * decay) \
         + (5.0 * C + 1.0 + 2.0 * math.sqrt(C) * M_kernel * dt) ** 2 / math.sqrt(n)
-    proof = math.exp(-decay) + 3.0 * C / math.sqrt(n) \
-        + (2.0 * C + 1.0) * n ** -0.25 \
-        + 2.0 * math.sqrt(C) * M_kernel * dt * n ** -0.25
-    return stated, proof
 
 
 def sup_norm(*arrays: np.ndarray) -> float:

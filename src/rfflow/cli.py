@@ -119,10 +119,12 @@ def _trajectory_svg(record, path):
     traj = record.trajectory
     fin = np.isfinite(traj.time)
     t = traj.time[fin]
+    train = traj.train_error[fin]
+    keep = train >= np.finfo(float).eps * train[0]  # below is rounding noise
     emit_svg(PlotSpec(
         title=f"gradient-flow trajectory (config {record.metadata['config_hash']})",
         series=(
-            Series("train error", t, traj.train_error[fin]),
+            Series("train error", t[keep], train[keep]),
             Series("test error", t, traj.test_error[fin]),
             Series("parameter norm", t, traj.param_norm[fin]),
             Series("sqrt-t norm bound", t, record.bound_rough[fin], dashed=True),
@@ -180,8 +182,8 @@ def cmd_spectra(args, cfg) -> int:
     from .runner import m_for_gamma, seed_draw
     from .svgplot import PlotSpec, Series, emit_svg
 
-    n, d = cfg.n, cfg.d
-    data, feats = seed_draw(cfg, m_for_gamma(args.gamma, n))
+    n, d, m = cfg.n, cfg.d, m_for_gamma(args.gamma, cfg.n)
+    data, feats = seed_draw(cfg, m)
 
     gram_ev = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
     kernel_ev = rm.symmetric_eigenvalues(rm.kernel_matrix(data.points, cfg.feature_kind))
@@ -198,7 +200,8 @@ def cmd_spectra(args, cfg) -> int:
     emit_svg(PlotSpec(
         title=f"spectra at gamma={args.gamma:g} (n={n}, d={d})",
         series=(
-            Series("gram", ranks, gram_ev),
+            # the Gram matrix has rank min(n, m); the ranks past it are round-off
+            Series("gram", ranks[:m], gram_ev[:m]),
             Series("kernel matrix", ranks, kernel_ev),
             Series("analytic (Funk-Hecke)", ranks, analytic, dashed=True),
         ),

@@ -152,11 +152,8 @@ def eval_target_many(spec: TargetSpec, points: np.ndarray) -> np.ndarray:
         return np.full(points.shape[0], spec.normalization)
     from . import kernel_analytic
 
-    poly = kernel_analytic.OrthogonalPolynomial(
-        family="legendre", dim=points.shape[1], order=spec.order
-    )
-    cosines = points @ spec.axis
-    return spec.normalization * np.asarray(kernel_analytic.poly_eval(poly, cosines))
+    values = kernel_analytic.legendre(points.shape[1], spec.order, points @ spec.axis)
+    return spec.normalization * np.asarray(values)
 
 
 def sample_dataset(rng_seed, n: int, dim: int, target: TargetSpec) -> Dataset:

@@ -16,17 +16,17 @@ harmonics are its eigenfunctions and the eigenvalue depends only on the
 harmonic degree n, with multiplicity N(d, n).  ``analytic_spectrum`` takes
 each eigenvalue by the Funk-Hecke formula, the integral of the feature
 kernel against P_n in ``weighted_cosine_integral``, which evaluates
-Int_{-1}^{1} g(t) (1-t^2)^((d-3)/2) dt.  P_n is the degree-n Legendre
-polynomial in d dimensions: the Gegenbauer polynomial C_n of index (d-2)/2
-divided by the exact integer C_n(1) = binom(n+d-3, n), so that P_n(1) = 1.
-All quadratures substitute t = cos(theta), which absorbs the (1-t^2) weight
-analytically and removes the endpoint derivative singularities of k at d = 3.
+Int_{-1}^{1} g(t) (1-t^2)^((d-3)/2) dt.  ``legendre`` gives P_n, the
+degree-n Legendre polynomial in d dimensions: the Gegenbauer polynomial C_n
+of index (d-2)/2 divided by the exact integer C_n(1) = binom(n+d-3, n), so
+that P_n(1) = 1.  The integral substitutes t = cos(theta), which absorbs the
+(1-t^2) weight analytically and removes the endpoint derivative singularities
+of k at d = 3, and then applies one fixed composite Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb, prod
 
 import numpy as np
@@ -86,23 +86,6 @@ def harmonic_multiplicity(d: int, n: int) -> int:
     return num // n
 
 
-@dataclass(frozen=True)
-class OrthogonalPolynomial:
-    """Gegenbauer / sphere-Legendre polynomial of one cosine variable."""
-
-    family: str  # "legendre" | "gegenbauer"
-    dim: int
-    order: int
-
-    def __post_init__(self):
-        if self.family not in ("legendre", "gegenbauer"):
-            raise ValueError(f"unknown polynomial family {self.family!r}")
-        if self.dim < 3:
-            raise ValueError("polynomial families require d >= 3")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-
-
 def _gegenbauer_values(d: int, n: int, t: np.ndarray) -> np.ndarray:
     # three-term recurrence for C_n with generating function (1-2st+s^2)^(-(d-2)/2)
     c_prev = np.ones_like(t)
@@ -116,75 +99,55 @@ def _gegenbauer_values(d: int, n: int, t: np.ndarray) -> np.ndarray:
 
 
 def legendre_conversion(d: int, n: int) -> int:
-    """Constant relating the two families, C_n(t) = const * P_n(t).
+    """C_n(1) = binom(n+d-3, n), the exact integer with C_n = C_n(1) P_n.
 
-    It is C_n(1) = binom(n+d-3, n), the exact integer, so P_n(1) = 1 and
-    the constant stays finite for every dimension.
+    Being an integer, it stays finite for every dimension.
     """
     if d < 3:
         raise ValueError("conversion constant requires d >= 3")
     return comb(n + d - 3, n)
 
 
-def poly_eval(p: OrthogonalPolynomial, t):
-    """Evaluate an orthogonal polynomial at cosines ``t`` in [-1, 1]."""
-    vals = _gegenbauer_values(p.dim, p.order, _cosines(t, "polynomial"))
-    if p.family == "legendre":
-        vals = vals / legendre_conversion(p.dim, p.order)
+def legendre(d: int, n: int, t):
+    """The degree-n Legendre polynomial in d dimensions, P_n = C_n / C_n(1).
+
+    Takes cosines ``t`` in [-1, 1] (a scalar gives a float), so P_n(1) = 1.
+    """
+    if d < 3:
+        raise ValueError("Legendre polynomials require d >= 3")
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    vals = _gegenbauer_values(d, n, _cosines(t, "polynomial")) / legendre_conversion(d, n)
     return vals if vals.ndim else float(vals)
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre quadrature
+# fixed composite Gauss-Legendre quadrature in theta
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _gl_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+_PANELS = 32
 
 
-def _gl_panel(f, a: float, b: float, order: int) -> float:
-    nodes, weights = _gl_rule(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(weights @ f(mid + half * nodes))
+@functools.lru_cache(maxsize=1)
+def _gl_rule():
+    return np.polynomial.legendre.leggauss(64)
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-12,
-                        order: int = 64, max_depth: int = 28) -> float:
-    """Adaptive Gauss-Legendre integration with interval halving.
-
-    ``f`` must accept numpy arrays.  Panels are split until the whole-panel
-    estimate agrees with the two half-panel estimates within a tolerance
-    apportioned by interval length; exhausting the halving budget raises.
-    """
-    whole = _gl_panel(f, a, b, order)
-
-    def recurse(lo, hi, est, budget, depth):
-        mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid, order)
-        right = _gl_panel(f, mid, hi, order)
-        if abs(left + right - est) <= budget:
-            return left + right
-        if depth >= max_depth:
-            raise RuntimeError("adaptive quadrature: interval-halving budget exhausted")
-        return (recurse(lo, mid, left, budget / 2, depth + 1)
-                + recurse(mid, hi, right, budget / 2, depth + 1))
-
-    return recurse(a, b, whole, tol, 0)
-
-
-def weighted_cosine_integral(d: int, g, tol: float = 1e-12, order: int = 64) -> float:
+def weighted_cosine_integral(d: int, g) -> float:
     """Integrate g(t) (1-t^2)^((d-3)/2) over t in [-1, 1].
 
-    Uses t = cos(theta): the weight becomes sin(theta)^(d-2), so the
-    integrand is smooth for every d >= 3 (including the d = 3 case where the
-    kernel profile has endpoint derivative singularities in t).
+    Uses t = cos(theta): the weight becomes sin(theta)^(d-2), and for every
+    g here (feature kernels times P_n) the integrand is analytic in theta on
+    [0, pi], so a fixed rule converges geometrically.  The rule is 32 equal
+    panels with 64 Gauss-Legendre nodes each, summed one panel at a time.
     """
-    def integrand(theta):
-        return g(np.cos(theta)) * np.sin(theta) ** (d - 2)
-
-    return adaptive_quadrature(integrand, 0.0, np.pi, tol=tol, order=order)
+    nodes, weights = _gl_rule()
+    half = 0.5 * np.pi / _PANELS
+    total = 0.0
+    for k in range(_PANELS):
+        theta = (2 * k + 1) * half + half * nodes
+        total += half * float(weights @ (g(np.cos(theta)) * np.sin(theta) ** (d - 2)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +181,8 @@ def analytic_spectrum(d: int, kind: str, count: int) -> np.ndarray:
     values, mults, total, n = [], [], 0, 0
     while total < count:
         if not _vanishes(kind, n):
-            conv = legendre_conversion(d, n)
             values.append(weighted_cosine_integral(
-                d, lambda t: feature_kernel(t, d, kind) * _gegenbauer_values(d, n, t) / conv)
-                / mass)
+                d, lambda t: feature_kernel(t, d, kind) * legendre(d, n, t)) / mass)
             mults.append(harmonic_multiplicity(d, n))
             total += mults[-1]
         n += 1

@@ -194,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig,
         assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points, cfg.delta)
         lh = dec.scaled_values
         for j, t in enumerate(times):
-            bound_finer[j], _ = bounds_mod.finer_bound(
+            bound_finer[j] = bounds_mod.finer_bound(
                 t, assumption.c_measured, assumption.m_kernel, float(lh[0]), lh, n)
         hypothesis_ok = True
     except bounds_mod.HypothesisError:

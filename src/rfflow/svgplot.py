@@ -8,7 +8,7 @@ produce byte-identical files (element order and float formatting are fixed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -144,7 +144,7 @@ def analytic_eigenvalue(d: int, n: int) -> float:
     return exp(_log_lambda_zero(d)) * _eigenvalue_ratio(d, n)
 
 
-def quadrature_eigenvalue(d: int, n: int, node_count: int = 96) -> float:
+def quadrature_eigenvalue(d: int, n: int) -> float:
     """Integral-route eigenvalue (1/Omega_{d-1}) Int k(t) P_n(t) w(t) dt.
 
     Independent of the closed-form family; used as an oracle for shapes and
@@ -156,14 +156,12 @@ def quadrature_eigenvalue(d: int, n: int, node_count: int = 96) -> float:
     """
     if d < 3:
         raise ValueError("quadrature eigenvalues require d >= 3")
-    if node_count < 64:
-        raise ValueError("node_count must be >= 64")
     conv = legendre_conversion(d, n)
 
     def g(t):
         return kernel_profile(t) * _gegenbauer_values(d, n, t) / conv
 
-    val = weighted_cosine_integral(d, g, order=node_count)
+    val = weighted_cosine_integral(d, g)
     return val / surface_area(d - 1)
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also part of the default pytest run.
 """
 
+import functools
 import math
 import os
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.stats import spearmanr
 
 import oracles
 from rfflow import features, flow, runner
@@ -141,8 +143,7 @@ def test_a05_analytic_spectrum_identities():
                 failures.append(f"odd d={d} n={n}")
         for n in range(0, 9):
             def geg(t, _d=d, _n=n):
-                poly = ka.OrthogonalPolynomial("gegenbauer", _d, _n)
-                return np.asarray(ka.poly_eval(poly, t))
+                return ka.legendre_conversion(_d, _n) * np.asarray(ka.legendre(_d, _n, t))
 
             checks = (
                 (ka.weighted_cosine_integral(d, lambda t: np.sqrt(1 - t * t) * geg(t)),
@@ -324,6 +325,76 @@ def test_a12_determinism_and_worker_independence(tmp_path):
     ok = paths[0] == paths[1] == paths[2]
     _report("A12 determinism across reruns",
             ok, "byte-identical sweep and trajectory CSVs over three serial runs")
+
+
+@functools.lru_cache(maxsize=None)
+def _stopping_cell(gamma: float, seed: int):
+    """One n = 300 cell: (times, test error, validation error) over the finite
+    grid, then the min-norm test error and lambda_min = s_r^2/(nm).
+
+    The validation curve is the cell's error on its own Monte-Carlo draw,
+    drawn independently of train and test, so stopping on it never reads the
+    test set.
+    """
+    n = 300
+    cfg = ExperimentConfig(seed=seed, n=n, m=runner.m_for_gamma(gamma, n), t_log_stop=14.0)
+    train, test, feats, mc_points = runner._draws(cfg, cfg.m)
+    dec = flow.decompose(features.build_feature_matrix(train, feats))
+    grid = cfg.time_grid()
+    test_error = flow.errors_on_grid(dec, train.targets, feats, test, grid).test_error
+    val_error = flow.errors_on_grid(dec, train.targets, feats, mc_points, grid).test_error
+    lam_min = float(dec.singular_values[dec.rank - 1] ** 2 / (n * cfg.m))
+    return np.array(grid[:-1]), test_error[:-1], val_error[:-1], float(test_error[-1]), lam_min
+
+
+def test_a13_late_gap_develops_slower_the_larger_it_is():
+    # gap = min-norm error - path minimum; t_half = the first grid time after
+    # the minimum where the error has climbed half the gap.  t_half scales as
+    # the slowest mode's time 1/lambda_min, and larger gaps take longer.
+    t0 = time.perf_counter()
+    t_half, gaps, slowest, failures = [], [], [], []
+    for gamma in (0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25):
+        for seed in range(3):
+            times, test_error, _, min_norm, lam_min = _stopping_cell(gamma, seed)
+            best = int(np.argmin(test_error))
+            gap = min_norm - test_error[best]
+            [climbed] = np.nonzero(test_error[best:] - test_error[best] >= gap / 2)
+            if gap <= 0 or not climbed.size:
+                failures.append(f"gamma={gamma} seed={seed}: no half-gap time")
+                continue
+            t_half.append(times[best + climbed[0]])
+            gaps.append(gap)
+            slowest.append(1.0 / lam_min)
+    slope = float(np.polyfit(np.log(slowest), np.log(t_half), 1)[0])
+    rho = float(spearmanr(gaps, t_half)[0])
+    ok = not failures and 0.7 <= slope <= 1.3 and rho >= 0.8
+    _report("A13 self-correction: the larger the gap, the slower it develops",
+            ok, f"log-log slope of t_half on 1/lambda_min {slope:.3f} (in [0.7, 1.3]), "
+                f"Spearman(gap, t_half) {rho:.3f} (>=0.8) over {len(t_half)} cells, "
+                f"{time.perf_counter() - t0:.1f}s" + (f"; {failures}" if failures else ""))
+
+
+def test_a14_stopping_on_the_validation_curve():
+    # stop at the argmin of the Monte-Carlo validation curve: the stopped test
+    # error is near the path minimum, far below the min-norm error at m = n
+    t0 = time.perf_counter()
+    worst, at_one, failures = 0.0, [], []
+    for gamma in (0.5, 0.9, 1.0, 1.1, 2.0):
+        for seed in range(3):
+            _, test_error, val_error, min_norm, _ = _stopping_cell(gamma, seed)
+            stopped = test_error[np.argmin(val_error)]
+            ratio = stopped / test_error.min()
+            worst = max(worst, ratio)
+            if ratio > 1.05:
+                failures.append(f"gamma={gamma} seed={seed}: {ratio:.4f}")
+            if gamma == 1.0:
+                at_one.append(min_norm / stopped)
+    median = float(np.median(at_one))
+    ok = not failures and median >= 10
+    _report("A14 early stopping on the validation curve",
+            ok, f"worst stopped / path-minimum test error {worst:.5f} (<=1.05), "
+                f"median min-norm / stopped at gamma=1 {median:.1f} (>=10), "
+                f"{time.perf_counter() - t0:.1f}s" + (f"; {failures}" if failures else ""))
 
 
 def test_a15_analytic_spectrum_matches_the_kernel_matrix():

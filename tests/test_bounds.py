@@ -129,16 +129,15 @@ def test_capped_rate_degenerate_rank():
 
 def test_finer_bound_at_zero_with_zero_constant():
     lh = np.ones(16)
-    stated, proof = bounds.finer_bound(0.0, 0.0, 1.0, 1.0, lh, 16)
+    stated = bounds.finer_bound(0.0, 0.0, 1.0, 1.0, lh, 16)
     assert stated == pytest.approx(3.0 + 1.0 / 4.0, rel=1e-12)  # 3 + n^(-1/2)
-    assert proof == pytest.approx(1.0 + 0.5, rel=1e-12)         # 1 + n^(-1/4)
 
 
 def test_finer_bound_large_time_dominated_by_tail():
     lh = np.linspace(1.0, 0.001, 16)
     n = 16
     C, M = 0.5, 1.0
-    stated, _ = bounds.finer_bound(1e18, C, M, lh[0], lh, n)
+    stated = bounds.finer_bound(1e18, C, M, lh[0], lh, n)
     tail = (5 * C + 1 + 2 * math.sqrt(C) * M / lh[-1]) ** 2 / math.sqrt(n)
     assert stated == pytest.approx(tail, rel=1e-9)
 

@@ -184,13 +184,36 @@ def test_mp_verb(tmp_path, capsys):
     assert (tmp_path / "mp_smallest.svg").exists()
 
 
+def _y_ticks(svg_path):
+    """The decade labels of an SVG's log y axis."""
+    svg = svg_path.read_text()
+    return [float(v) for v in re.findall(r'text-anchor="end" font-size="11">([^<]+)<', svg)]
+
+
 def test_mp_plot_axis_spans_only_the_plotted_values(tmp_path):
     # the MP prediction is exactly 0 at gamma = 1; the log axis drops that
     # point instead of reaching down to it, which took 299 labels to 1e-300
     assert main(["mp", "--set", "n=300", "--seeds", "0,1", "--out", str(tmp_path)]) == 0
-    svg = (tmp_path / "mp_smallest.svg").read_text()
-    y_ticks = [float(v) for v in re.findall(r'text-anchor="end" font-size="11">([^<]+)<', svg)]
+    y_ticks = _y_ticks(tmp_path / "mp_smallest.svg")
     assert y_ticks and min(y_ticks) >= 1e-20 and len(y_ticks) <= 12
+
+
+def test_spectra_plot_stops_the_gram_series_at_its_rank(tmp_path):
+    # at gamma = 0.5 the Gram matrix has rank m = 150 of n = 300; ranks past
+    # it are round-off near 1e-18, while every plotted value is above 5e-7
+    assert main(["spectra", "--gamma", "0.5", "--set", "n=300", "--out", str(tmp_path)]) == 0
+    y_ticks = _y_ticks(tmp_path / "spectra_gamma0.5.svg")
+    assert y_ticks and min(y_ticks) >= 1e-7
+
+
+def test_run_plot_drops_the_train_error_rounding_floor(tmp_path):
+    # the order-2 Legendre target lies in the span of 250 features, so the
+    # train error falls to round-off; the axis stops near eps times its start
+    assert main(["run", "--set", "n=200", "--set", "m=250", "--set", "target_kind=legendre",
+                 "--set", "target_order=2", "--out", str(tmp_path)]) == 0
+    (svg_path,) = tmp_path.glob("run_*.svg")
+    y_ticks = _y_ticks(svg_path)
+    assert y_ticks and min(y_ticks) >= 1e-16
 
 
 def test_mp_verb_widens_empty_fit_window(tmp_path):

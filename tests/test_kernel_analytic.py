@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import quad as scipy_quad
 
 import oracles
 from rfflow import features
@@ -95,13 +94,16 @@ def test_multiplicity_rejects_low_dim():
         ka.harmonic_multiplicity(2, 1)
 
 
+def _gegenbauer(d, n, t):
+    """C_n(t) = C_n(1) P_n(t)."""
+    return ka.legendre_conversion(d, n) * np.asarray(ka.legendre(d, n, t))
+
+
 def test_gegenbauer_degree_zero_and_one():
     for d in (3, 5, 10):
-        p0 = ka.OrthogonalPolynomial("gegenbauer", d, 0)
-        p1 = ka.OrthogonalPolynomial("gegenbauer", d, 1)
         t = np.linspace(-1, 1, 9)
-        np.testing.assert_allclose(ka.poly_eval(p0, t), 1.0)
-        np.testing.assert_allclose(ka.poly_eval(p1, t), (d - 2) * t, atol=1e-14)
+        np.testing.assert_allclose(_gegenbauer(d, 0, t), 1.0)
+        np.testing.assert_allclose(_gegenbauer(d, 1, t), (d - 2) * t, atol=1e-14)
 
 
 def test_gegenbauer_first_order_matches_generating_function():
@@ -110,15 +112,13 @@ def test_gegenbauer_first_order_matches_generating_function():
     t = np.linspace(-0.9, 0.9, 7)
     gen = lambda ss: (1 - 2 * ss * t + ss * ss) ** (-(d - 2) / 2)
     fd = (gen(s) - gen(-s)) / (2 * s)
-    p1 = ka.OrthogonalPolynomial("gegenbauer", d, 1)
-    np.testing.assert_allclose(ka.poly_eval(p1, t), fd, atol=1e-8)
+    np.testing.assert_allclose(_gegenbauer(d, 1, t), fd, atol=1e-8)
 
 
 def test_legendre_is_normalized_at_one():
     for d in (3, 5, 10, 200):
         for n in range(7):
-            p = ka.OrthogonalPolynomial("legendre", d, n)
-            assert ka.poly_eval(p, 1.0) == pytest.approx(1.0, rel=1e-12)
+            assert ka.legendre(d, n, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_legendre_conversion_is_the_binomial_value_at_one():
@@ -139,18 +139,15 @@ def test_legendre_target_has_unit_norm_in_high_dimension():
 
 def test_legendre_d3_matches_classic():
     t = np.linspace(-1, 1, 11)
-    p2 = ka.OrthogonalPolynomial("legendre", 3, 2)
-    np.testing.assert_allclose(ka.poly_eval(p2, t), (3 * t * t - 1) / 2, atol=1e-14)
+    np.testing.assert_allclose(ka.legendre(3, 2, t), (3 * t * t - 1) / 2, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [3, 5, 10])
 def test_legendre_orthogonality_by_quadrature(d):
     for n in range(0, 7):
         for mm in range(n + 1, 7):
-            pn = ka.OrthogonalPolynomial("legendre", d, n)
-            pm = ka.OrthogonalPolynomial("legendre", d, mm)
             val = ka.weighted_cosine_integral(
-                d, lambda t: np.asarray(ka.poly_eval(pn, t)) * np.asarray(ka.poly_eval(pm, t)))
+                d, lambda t: ka.legendre(d, n, t) * ka.legendre(d, mm, t))
             assert abs(val) < 1e-10
 
 
@@ -158,20 +155,19 @@ def test_legendre_orthogonality_by_quadrature(d):
 @pytest.mark.parametrize("n", range(0, 7))
 def test_legendre_norm_identity(d, n):
     # Int P_n^2 w dt = Omega_{d-1} / (Omega_{d-2} N(d, n))
-    p = ka.OrthogonalPolynomial("legendre", d, n)
-    val = ka.weighted_cosine_integral(d, lambda t: np.asarray(ka.poly_eval(p, t)) ** 2)
+    val = ka.weighted_cosine_integral(d, lambda t: ka.legendre(d, n, t) ** 2)
     expect = oracles.surface_area(d - 1) / (oracles.surface_area(d - 2) * ka.harmonic_multiplicity(d, n))
     assert val == pytest.approx(expect, rel=1e-8)
 
 
 def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        ka.OrthogonalPolynomial("legendre", 2, 1)
-    with pytest.raises(ValueError):
-        ka.OrthogonalPolynomial("chebyshev", 3, 1)
-    p = ka.OrthogonalPolynomial("legendre", 3, 1)
-    with pytest.raises(ValueError):
-        ka.poly_eval(p, 1.5)
+    with pytest.raises(ValueError, match="d >= 3"):
+        ka.legendre(2, 1, 0.5)
+    with pytest.raises(ValueError, match="order"):
+        ka.legendre(3, -1, 0.5)
+    with pytest.raises(ValueError, match="outside"):
+        ka.legendre(3, 1, 1.5)
+    assert isinstance(ka.legendre(3, 1, 0.5), float)
 
 
 def test_surface_area_closed_form():
@@ -275,29 +271,18 @@ def test_analytic_eigenvalue_rejects_low_dim():
 # quadrature route
 # ---------------------------------------------------------------------------
 
-def test_adaptive_quadrature_against_scipy():
-    f = lambda x: np.exp(-x) * np.sin(3 * x)
-    ours = ka.adaptive_quadrature(f, 0.0, 2.0)
-    ref, _ = scipy_quad(lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 2.0,
-                        epsabs=1e-13, epsrel=1e-13)
-    assert ours == pytest.approx(ref, abs=1e-11)
-
-
-def test_adaptive_quadrature_budget_exhaustion():
-    spike = lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300)
-    with pytest.raises(RuntimeError):
-        ka.adaptive_quadrature(spike, 0.0, 1.0, tol=1e-14, order=4, max_depth=3)
+@pytest.mark.parametrize("d", [3, 4, 10, 90])
+def test_weighted_cosine_integral_of_exp(d):
+    # Int e^t (1-t^2)^(nu-1/2) dt = sqrt(pi) Gamma(nu+1/2) 2^nu I_nu(1), nu = (d-2)/2
+    nu = (d - 2) / 2
+    expect = math.sqrt(math.pi) * special.gamma(nu + 0.5) * 2.0 ** nu * special.iv(nu, 1.0)
+    assert ka.weighted_cosine_integral(d, np.exp) == pytest.approx(expect, rel=1e-13)
 
 
 @pytest.mark.parametrize("d", [3, 10])
 def test_quadrature_odd_orders_vanish(d):
     for n in (3, 5, 7):
         assert abs(oracles.quadrature_eigenvalue(d, n)) < 1e-10
-
-
-def test_quadrature_node_count_validation():
-    with pytest.raises(ValueError):
-        oracles.quadrature_eigenvalue(3, 0, node_count=32)
 
 
 @pytest.mark.parametrize("d", [3, 5, 10])
@@ -313,9 +298,9 @@ def test_quadrature_two_step_ratio(d, n):
 @pytest.mark.parametrize("d", [3, 5, 10])
 @pytest.mark.parametrize("n", range(0, 9))
 def test_gegenbauer_moment_identities(d, n):
-    """Closed-form moments against adaptive quadrature (theta substitution)."""
+    """Closed-form moments against the fixed quadrature rule (theta substitution)."""
     def geg(t):
-        return np.asarray(ka.poly_eval(ka.OrthogonalPolynomial("gegenbauer", d, n), t))
+        return _gegenbauer(d, n, t)
 
     # sqrt moment carries one extra (1-t^2)^(1/2) inside the d-weight
     lhs1 = ka.weighted_cosine_integral(d, lambda t: np.sqrt(1 - t * t) * geg(t))
@@ -410,9 +395,8 @@ def test_gram_tracks_the_exact_kernel_matrix(kind):
 
 def _funk_hecke(d, kind, n):
     """lambda_n of one kind by the Funk-Hecke integral, written out as a reference."""
-    poly = ka.OrthogonalPolynomial("legendre", d, n)
     num = ka.weighted_cosine_integral(
-        d, lambda t: ka.feature_kernel(t, d, kind) * np.asarray(ka.poly_eval(poly, t)))
+        d, lambda t: ka.feature_kernel(t, d, kind) * ka.legendre(d, n, t))
     return num / ka.weighted_cosine_integral(d, np.ones_like)
 
 
@@ -444,15 +428,18 @@ def test_degree_for_count_is_the_smallest_covering_degree(d, count, monkeypatch)
         assert list(runs) == mults[:-1] + [count - sum(mults[:-1])]
 
 
-@pytest.mark.parametrize("d", [3, 10, 90, 200, 1000])
+@pytest.mark.parametrize("d", [3, 10, 90, 200, 1000, 3000, 10_000])
 def test_relu_spectrum_matches_closed_forms(d):
     # lambda_0 is the closed-form top eigenvalue, lambda_1 = 1/(4 d^2) and
-    # lambda_2 = lambda_0 / (d+1)^2, with multiplicities 1, d and N(d, 2)
+    # lambda_2 = lambda_0 / (d+1)^2, with multiplicities 1, d and N(d, 2);
+    # from d = 3000 only the first lambda_2 of its N(d, 2) ~ d^2/2 copies,
+    # at rtol 1e-9 instead of 1e-11
     lam0 = ka.spectrum_feature_scale(d, 1 / (2 * np.pi * d))
+    count_2, rtol = (ka.harmonic_multiplicity(d, 2), 1e-11) if d <= 1000 else (1, 1e-9)
     expect = np.concatenate([[lam0], np.full(d, 1 / (4 * d * d)),
-                             np.full(ka.harmonic_multiplicity(d, 2), lam0 / (d + 1) ** 2)])
+                             np.full(count_2, lam0 / (d + 1) ** 2)])
     np.testing.assert_allclose(ka.analytic_spectrum(d, "relu", expect.size), expect,
-                               rtol=1e-11, atol=0.0)
+                               rtol=rtol, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -136,20 +136,45 @@ def _multi_m_cases(draw):
     return points, feats, draw(st.permutations(ms))
 
 
+def _blockwise_values(points, feats, ms):
+    """The first max(ms) feature columns exactly as ``smallest_gram_eigenvalue``
+    evaluates them: by its own blocks with its own stops.  A fresh m-direction
+    evaluation can differ from a column slice in the last bits, which an
+    affine pre-activation near 0 amplifies far beyond 1 ulp."""
+    n = points.shape[0]
+    stops = [min(n, max(ms))] + sorted({k for k in ms if k >= n})
+    return np.hstack([block for _, _, block in rm._feature_blocks(points, feats, stops)])
+
+
+def _companion_eigenvalues(phi):
+    n, m = phi.shape
+    comp = phi @ phi.T if n <= m else phi.T @ phi
+    return np.linalg.eigvalsh(comp / (n * m))
+
+
+def _affine_pair_case(seed=1484):
+    # two equal points, affine ReLU, 2 directions: a fresh 1-direction matrix
+    # misses the sliced one's smallest eigenvalue by 5.3e-14 lambda_max
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    points = features.sample_sphere(rng, d, 1)[[0, 0]]
+    return points, features.sample_features(rng, d, 2, "affine-relu"), [1, 2, 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_multi_m_cases())
+@example(case=_affine_pair_case())
 def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case):
     points, feats, ms = case
-    n = points.shape[0]
     got = rm.smallest_gram_eigenvalue(points, feats, ms)
     assert isinstance(got, np.ndarray) and got.shape == (len(ms),)
+    phi = _blockwise_values(points, feats, ms)
     for m, value in zip(ms, got):
-        head = features.FeatureSet(feats.directions[:m], feats.kind)  # exactly m features
-        phi = features.feature_values(head, points)
-        comp = phi @ phi.T if n <= m else phi.T @ phi
-        ev = np.linalg.eigvalsh(comp / (n * m))
+        ev = _companion_eigenvalues(phi[:, :m])
         assert abs(value - ev[0]) <= 1e-14 * ev[-1]
+        head = features.FeatureSet(feats.directions[:m], feats.kind)  # exactly m features
         [one] = rm.smallest_gram_eigenvalue(points, head, [m])
+        ev = _companion_eigenvalues(_blockwise_values(points, head, [m]))
         assert abs(one - ev[0]) <= 1e-14 * ev[-1]
 
 

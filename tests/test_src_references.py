@@ -1,4 +1,5 @@
-"""Everything defined in ``src/rfflow`` is reached from the package itself.
+"""Everything defined in ``src/rfflow`` is reached from the package itself,
+and every module uses what it imports.
 
 A function or class that only the tests call belongs in ``tests/oracles.py``.
 """
@@ -45,3 +46,26 @@ def test_every_src_definition_is_named_in_src_exported_or_allowed():
     # a name beyond the allowlist moves to tests/oracles.py; an entry whose
     # reason has gone (a caller appeared) leaves the allowlist
     assert sorted(unreferenced) == sorted(ALLOWED)
+
+
+def _bound_names(node):
+    """Names a top-level import statement binds in its module."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(rfflow.__all__)
+        unused += [f"{path.stem}.{name}" for node in tree.body
+                   for name in _bound_names(node) if name not in used]
+    assert unused == []
