@@ -2,7 +2,8 @@
 
 Two bound families are implemented.  The rough family controls the model
 norm by sqrt(t) through Hoeffding-corrected estimates of ||f*|| and the
-mean squared feature norm.  The finer family assumes the top Gram
+mean squared feature norm; the runner gives it these and the sup-norm bound
+M, exact for synthetic cells.  The finer family assumes the top Gram
 eigen-pairs track the kernel operator (an alignment constant C measured by
 ``measure_assumptions``) and combines an exponential-decay term with a
 capped growth rate
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .features import Dataset, FeatureSet, feature_values
-from .flow import SpectralDecomposition
+from .flow import SpectralDecomposition, spectral_energy_profile
 
 
 class HypothesisError(ValueError):
@@ -31,9 +32,10 @@ class HypothesisError(ValueError):
     constant has C/sqrt(n) >= 1, or a top mode is zero."""
 
 
-def norm_bound_rough(t: float, n: int, m: int, M: float, delta: float,
-                     f_norm: float, feat_norm_sq: float) -> float:
-    """Hoeffding-corrected sqrt(t) bound on the model norm ||f_t||.
+def norm_bound_rough(t, n: int, m: int, M: float, delta: float,
+                     f_norm: float, feat_norm_sq: float):
+    """Hoeffding-corrected sqrt(t) bound on the model norm ||f_t||, at one
+    time or at every time of an array,
 
     (||f*||^2 + sqrt(2 M^2 log(2/delta)/n))^(1/2)
     (E_b ||phi(.;b)||^2 + sqrt(2 M^2 log(2/delta)/m))^(1/2) sqrt(t).
@@ -45,7 +47,7 @@ def norm_bound_rough(t: float, n: int, m: int, M: float, delta: float,
     hoeff = 2.0 * M * M * math.log(2.0 / delta)
     fac1 = math.sqrt(f_norm ** 2 + math.sqrt(hoeff / n))
     fac2 = math.sqrt(feat_norm_sq + math.sqrt(hoeff / m))
-    return fac1 * fac2 * math.sqrt(t)
+    return fac1 * fac2 * np.sqrt(t)
 
 
 def capped_rate(t: float, scaled_values: np.ndarray) -> float:
@@ -120,16 +122,14 @@ class AssumptionReport:
 
     c_measured: float              # sqrt(n) * max of the alignment discrepancies
     c_prime: float                 # min C' with lh_k <= C'/sqrt(k), k <= floor(sqrt n)+1
-    m_bound: float                 # sup-norm bound on f* and phi
     m_kernel: float                # sqrt((1/n) E_x ||phi(x;B)||^2)
-    delta: float
     discrepancies: tuple[float, float, float, float]
     concentration_index: int       # p with cumulative spectral energy >= 0.99
     regime_constants: Optional[tuple[float, float]] = None  # (c1, c2)
 
 
 def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
-                        mc_points: Dataset, delta: float = 0.1) -> AssumptionReport:
+                        mc_points: Dataset) -> AssumptionReport:
     """Monte-Carlo measurement of the spectral alignment constants.
 
     The alignment functions are g_i(x) = (sqrt(n)/s_i) v_i . phi(x; B); the
@@ -172,10 +172,6 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
     c_prime = float(np.max(lh[: idx.size] * np.sqrt(idx)))
 
     m_kernel = float(np.sqrt(np.einsum("ij,ij->", phi_mc, phi_mc) / mc_points.count / n))
-    m_bound = sup_norm(phi_mc, psi1)
-
-    from .flow import spectral_energy_profile
-
     _, p = spectral_energy_profile(dec, y)
 
     lamhat1 = float(lh[0])
@@ -185,9 +181,7 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
     return AssumptionReport(
         c_measured=c_measured,
         c_prime=c_prime,
-        m_bound=m_bound,
         m_kernel=m_kernel,
-        delta=delta,
         discrepancies=(d1, d2, d3, d4),
         concentration_index=p,
         regime_constants=(window.c1, window.c2) if window else None,

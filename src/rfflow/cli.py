@@ -1,8 +1,9 @@
 """Command-line experiment driver.
 
 Verbs: run, sweep, spectra, mp, mnist.  Every verb accepts --config PATH
-(flat key = value file), repeated --set key=value overrides, --seed N and
---out DIR (default: the current directory).  Cells run one after another.
+(flat key = value file), repeated --set key=value overrides and --out DIR
+(default: the current directory); run, spectra and mnist also take --seed N
+(sweep and mp take --seeds).  Cells run one after another.
 MNIST IDX files are looked up in $RFFLOW_DATA_DIR unless all four paths
 are given.
 """
@@ -29,7 +30,7 @@ def _build_config(args):
         cfg = load_config(args.config, cfg)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -179,7 +180,7 @@ def cmd_sweep(args, cfg) -> int:
 def cmd_spectra(args, cfg) -> int:
     from . import kernel_analytic as ka
     from . import random_matrix as rm
-    from .runner import m_for_gamma, seed_draw
+    from .runner import m_for_gamma, seed_draw, write_csv
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d, m = cfg.n, cfg.d, m_for_gamma(args.gamma, cfg.n)
@@ -192,11 +193,8 @@ def cmd_spectra(args, cfg) -> int:
 
     out = Path(args.out)
     path = out / f"spectra_gamma{args.gamma:g}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,gram,kernel_matrix,analytic\n")
-        for i in range(n):
-            fh.write(f"{i + 1},{gram_ev[i]:.17g},{kernel_ev[i]:.17g},{analytic[i]:.17g}\n")
     ranks = np.arange(1, n + 1)
+    write_csv(path, "rank,gram,kernel_matrix,analytic", zip(ranks, gram_ev, kernel_ev, analytic))
     emit_svg(PlotSpec(
         title=f"spectra at gamma={args.gamma:g} (n={n}, d={d})",
         series=(
@@ -214,7 +212,7 @@ def cmd_spectra(args, cfg) -> int:
 
 def cmd_mp(args, cfg) -> int:
     from . import random_matrix as rm
-    from .runner import m_for_gamma, seed_draw
+    from .runner import m_for_gamma, seed_draw, write_csv
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
@@ -236,14 +234,10 @@ def cmd_mp(args, cfg) -> int:
 
     out = Path(args.out)
     path = out / "mp_smallest.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gamma,mean_smallest,median_smallest,mp_prediction\n")
-        for g, mean, median in rows:
-            fh.write(f"{g:.17g},{mean:.17g},{median:.17g},"
-                     f"{rm.predict_smallest(g, c):.17g}\n")
-    gam = np.array([g for g, *_ in rows])
-    mean_v = np.array([mean for _, mean, _ in rows])
+    gam, mean_v, median_v = np.array(rows).T
     pred_v = np.array([rm.predict_smallest(g, c) for g in gam])
+    write_csv(path, "gamma,mean_smallest,median_smallest,mp_prediction",
+              zip(gam, mean_v, median_v, pred_v))
     emit_svg(PlotSpec(
         title=f"smallest Gram eigenvalue vs gamma (n={n}, d={d}, c={c:.3e})",
         series=(Series("measured mean", gam, mean_v),
@@ -312,11 +306,12 @@ def main(argv=None) -> int:
     parser = _Parser(prog="rfflow", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--set", action="append", default=[],
                        metavar="K=V", help="override one config key")
-        p.add_argument("--seed", type=int)
+        if seed:  # sweep and mp run every --seeds entry instead
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
     p_run = sub.add_parser("run", help="single trajectory experiment")
@@ -324,7 +319,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep feature counts or gamma values")
-    common(p_sweep)
+    common(p_sweep, seed=False)
     p_sweep.add_argument("--m-list", help="comma-separated feature counts")
     p_sweep.add_argument("--gamma-list", help="comma-separated m/n ratios")
     p_sweep.add_argument("--seeds", default="0,1,2,3,4")
@@ -338,7 +333,7 @@ def main(argv=None) -> int:
     p_spec.set_defaults(func=cmd_spectra)
 
     p_mp = sub.add_parser("mp", help="smallest-eigenvalue sweep and MP calibration")
-    common(p_mp)
+    common(p_mp, seed=False)
     p_mp.add_argument("--gamma-list", default="0.5,0.7,0.85,1.0,1.2,1.5,2.0")
     p_mp.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     p_mp.add_argument("--fit-window", default="0.8,1.25",

@@ -181,17 +181,14 @@ def run_experiment(cfg: ExperimentConfig,
         feat_sq = feature_norm_sq(cfg.d, cfg.feature_kind)
         m_sup = sup_bound(cfg)
 
-    bound_rough = np.array([
-        bounds_mod.norm_bound_rough(t, n, m, m_sup, cfg.delta, f_norm, feat_sq)
-        if not math.isinf(t) else math.inf
-        for t in times
-    ])
+    # M > 0 here (s_max > 0), so the t = inf row is inf
+    bound_rough = bounds_mod.norm_bound_rough(times, n, m, m_sup, cfg.delta, f_norm, feat_sq)
 
     assumption = None
     hypothesis_ok = False
     bound_finer = np.full(len(times), np.nan)
     try:
-        assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points, cfg.delta)
+        assumption = bounds_mod.measure_assumptions(dec, y, feats, mc_points)
         lh = dec.scaled_values
         for j, t in enumerate(times):
             bound_finer[j] = bounds_mod.finer_bound(
@@ -303,41 +300,44 @@ def translate_curves(curves: Sequence[np.ndarray]) -> tuple[list[np.ndarray], li
 # CSV persistence
 # ---------------------------------------------------------------------------
 
-def _g17(v: float) -> str:
-    return f"{v:.17g}"
+def _cell(v) -> str:
+    # an integer (seed, rank, feature count) exactly, a float in 17 digits
+    return str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
+
+
+def write_csv(path, header: str, rows, comments: Sequence[str] = ()) -> None:
+    """The one table writer: '# ' comment lines, the header, then one line per
+    row; every number re-parses to the value written."""
+    lines = [f"# {line}" for line in comments]
+    lines.append(header)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_csv(record: Optional[RunRecord], path) -> None:
     """Trajectory CSV: '# key = value' metadata lines, header, then rows."""
-    lines = []
-    if record is not None:
-        for key in sorted(record.metadata):
-            lines.append(f"# {key} = {record.metadata[key]}")
-    lines.append(CSV_HEADER)
-    if record is not None:
-        traj = record.trajectory
-        for row in zip(traj.time, traj.train_error, traj.test_error, traj.param_norm,
-                       record.bound_rough, record.bound_finer):
-            lines.append(",".join(map(_g17, row)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if record is None:
+        write_csv(path, CSV_HEADER, ())
+        return
+    traj = record.trajectory
+    write_csv(path, CSV_HEADER,
+              zip(traj.time, traj.train_error, traj.test_error, traj.param_norm,
+                  record.bound_rough, record.bound_finer),
+              [f"{key} = {record.metadata[key]}" for key in sorted(record.metadata)])
 
 
 def emit_sweep_csv(sweep: SweepResult, path) -> None:
     """Min-norm / smallest-eigenvalue table of a sweep, one row per cell."""
-    lines = [f"{sweep.axis},seed,min_norm_test_error,smallest_gram_eigenvalue"]
-    for (value, seed), rec in sweep.records.items():
-        lines.append(f"{_g17(float(value))},{seed},{_g17(rec.summary['min_norm_test_error'])},"
-                     f"{_g17(rec.summary['smallest_gram_eigenvalue'])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, f"{sweep.axis},seed,min_norm_test_error,smallest_gram_eigenvalue",
+              ((value, seed, rec.summary["min_norm_test_error"],
+                rec.summary["smallest_gram_eigenvalue"])
+               for (value, seed), rec in sweep.records.items()))
 
 
 def emit_budget_csv(sweep: SweepResult, path) -> None:
     """Fixed-iteration-budget test errors of a sweep."""
-    lines = [f"{sweep.axis},seed,iterations,flow_time,test_error"]
-    for (value, seed), rec in sweep.records.items():
-        for T, (t_flow, err) in rec.budget_errors.items():
-            lines.append(f"{_g17(float(value))},{seed},{_g17(T)},{_g17(t_flow)},{_g17(err)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, f"{sweep.axis},seed,iterations,flow_time,test_error",
+              ((value, seed, T, t_flow, err)
+               for (value, seed), rec in sweep.records.items()
+               for T, (t_flow, err) in rec.budget_errors.items()))

@@ -20,6 +20,7 @@ import oracles
 from rfflow import features, flow, runner
 from rfflow import kernel_analytic as ka
 from rfflow import random_matrix as rm
+from rfflow.cli import main
 from rfflow.config import ExperimentConfig
 
 
@@ -321,10 +322,18 @@ def test_a12_determinism_and_worker_independence(tmp_path):
         runner.emit_sweep_csv(sweep, p_sweep)
         p_run = tmp_path / f"run_{tag}.csv"
         runner.emit_csv(sweep.records[(120, 0)], p_run)
-        paths.append((p_sweep.read_bytes(), p_run.read_bytes()))
+        # the mp and spectra tables, each verb run through the CLI
+        out = tmp_path / tag
+        assert main(["mp", "--set", "n=60", "--set", "d=5", "--seeds", "0,1",
+                     "--out", str(out)]) == 0
+        assert main(["spectra", "--set", "n=60", "--set", "d=5", "--gamma", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+        paths.append((p_sweep.read_bytes(), p_run.read_bytes(),
+                      (out / "mp_smallest.csv").read_bytes(),
+                      (out / "spectra_gamma2.csv").read_bytes()))
     ok = paths[0] == paths[1] == paths[2]
     _report("A12 determinism across reruns",
-            ok, "byte-identical sweep and trajectory CSVs over three serial runs")
+            ok, "byte-identical sweep, trajectory, mp and spectra CSVs over three serial runs")
 
 
 @functools.lru_cache(maxsize=None)

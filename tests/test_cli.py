@@ -131,6 +131,10 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["spectra", "--set", "target_kind=external-labels"],
      "rfflow spectra: error: target_kind external-labels needs labelled data"),
     (["run", "--set", "m=sqrt-n"], "rfflow run: error: m: expected int, got 'sqrt-n'"),
+    # sweep and mp run every --seeds entry, so a --seed would be ignored
+    (["sweep", "--seed", "3", "--m-list", "100"],
+     "rfflow sweep: error: unrecognized arguments: --seed 3"),
+    (["mp", "--seed", "3"], "rfflow mp: error: unrecognized arguments: --seed 3"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -373,6 +377,13 @@ def test_mnist_verb_on_synthetic_idx(tmp_path):
     assert (out_dir / "mnist_minnorm.csv").exists()
     assert (out_dir / "mnist_budgets.csv").exists()
     assert (out_dir / "mnist_minnorm.svg").exists()
+    # --seed draws the training subsample; its default is 0
+    for seed in ("0", "1"):
+        assert main(["mnist", "--out", str(tmp_path / seed), *paths, *_MNIST_ARGS,
+                     "--seed", seed]) == 0
+    table = {name: (tmp_path / name / "mnist_minnorm.csv").read_bytes()
+             for name in ("out", "0", "1")}
+    assert table["out"] == table["0"] != table["1"]
 
 
 def test_mnist_verb_takes_all_four_paths_or_none(tmp_path, monkeypatch, capsys):

@@ -429,6 +429,34 @@ def test_csv_round_trip_is_lossless(rows, metadata):
     assert np.array_equal(np.signbit(back[signed]), np.signbit(table[signed]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), int_columns=st.lists(st.booleans(), min_size=1, max_size=7))
+def test_write_csv_round_trip_is_lossless(data, int_columns):
+    # the sweep, budget, spectra and mp tables: integer columns (seeds, ranks,
+    # feature counts) print as exact integers, and every float64 survives
+    column = {True: st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                              st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)),
+              False: st.floats()}
+    rows = data.draw(st.lists(st.tuples(*[column[k] for k in int_columns]), max_size=8))
+    header = ",".join(f"col{j}" for j in range(len(int_columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        runner.write_csv(path, header, rows, comments=["note = 1"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# note = 1", header]
+    back = [line.split(",") for line in lines[2:]]
+    assert len(back) == len(rows)
+    for row, tokens in zip(rows, back):
+        assert len(tokens) == len(int_columns)
+        for value, token, is_int in zip(row, tokens, int_columns):
+            if is_int:
+                assert int(token) == value
+            else:
+                parsed = float(token)
+                assert parsed == value or (math.isnan(parsed) and math.isnan(value))
+                assert math.isnan(value) or math.copysign(1, parsed) == math.copysign(1, value)
+
+
 def test_csv_empty_record_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     runner.emit_csv(None, path)
