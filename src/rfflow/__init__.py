@@ -17,11 +17,19 @@ from .flow import (
     errors_on_grid,
     spectral_energy_profile,
 )
-from .runner import RunRecord, run_experiment, run_sweep, translate_curves
+from .runner import (
+    CellSummary,
+    RunRecord,
+    run_experiment,
+    run_sweep,
+    sweep_tables,
+    translate_curves,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CellSummary",
     "Dataset",
     "ExperimentConfig",
     "FeatureSet",
@@ -38,5 +46,6 @@ __all__ = [
     "sample_features",
     "sample_sphere",
     "spectral_energy_profile",
+    "sweep_tables",
     "translate_curves",
 ]

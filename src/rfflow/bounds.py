@@ -3,7 +3,7 @@
 Two bound families are implemented.  The rough family controls the model
 norm by sqrt(t) through Hoeffding-corrected estimates of ||f*|| and the
 mean squared feature norm; the runner gives it these and the sup-norm bound
-M, exact for synthetic cells.  The finer family assumes the top Gram
+M, all exact on the sphere.  The finer family assumes the top Gram
 eigen-pairs track the kernel operator (an alignment constant C measured by
 ``measure_assumptions``) and combines an exponential-decay term with a
 capped growth rate
@@ -82,11 +82,6 @@ def finer_bound(t: float, C: float, M_kernel: float, lamhat1: float,
     decay = lamhat1 * lamhat1 * t
     return 3.0 * math.exp(-2.0 * decay) \
         + (5.0 * C + 1.0 + 2.0 * math.sqrt(C) * M_kernel * dt) ** 2 / math.sqrt(n)
-
-
-def sup_norm(*arrays: np.ndarray) -> float:
-    """Largest absolute entry over all arrays, without an abs() temporary."""
-    return max(max(float(a.max()), -float(a.min())) for a in arrays)
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,6 @@ def _parse_flags(args, cfg) -> None:
         raise ValueError("sweep needs --m-list or --gamma-list")
     if args.verb == "sweep" and args.m_list and args.gamma_list:
         raise ValueError("sweep takes --m-list or --gamma-list, not both")
-    if args.verb != "mnist" and cfg.target_kind == "external-labels":
-        raise ValueError("target_kind external-labels needs labelled data, "
-                         "which only the mnist verb reads")
     # below d = 3 there are no Gegenbauer weights (1-t^2)^((d-3)/2) or
     # multiplicities N(d, n) for spectra, and every smallest Gram eigenvalue
     # mp measures is round-off, so its calibration fails
@@ -146,7 +143,7 @@ def cmd_run(args, cfg) -> int:
     best = np.argmin(traj.test_error[np.isfinite(traj.time)])  # inf can only be last
     print(f"wrote {csv_path}")
     print(f"min test error {traj.test_error[best]:.6g} at t={traj.time[best]:.6g}; "
-          f"min-norm test error {record.summary['min_norm_test_error']:.6g}")
+          f"min-norm test error {record.summary.min_norm_test_error:.6g}")
     return 0
 
 
@@ -160,8 +157,8 @@ def cmd_sweep(args, cfg) -> int:
     else:
         sweep = run_sweep(cfg, gamma_values=args.gamma_list, seeds=seeds)
     out = Path(args.out)
-    emit_sweep_csv(sweep, out / f"sweep_{sweep.axis}_minnorm.csv")
-    emit_budget_csv(sweep, out / f"sweep_{sweep.axis}_budgets.csv")
+    emit_sweep_csv(sweep.axis, sweep.summaries, out / f"sweep_{sweep.axis}_minnorm.csv")
+    emit_budget_csv(sweep.axis, sweep.summaries, out / f"sweep_{sweep.axis}_budgets.csv")
 
     values = sorted({v for v, _ in sweep.records})
     time = sweep.records[(values[0], seeds[0])].trajectory.time  # every cell's grid
@@ -267,13 +264,15 @@ def _mnist_paths(args):
 
 def cmd_mnist(args, cfg) -> int:
     from .idx import load_idx
-    from .runner import emit_budget_csv, emit_sweep_csv, m_for_gamma, run_sweep
+    from .runner import emit_budget_csv, emit_sweep_csv, m_for_gamma, sweep_tables
     from .svgplot import PlotSpec, Series, emit_svg
 
     img, lab, timg, tlab = _mnist_paths(args)
-    train = load_idx(img, lab, classes=(0, 1), subsample=cfg.n, seed=cfg.seed)
-    test = load_idx(timg, tlab, classes=(0, 1))
-    cfg = replace(cfg, target_kind="external-labels")
+    try:
+        train = load_idx(img, lab, classes=(0, 1), subsample=cfg.n, seed=cfg.seed)
+        test = load_idx(timg, tlab, classes=(0, 1))
+    except ValueError as exc:  # unreadable or too small inputs, not a failed cell
+        return _usage_error(args, exc.args[0])
 
     if args.m_list:
         m_values = args.m_list
@@ -281,15 +280,14 @@ def cmd_mnist(args, cfg) -> int:
         m_values = sorted({m_for_gamma(g, cfg.n)
                            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2,
                                      1.5, 2.0, 3.0)})
-    sweep = run_sweep(cfg, m_values=m_values, seeds=args.seeds,
-                      iteration_budgets=(1e4, 1e5, 1e6, 1e8), train=train, test=test)
+    tables = sweep_tables(cfg, train, test, m_values, args.seeds, (1e4, 1e5, 1e6, 1e8))
     out = Path(args.out)
-    emit_sweep_csv(sweep, out / "mnist_minnorm.csv")
-    emit_budget_csv(sweep, out / "mnist_budgets.csv")
+    emit_sweep_csv("m", tables, out / "mnist_minnorm.csv")
+    emit_budget_csv("m", tables, out / "mnist_budgets.csv")
 
     values = np.array(m_values, dtype=float)
     med_err, med_eig = (
-        np.array([np.median([sweep.records[(v, seed)].summary[key] for seed in args.seeds])
+        np.array([np.median([getattr(tables[(v, seed)], key) for seed in args.seeds])
                   for v in m_values])
         for key in ("min_norm_test_error", "smallest_gram_eigenvalue"))
     emit_svg(PlotSpec(

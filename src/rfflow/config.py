@@ -46,8 +46,8 @@ class ExperimentConfig:
         for key in ("n", "m", "d", "t_per_decade", "test_count", "assumption_points"):
             need(getattr(self, key) >= 1, key, "must be a count >= 1")
         need(self.feature_kind in FEATURE_KINDS, "feature_kind", f"must be one of {FEATURE_KINDS}")
-        need(self.target_kind in TARGET_KINDS + ("external-labels",), "target_kind",
-             f"must be one of {TARGET_KINDS} or 'external-labels'")
+        need(self.target_kind in TARGET_KINDS, "target_kind",
+             f"must be one of {TARGET_KINDS}")
         need(self.target_order >= 0, "target_order", "must be >= 0")
         need(self.target_kind != "legendre" or self.d >= 3, "d", "must be >= 3 for legendre targets")
         need(-math.inf < self.t_log_start <= self.t_log_stop < math.inf, "t_log_start",

@@ -22,7 +22,6 @@ class Dataset:
 
     points: np.ndarray
     targets: np.ndarray
-    dim: int
     distribution_tag: str = "uniform-sphere"
 
     def __post_init__(self):
@@ -160,4 +159,4 @@ def sample_dataset(rng_seed, n: int, dim: int, target: TargetSpec) -> Dataset:
     """Uniform sphere sample with targets evaluated from ``target``."""
     points = sample_sphere(rng_seed, dim, n)
     return Dataset(points=points, targets=eval_target_many(target, points),
-                   dim=dim, distribution_tag="uniform-sphere")
+                   distribution_tag="uniform-sphere")

@@ -55,18 +55,19 @@ def load_idx(images_path, labels_path, classes=None, subsample: int | None = Non
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise ValueError("image/label count mismatch")
+        raise ValueError(f"image/label count mismatch: {images.shape[0]} images in "
+                         f"{images_path}, {labels.shape[0]} labels in {labels_path}")
     pixels = images.reshape(images.shape[0], -1)
     if classes is not None:
         keep = np.isin(labels, list(classes))
         pixels, labels = pixels[keep], labels[keep]
     if subsample is not None:
         if subsample > labels.shape[0]:
-            raise ValueError("subsample larger than the available rows")
+            raise ValueError(f"subsample n = {subsample} is larger than the "
+                             f"{labels.shape[0]} rows kept from {images_path}")
         idx = np.sort(np.random.default_rng(seed).choice(
             labels.shape[0], size=subsample, replace=False))
         pixels, labels = pixels[idx], labels[idx]
     points = pixels.astype(float)
     points /= 255.0
-    return Dataset(points=points, targets=labels.astype(float), dim=points.shape[1],
-                   distribution_tag="external")
+    return Dataset(points=points, targets=labels.astype(float), distribution_tag="external")

@@ -27,11 +27,9 @@ CSV_HEADER = "time,train_error,test_error,param_norm,bound_rough,bound_finer"
 def target_spec_for(cfg: ExperimentConfig) -> feat_mod.TargetSpec:
     if cfg.target_kind == "constant-harmonic":
         return feat_mod.TargetSpec(kind="constant-harmonic", normalization=1.0)
-    if cfg.target_kind == "legendre":
-        axis = np.zeros(cfg.d)
-        axis[0] = 1.0
-        return feat_mod.legendre_target(cfg.d, cfg.target_order, axis)
-    raise ValueError(f"target kind {cfg.target_kind!r} needs external data")
+    axis = np.zeros(cfg.d)
+    axis[0] = 1.0
+    return feat_mod.legendre_target(cfg.d, cfg.target_order, axis)
 
 
 def feature_norm_sq(d: int, kind: str) -> float:
@@ -58,14 +56,21 @@ def target_norm(cfg: ExperimentConfig) -> float:
 def sup_bound(cfg: ExperimentConfig) -> float:
     """Exact sup-norm bound M for the feature map and target on the sphere."""
     feat_sup = math.sqrt(2.0) if cfg.feature_kind == "affine-relu" else 1.0
-    if cfg.target_kind == "constant-harmonic":
-        target_sup = 1.0
-    elif cfg.target_kind == "legendre":
-        # |P_n| <= 1 on [-1, 1], so the normaliser is the sup
-        target_sup = target_spec_for(cfg).normalization
-    else:
-        raise ValueError("external targets need a measured sup")
+    # |P_n| <= 1 on [-1, 1], so a Legendre target's normaliser is its sup
+    target_sup = 1.0 if cfg.target_kind == "constant-harmonic" \
+        else target_spec_for(cfg).normalization
     return max(feat_sup, target_sup)
+
+
+@dataclass(frozen=True)
+class CellSummary:
+    """What a sweep table holds of one cell."""
+
+    min_norm_test_error: float
+    # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
+    smallest_gram_eigenvalue: float
+    top_gram_eigenvalue: float
+    budget_errors: dict              # T -> (flow time, test error), ascending T
 
 
 @dataclass
@@ -77,9 +82,8 @@ class RunRecord:
     bound_rough: np.ndarray
     bound_finer: np.ndarray          # stated form; nan when hypothesis fails
     assumption: Optional[bounds_mod.AssumptionReport]
-    summary: dict
+    summary: CellSummary
     metadata: dict
-    budget_errors: dict              # T -> (flow time, test error), ascending T
 
 
 def m_for_gamma(gamma: float, n: int) -> int:
@@ -105,25 +109,45 @@ def seed_draw(cfg: ExperimentConfig, m: int, train: Optional[feat_mod.Dataset] =
 def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
            mc_points=None) -> tuple:
     """A cell's (train, test, feats, mc_points): those given, the rest drawn
-    from the config seed's streams.
-
-    External cells (``target_kind = external-labels``) must be given train
-    and test, and measure the bound constants on the test points.
-    """
-    if cfg.target_kind == "external-labels":
-        if train is None or test is None:
-            raise ValueError("external runs need train and test datasets")
-        mc_points = test
-    else:
-        target = target_spec_for(cfg)
-        if test is None:
-            test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], cfg.test_count,
-                                           cfg.d, target)
-        if mc_points is None:
-            mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
-                                                cfg.assumption_points, cfg.d, target)
+    from the config seed's streams."""
+    target = target_spec_for(cfg)
+    if test is None:
+        test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], cfg.test_count, cfg.d, target)
+    if mc_points is None:
+        mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
+                                            cfg.assumption_points, cfg.d, target)
     train, feats = seed_draw(cfg, m, train, feats)
     return train, test, feats, mc_points
+
+
+def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.FeatureSet) -> tuple:
+    """The prologue of every cell: its m directions (the first m rows of the
+    seed's draw ``feats``), the decomposed training features, the learning
+    rate and the top and smallest Gram eigenvalues, as
+    (feats, dec, eta, top, smallest)."""
+    m = cfg.m
+    if feats.count < m:
+        raise ValueError(f"{feats.count} feature directions given for m = {m}")
+    if feats.count > m:
+        feats = feat_mod.FeatureSet(directions=feats.directions[:m], kind=feats.kind)
+
+    n = train.count
+    dec = flow_mod.decompose(feat_mod.build_feature_matrix(train, feats))
+    s = dec.singular_values
+    if s[0] == 0.0:
+        raise ValueError(f"no feature is active on any training point "
+                         f"(n = {n}, m = {m}, seed = {cfg.seed})")
+    # learning rate; under the flow's 1/(mn) rate convention one discrete
+    # step at learning rate eta advances flow time by eta
+    top_gram = float(s[0] ** 2 / (n * m))
+    eta = 1.0 / top_gram if cfg.eta == "auto" else float(cfg.eta)
+    return feats, dec, eta, top_gram, float(s[-1] ** 2 / (n * m))
+
+
+def _budget_times(eta: float, iteration_budgets: Sequence[float]) -> tuple[list, list]:
+    """The ascending budgets T and their flow times eta T."""
+    budgets = sorted(float(T) for T in iteration_budgets)
+    return budgets, [eta * T for T in budgets]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -132,54 +156,32 @@ def run_experiment(cfg: ExperimentConfig,
                    test: Optional[feat_mod.Dataset] = None,
                    feats: Optional[feat_mod.FeatureSet] = None,
                    mc_points: Optional[feat_mod.Dataset] = None) -> RunRecord:
-    """Build, decompose, and evaluate one experiment cell.
+    """Build, decompose, and evaluate one experiment cell on the sphere.
 
-    Synthetic cells sample sphere data and targets from the config; external
-    cells (MNIST) pass pre-built train/test datasets and use their labels.
     A sweep passes one seed's draws to each of its cells: ``feats`` may then
     hold more than m directions, and its first m rows are exactly the m-row
     draw of the same stream.
     """
     m = cfg.m
-    external = cfg.target_kind == "external-labels"
     train, test, feats, mc_points = _draws(cfg, m, train, test, feats, mc_points)
-    if feats.count < m:
-        raise ValueError(f"{feats.count} feature directions given for m = {m}")
-    if feats.count > m:
-        feats = feat_mod.FeatureSet(directions=feats.directions[:m], kind=feats.kind)
-
+    feats, dec, eta, top_gram, smallest_gram = _fit(cfg, train, feats)
     n = train.count
-    phi = feat_mod.build_feature_matrix(train, feats)
-    dec = flow_mod.decompose(phi)
-    if dec.singular_values[0] == 0.0:
-        raise ValueError(f"no feature is active on any training point "
-                         f"(n = {n}, m = {m}, seed = {cfg.seed})")
     y = train.targets
 
     times = cfg.time_grid()
     trajectory = flow_mod.errors_on_grid(dec, y, feats, test, times)
 
-    # learning rate; under the flow's 1/(mn) rate convention one discrete
-    # step at learning rate eta advances flow time by eta
-    top_gram = float(dec.singular_values[0] ** 2 / (n * m))
-    eta = 1.0 / top_gram if cfg.eta == "auto" else float(cfg.eta)
-
     budget_errors = {}
     if iteration_budgets:
-        budgets = sorted(float(T) for T in iteration_budgets)
-        at_budgets = flow_mod.errors_on_grid(dec, y, feats, test, [eta * T for T in budgets])
+        budgets, budget_times = _budget_times(eta, iteration_budgets)
+        at_budgets = flow_mod.errors_on_grid(dec, y, feats, test, budget_times)
         budget_errors = dict(zip(budgets, zip(at_budgets.time.tolist(),
                                               at_budgets.test_error.tolist())))
 
     # bound constants
-    if external:
-        f_norm = float(np.sqrt(np.mean(test.targets ** 2)))
-        feat_sq = float(np.einsum("ij,ij->", phi, phi) / phi.size)
-        m_sup = bounds_mod.sup_norm(phi, test.targets)
-    else:
-        f_norm = target_norm(cfg)
-        feat_sq = feature_norm_sq(cfg.d, cfg.feature_kind)
-        m_sup = sup_bound(cfg)
+    f_norm = target_norm(cfg)
+    feat_sq = feature_norm_sq(cfg.d, cfg.feature_kind)
+    m_sup = sup_bound(cfg)
 
     # M > 0 here (s_max > 0), so the t = inf row is inf
     bound_rough = bounds_mod.norm_bound_rough(times, n, m, m_sup, cfg.delta, f_norm, feat_sq)
@@ -197,16 +199,12 @@ def run_experiment(cfg: ExperimentConfig,
     except bounds_mod.HypothesisError:
         pass  # bounds stay nan, flagged by finer_bound_hypothesis_ok below
 
-    summary = {
-        "top_gram_eigenvalue": top_gram,
-        # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
-        "smallest_gram_eigenvalue": float(dec.singular_values[-1] ** 2 / (n * m)),
-        "min_norm_test_error": float(trajectory.test_error[-1]),
-        "concentration_index": assumption.concentration_index if assumption else None,
-    }
+    summary = CellSummary(min_norm_test_error=float(trajectory.test_error[-1]),
+                          smallest_gram_eigenvalue=smallest_gram,
+                          top_gram_eigenvalue=top_gram, budget_errors=budget_errors)
     metadata = {
         "config_hash": cfg.digest(),
-        "target": f"{cfg.target_kind}:{cfg.target_order}" if not external else "external-labels",
+        "target": f"{cfg.target_kind}:{cfg.target_order}",
         "rank_threshold": flow_mod.RANK_THRESHOLD,
         "eta": eta,
         "flow_time_per_iteration": eta,
@@ -223,7 +221,6 @@ def run_experiment(cfg: ExperimentConfig,
         assumption=assumption,
         summary=summary,
         metadata=metadata,
-        budget_errors=budget_errors,
     )
 
 
@@ -238,14 +235,24 @@ class SweepResult:
     axis: str                      # "m" | "gamma"
     records: dict
 
+    @property
+    def summaries(self) -> dict:
+        """(axis value, seed) -> CellSummary, in value-major order."""
+        return {key: rec.summary for key, rec in self.records.items()}
+
+
+def _check_grid(values: list, seeds: Sequence[int]) -> None:
+    if not values:
+        raise ValueError("empty sweep axis")
+    if len(set(values)) < len(values) or len(set(seeds)) < len(seeds):
+        raise ValueError("sweep axis values and seeds must be distinct")
+
 
 def run_sweep(base: ExperimentConfig,
               m_values: Optional[Sequence] = None,
               gamma_values: Optional[Sequence[float]] = None,
               seeds: Sequence[int] = (0, 1, 2, 3, 4),
-              iteration_budgets: Sequence[float] = (1e4, 1e5, 1e6, 1e8),
-              train: Optional[feat_mod.Dataset] = None,
-              test: Optional[feat_mod.Dataset] = None) -> SweepResult:
+              iteration_budgets: Sequence[float] = (1e4, 1e5, 1e6, 1e8)) -> SweepResult:
     """Run every (axis value, seed) cell; any cell failure aborts with its id.
 
     Cells run one seed at a time.  A seed's datasets and its feature
@@ -260,16 +267,13 @@ def run_sweep(base: ExperimentConfig,
     else:
         axis, values = "gamma", list(gamma_values)
         cell_m = {g: m_for_gamma(g, base.n) for g in values}
-    if not values:
-        raise ValueError("empty sweep axis")
-    if len(set(values)) < len(values) or len(set(seeds)) < len(seeds):
-        raise ValueError("sweep axis values and seeds must be distinct")
+    _check_grid(values, seeds)
 
     cells = {v: replace(base, m=cell_m[v]) for v in values}
     m_max = max(cell_m.values())
     records = {}
     for seed in seeds:
-        draws = _draws(replace(base, seed=seed), m_max, train, test)
+        draws = _draws(replace(base, seed=seed), m_max)
         for value in values:
             try:
                 records[(value, seed)] = run_experiment(replace(cells[value], seed=seed),
@@ -280,6 +284,38 @@ def run_sweep(base: ExperimentConfig,
 
     return SweepResult(axis=axis, records={(value, seed): records[(value, seed)]
                                            for value in values for seed in seeds})
+
+
+def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod.Dataset,
+                 m_values: Sequence[int], seeds: Sequence[int],
+                 iteration_budgets: Sequence[float]) -> dict:
+    """(m, seed) -> CellSummary over a labelled train/test pair, value-major.
+
+    Each cell makes one grid call, at its budget times and t = inf, so the
+    test features are evaluated once per cell; no trajectory, bound or
+    assumption report is computed.  A seed's feature directions are drawn
+    once, at the largest m; any cell failure aborts with its id.
+    """
+    values = list(m_values)
+    _check_grid(values, seeds)
+    tables = {}
+    for seed in seeds:
+        _, feats = seed_draw(replace(base, seed=seed), max(values), train)
+        for m in values:
+            try:
+                cell_feats, dec, eta, top, smallest = _fit(replace(base, seed=seed, m=m),
+                                                           train, feats)
+                budgets, budget_times = _budget_times(eta, iteration_budgets)
+                traj = flow_mod.errors_on_grid(dec, train.targets, cell_feats, test,
+                                               budget_times + [math.inf])
+            except Exception as exc:
+                raise RuntimeError(f"sweep cell m={m} seed={seed} failed: {exc}") from exc
+            tables[(m, seed)] = CellSummary(
+                min_norm_test_error=float(traj.test_error[-1]),
+                smallest_gram_eigenvalue=smallest, top_gram_eigenvalue=top,
+                budget_errors=dict(zip(budgets, zip(traj.time[:-1].tolist(),
+                                                    traj.test_error[:-1].tolist()))))
+    return {(m, seed): tables[(m, seed)] for m in values for seed in seeds}
 
 
 def translate_curves(curves: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[float]]:
@@ -327,17 +363,17 @@ def emit_csv(record: Optional[RunRecord], path) -> None:
               [f"{key} = {record.metadata[key]}" for key in sorted(record.metadata)])
 
 
-def emit_sweep_csv(sweep: SweepResult, path) -> None:
-    """Min-norm / smallest-eigenvalue table of a sweep, one row per cell."""
-    write_csv(path, f"{sweep.axis},seed,min_norm_test_error,smallest_gram_eigenvalue",
-              ((value, seed, rec.summary["min_norm_test_error"],
-                rec.summary["smallest_gram_eigenvalue"])
-               for (value, seed), rec in sweep.records.items()))
+def emit_sweep_csv(axis: str, summaries: dict, path) -> None:
+    """Min-norm / smallest-eigenvalue table of a sweep, one row per
+    (axis value, seed) -> CellSummary entry."""
+    write_csv(path, f"{axis},seed,min_norm_test_error,smallest_gram_eigenvalue",
+              ((value, seed, cell.min_norm_test_error, cell.smallest_gram_eigenvalue)
+               for (value, seed), cell in summaries.items()))
 
 
-def emit_budget_csv(sweep: SweepResult, path) -> None:
+def emit_budget_csv(axis: str, summaries: dict, path) -> None:
     """Fixed-iteration-budget test errors of a sweep."""
-    write_csv(path, f"{sweep.axis},seed,iterations,flow_time,test_error",
+    write_csv(path, f"{axis},seed,iterations,flow_time,test_error",
               ((value, seed, T, t_flow, err)
-               for (value, seed), rec in sweep.records.items()
-               for T, (t_flow, err) in rec.budget_errors.items()))
+               for (value, seed), cell in summaries.items()
+               for T, (t_flow, err) in cell.budget_errors.items()))

@@ -52,7 +52,7 @@ def test_a01_trajectory_oracle_equivalence():
         d = 6
         pts = features.sample_sphere([seed, 1], d, 8)
         feats = features.sample_features([seed, 2], d, 8, "relu")
-        data = features.Dataset(points=pts, targets=np.ones(8), dim=d)
+        data = features.Dataset(points=pts, targets=np.ones(8))
         phi = features.build_feature_matrix(data, feats)
         y = np.random.default_rng([seed, 3]).standard_normal(8)
         dec = flow.decompose(phi)
@@ -289,14 +289,12 @@ def test_a11_mnist_pipeline_optional():
     n = 500
     train = load_idx(paths[0], paths[1], classes=(0, 1), subsample=n, seed=0)
     test = load_idx(paths[2], paths[3], classes=(0, 1))
-    cfg = ExperimentConfig(seed=0, n=n, target_kind="external-labels",
-                           t_log_start=-2.0, t_log_stop=10.0, t_per_decade=10)
+    cfg = ExperimentConfig(seed=0, n=n)
     m_values = [int(round(n * g)) for g in
                 (0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5, 2.0)]
-    sweep = runner.run_sweep(cfg, m_values=m_values, seeds=[0],
-                             iteration_budgets=(1e6,), train=train, test=test)
-    errs = {v: rec for (v, _), rec in sweep.records.items()}
-    min_norm = np.array([errs[v].summary["min_norm_test_error"] for v in m_values])
+    tables = runner.sweep_tables(cfg, train, test, m_values, [0], (1e6,))
+    errs = {v: cell for (v, _), cell in tables.items()}
+    min_norm = np.array([errs[v].min_norm_test_error for v in m_values])
     peak_m = m_values[int(np.argmax(min_norm))]
     peak_ok = 0.8 * n <= peak_m <= 1.2 * n
     budget = np.array([errs[v].budget_errors[1e6][1] for v in m_values])
@@ -319,7 +317,7 @@ def test_a12_determinism_and_worker_independence(tmp_path):
         sweep = runner.run_sweep(cfg, m_values=[90, 120], seeds=[0, 1],
                                  iteration_budgets=(1e4,))
         p_sweep = tmp_path / f"sweep_{tag}.csv"
-        runner.emit_sweep_csv(sweep, p_sweep)
+        runner.emit_sweep_csv(sweep.axis, sweep.summaries, p_sweep)
         p_run = tmp_path / f"run_{tag}.csv"
         runner.emit_csv(sweep.records[(120, 0)], p_run)
         # the mp and spectra tables, each verb run through the CLI

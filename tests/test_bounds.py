@@ -38,7 +38,7 @@ def test_damping_rejects_negative():
     with pytest.raises(ValueError):
         flow.coefficients_at(dec, y, np.array([1.0, -1.0]))
     feats = features.sample_features(0, 2, 2, "relu")
-    test = features.Dataset(points=np.eye(2), targets=y, dim=2)
+    test = features.Dataset(points=np.eye(2), targets=y)
     with pytest.raises(ValueError):
         flow.errors_on_grid(dec, y, feats, test, [-1.0, 1.0])
 
@@ -191,7 +191,7 @@ def test_measure_assumptions_exact_alignment_case():
     probe = features.sample_dataset([2, 9], 400, 4, target)
     phi_probe = features.feature_values(feats, probe.points)
     g1 = phi_probe @ dec.right_vectors[:, 0] * (np.sqrt(n) / dec.singular_values[0])
-    aligned = features.Dataset(probe.points, targets=g1, dim=4)
+    aligned = features.Dataset(probe.points, targets=g1)
     rep = bounds.measure_assumptions(dec, y, feats, aligned)
     d1, d2, d3, _ = rep.discrepancies
     assert d1 == pytest.approx(0.0, abs=1e-10)
@@ -230,7 +230,7 @@ def test_measure_assumptions_alignment_holds_on_most_seeds():
 
 def test_measure_assumptions_validation():
     dec, data, feats, target = _instance(4, 16, 16, d=4)
-    empty = features.Dataset(points=np.empty((0, 4)), targets=np.empty(0), dim=4)
+    empty = features.Dataset(points=np.empty((0, 4)), targets=np.empty(0))
     with pytest.raises(ValueError):
         bounds.measure_assumptions(dec, data.targets, feats, empty)
 

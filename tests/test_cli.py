@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import rfflow
-from rfflow import features, idx
+from rfflow import bounds, features, flow, idx, runner
 from rfflow import kernel_analytic as ka
 from rfflow.cli import main
+from rfflow.config import ExperimentConfig
 
 
 def _overrides(tmp_path, extra=()):
@@ -126,10 +127,13 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
      "rfflow sweep: error: sweep takes --m-list or --gamma-list, not both"),
     (["spectra", "--set", "d=2"], "rfflow spectra: error: d must be >= 3 for spectra, got 2"),
     (["mp", "--set", "d=2"], "rfflow mp: error: d must be >= 3 for mp, got 2"),
-    (["run", "--set", "target_kind=external-labels"],   # only mnist has labelled data
-     "rfflow run: error: target_kind external-labels needs labelled data"),
+    # labelled data is read by the mnist verb itself, never chosen by a target kind
+    (["run", "--set", "target_kind=external-labels"],
+     "rfflow run: error: target_kind must be one of ('constant-harmonic', 'legendre'), "
+     "got 'external-labels'"),
     (["spectra", "--set", "target_kind=external-labels"],
-     "rfflow spectra: error: target_kind external-labels needs labelled data"),
+     "rfflow spectra: error: target_kind must be one of ('constant-harmonic', 'legendre'), "
+     "got 'external-labels'"),
     (["run", "--set", "m=sqrt-n"], "rfflow run: error: m: expected int, got 'sqrt-n'"),
     # sweep and mp run every --seeds entry, so a --seed would be ignored
     (["sweep", "--seed", "3", "--m-list", "100"],
@@ -408,3 +412,107 @@ def test_mnist_verb_requires_paths(tmp_path, monkeypatch):
     monkeypatch.delenv("RFFLOW_DATA_DIR", raising=False)
     with pytest.raises(FileNotFoundError):
         main(["mnist", "--out", str(tmp_path)])
+
+
+def _kept_rows(labels_path) -> int:
+    return int(np.isin(idx.read_idx_labels(labels_path), (0, 1)).sum())
+
+
+def test_mnist_verb_evaluates_each_dataset_once_per_cell(tmp_path, monkeypatch):
+    # per cell: the n x m training features and the N_test x m test
+    # features, one grid call at the four budget times and t = inf, and no
+    # assumption report or finer bound
+    paths = _write_synthetic_idx(tmp_path)
+    shapes, grid_points = [], []
+    calls = dict.fromkeys(("measure_assumptions", "finer_bound"), 0)
+
+    def counted_values(feats, points, _original=features.feature_values):
+        shapes.append((len(points), feats.count))
+        return _original(feats, points)
+
+    def counted_grid(dec, y, feats, test_points, times, _original=flow.errors_on_grid):
+        grid_points.append(len(times))
+        return _original(dec, y, feats, test_points, times)
+
+    for module in (features, flow, bounds):  # flow and bounds bind their own name
+        monkeypatch.setattr(module, "feature_values", counted_values)
+    monkeypatch.setattr(flow, "errors_on_grid", counted_grid)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(bounds, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+
+    assert main(["mnist", "--out", str(tmp_path / "out"), *paths, *_MNIST_ARGS]) == 0
+    n, n_test = 40, _kept_rows(paths[7])
+    assert shapes == [shape for m in (20, 40, 60) for shape in ((n, m), (n_test, m))]
+    assert grid_points == [4 + 1] * 3
+    assert calls == {"measure_assumptions": 0, "finer_bound": 0}
+
+    # the counters see a sweep cell's assumption report and finer bounds
+    assert main(["sweep", *_overrides(tmp_path / "sweep"), "--m-list", "10", "--seeds", "0"]) == 0
+    assert calls == {"measure_assumptions": 1, "finer_bound": 13 + 1}
+
+
+def _table(path):
+    lines = path.read_text().splitlines()
+    return [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def test_mnist_tables_equal_the_full_grid_cell(tmp_path):
+    # each cell's min-norm error is the t = inf row of the full time grid, its
+    # budget errors those of a grid call at the budget times alone, and its
+    # smallest Gram eigenvalue the SVD's
+    paths = _write_synthetic_idx(tmp_path)
+    assert main(["mnist", "--out", str(tmp_path), *paths, *_MNIST_ARGS]) == 0
+    cfg = ExperimentConfig(n=40, t_log_start=-1, t_log_stop=2, t_per_decade=4)
+    train = idx.load_idx(paths[1], paths[3], classes=(0, 1), subsample=cfg.n, seed=0)
+    test = idx.load_idx(paths[5], paths[7], classes=(0, 1))
+    minnorm = _table(tmp_path / "mnist_minnorm.csv")
+    budget_rows = _table(tmp_path / "mnist_budgets.csv")
+    budgets = [1e4, 1e5, 1e6, 1e8]
+    assert [row[:2] for row in minnorm] == [[20, 0], [40, 0], [60, 0]]
+    for i, (m, seed, min_norm, smallest) in enumerate(minnorm):
+        m = int(m)
+        _, feats = runner.seed_draw(cfg, m, train)
+        dec = flow.decompose(features.build_feature_matrix(train, feats))
+        s = dec.singular_values
+        full = flow.errors_on_grid(dec, train.targets, feats, test, cfg.time_grid())
+        assert abs(min_norm - full.test_error[-1]) <= 1e-12 * full.test_error[-1]
+        assert smallest == s[-1] ** 2 / (cfg.n * m)
+        eta = 1.0 / float(s[0] ** 2 / (cfg.n * m))
+        at = flow.errors_on_grid(dec, train.targets, feats, test, [eta * T for T in budgets])
+        rows = budget_rows[4 * i:4 * i + 4]
+        assert [row[:3] for row in rows] == [[m, seed, T] for T in budgets]
+        assert [row[3] for row in rows] == at.time.tolist()
+        for row, want in zip(rows, at.test_error):
+            assert abs(row[4] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("case,message", [
+    # n larger than the rows of classes 0 and 1 in the training files
+    ("n", "subsample n = 1000 is larger than the 120 rows kept from "),
+    ("labels as images", "bad IDX magic 2049, expected 2051"),
+    ("count mismatch", "image/label count mismatch: 120 images in "),
+])
+def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch,
+                                                       case, message):
+    paths = _write_synthetic_idx(tmp_path)
+    extra = []
+    if case == "n":
+        extra = ["--set", "n=1000"]
+    elif case == "labels as images":
+        paths[1] = paths[3]
+    else:  # the test set's 40 labels for the 120 training images
+        paths[3] = paths[7]
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(runner, "sweep_tables", no_cell)
+    assert main(["mnist", "--out", str(tmp_path / "out"), *paths, *_MNIST_ARGS, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfflow mnist: error: ") and err.count("\n") == 1
+    assert message in err
+    if case == "count mismatch":
+        assert paths[1] in err and paths[3] in err

@@ -76,7 +76,7 @@ def test_eval_feature_dimension_mismatch():
 
 def test_feature_matrix_single_aligned():
     x = features.sample_sphere(2, 3, 1)
-    data = features.Dataset(points=x, targets=np.zeros(1), dim=3)
+    data = features.Dataset(points=x, targets=np.zeros(1))
     feats = features.FeatureSet(directions=x.copy(), kind="relu")
     mat = features.build_feature_matrix(data, feats)
     assert isinstance(mat, np.ndarray)
@@ -86,7 +86,7 @@ def test_feature_matrix_single_aligned():
 def test_feature_matrix_matches_scalar_evaluation():
     pts = features.sample_sphere(5, 4, 3)
     dirs = features.sample_sphere(6, 4, 2)
-    data = features.Dataset(points=pts, targets=np.zeros(3), dim=4)
+    data = features.Dataset(points=pts, targets=np.zeros(3))
     feats = features.FeatureSet(directions=dirs, kind="relu")
     mat = features.build_feature_matrix(data, feats)
     for i in range(3):
@@ -98,7 +98,7 @@ def test_feature_matrix_matches_scalar_evaluation():
 def test_indicator_matrix_is_binary():
     pts = features.sample_sphere(8, 6, 40)
     feats = features.sample_features(9, 6, 15, "indicator")
-    data = features.Dataset(points=pts, targets=np.zeros(40), dim=6)
+    data = features.Dataset(points=pts, targets=np.zeros(40))
     vals = features.build_feature_matrix(data, feats)
     assert set(np.unique(vals)) <= {0.0, 1.0}
 
@@ -154,11 +154,17 @@ def test_legendre_targets_orthogonal_mc(orders):
     assert abs(prod.mean()) < 3 * se
 
 
+def test_dataset_carries_no_dimension_of_its_own():
+    # the points' shape is the one dimension; a separate field went unchecked
+    with pytest.raises(TypeError):
+        features.Dataset(points=np.eye(3), targets=np.zeros(3), dim=7)
+
+
 def test_external_target_lookup_and_missing():
     # labelled data carries its labels row by row in Dataset.targets; there is
     # no target kind that looks them up by point identity any more
     pts = features.sample_sphere(4, 3, 5)
-    data = features.Dataset(points=2 * pts, targets=np.arange(5.0), dim=3,
+    data = features.Dataset(points=2 * pts, targets=np.arange(5.0),
                             distribution_tag="external")
     assert data.targets[2] == 2.0
     with pytest.raises(ValueError, match="unknown target kind"):
@@ -168,9 +174,9 @@ def test_external_target_lookup_and_missing():
 def test_dataset_validation():
     pts = features.sample_sphere(0, 3, 4)
     with pytest.raises(ValueError):
-        features.Dataset(points=pts, targets=np.zeros(3), dim=3)
+        features.Dataset(points=pts, targets=np.zeros(3))
     with pytest.raises(ValueError):
-        features.Dataset(points=2 * pts, targets=np.zeros(4), dim=3)
+        features.Dataset(points=2 * pts, targets=np.zeros(4))
     # raw vectors are fine when tagged external
-    features.Dataset(points=2 * pts, targets=np.zeros(4), dim=3,
+    features.Dataset(points=2 * pts, targets=np.zeros(4),
                      distribution_tag="external")

@@ -10,7 +10,7 @@ from rfflow import features, flow
 def _random_instance(seed, n, m, d=5):
     pts = features.sample_sphere([seed, 1], d, n)
     feats = features.sample_features([seed, 2], d, m, "relu")
-    data = features.Dataset(points=pts, targets=np.ones(n), dim=d)
+    data = features.Dataset(points=pts, targets=np.ones(n))
     phi = features.build_feature_matrix(data, feats)
     y = np.random.default_rng([seed, 3]).standard_normal(n)
     return phi, y, feats, data
@@ -308,7 +308,7 @@ def test_errors_on_grid_validation():
         flow.errors_on_grid(dec, y, feats, test, [1.0, 0.5])
     with pytest.raises(ValueError):
         flow.errors_on_grid(dec, y, feats, test, [np.inf, 1.0])
-    empty = features.Dataset(points=np.empty((0, 5)), targets=np.empty(0), dim=5)
+    empty = features.Dataset(points=np.empty((0, 5)), targets=np.empty(0))
     with pytest.raises(ValueError):
         flow.errors_on_grid(dec, y, feats, empty, [1.0])
 
@@ -319,7 +319,7 @@ def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
     dec = flow.decompose(phi)
     rng = np.random.default_rng(5)
     test = features.Dataset(points=3.0 * rng.random((30, 5)),
-                            targets=rng.standard_normal(30), dim=5,
+                            targets=rng.standard_normal(30),
                             distribution_tag="external")
     times = [0.0, 1.0, 100.0, np.inf]
     traj = flow.errors_on_grid(dec, y, feats, test, times)
@@ -357,7 +357,7 @@ def test_energy_profile_constant_target_concentrates():
     d = 10
     pts = features.sample_sphere([100, 1], d, 500)
     feats = features.sample_features([100, 2], d, 500, "relu")
-    data = features.Dataset(points=pts, targets=np.ones(500), dim=d)
+    data = features.Dataset(points=pts, targets=np.ones(500))
     dec = flow.decompose(features.build_feature_matrix(data, feats))
     cum, p = flow.spectral_energy_profile(dec, data.targets)
     assert np.all(np.diff(cum) >= -1e-15)

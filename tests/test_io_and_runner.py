@@ -40,7 +40,7 @@ def _configs(draw):
         m=draw(_count),
         d=draw(st.integers(3, 10**4)),
         feature_kind=draw(st.sampled_from(features.FEATURE_KINDS)),
-        target_kind=draw(st.sampled_from(features.TARGET_KINDS + ("external-labels",))),
+        target_kind=draw(st.sampled_from(features.TARGET_KINDS)),
         target_order=draw(st.integers(0, 50)), t_log_start=lo, t_log_stop=hi,
         t_per_decade=draw(_count),
         test_count=draw(_count), assumption_points=draw(_count),
@@ -147,9 +147,9 @@ def test_run_record_contents():
     assert all(b > a for a, b in zip(times[:-1], times[1:-1]))
     assert rec.bound_rough.shape == (len(times),)
     assert rec.metadata["config_hash"] == cfg.digest()
-    assert rec.summary["smallest_gram_eigenvalue"] > 0
-    assert set(rec.budget_errors) == {10.0, 100.0}
-    t_flow, _ = rec.budget_errors[100.0]
+    assert rec.summary.smallest_gram_eigenvalue > 0
+    assert set(rec.summary.budget_errors) == {10.0, 100.0}
+    t_flow, _ = rec.summary.budget_errors[100.0]
     # one discrete step at learning rate eta advances flow time by eta
     assert rec.metadata["flow_time_per_iteration"] == rec.metadata["eta"]
     assert t_flow == pytest.approx(100.0 * rec.metadata["eta"])
@@ -162,8 +162,8 @@ def test_smallest_gram_eigenvalue_read_from_the_svd(m):
     rec = runner.run_experiment(cfg)
     data, feats = runner.seed_draw(cfg, m)
     [want] = random_matrix.smallest_gram_eigenvalue(data.points, feats, [m])
-    top = rec.summary["top_gram_eigenvalue"]
-    assert abs(rec.summary["smallest_gram_eigenvalue"] - want) <= 1e-12 * top
+    top = rec.summary.top_gram_eigenvalue
+    assert abs(rec.summary.smallest_gram_eigenvalue - want) <= 1e-12 * top
 
 
 def test_grid_without_finite_times_fails():
@@ -296,14 +296,14 @@ def test_sweep_single_cell_matches_run(tmp_path):
     solo = runner.run_experiment(replace(cfg, m=15),
                                  iteration_budgets=(100.0,))
     assert rec.trajectory.test_error.tolist() == solo.trajectory.test_error.tolist()
-    assert rec.summary["min_norm_test_error"] == solo.trajectory.test_error[-1]
+    assert rec.summary.min_norm_test_error == solo.trajectory.test_error[-1]
 
 
 def _external_data(d=6, n=30, n_test=50):
     """Labelled non-sphere points, as an IDX file gives them."""
     rng = np.random.default_rng(5)
     train, test = (features.Dataset(points=rng.random((k, d)),
-                                    targets=(rng.random(k) < 0.5).astype(float), dim=d,
+                                    targets=(rng.random(k) < 0.5).astype(float),
                                     distribution_tag="external")
                    for k in (n, n_test))
     return train, test
@@ -320,28 +320,36 @@ def _csv_row(*values):
 ])
 def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, external):
     # each cell of a sweep, which shares its seed's draws, writes the same CSV
-    # rows as a run_experiment call that draws everything itself
+    # rows as a call that draws everything itself: run_experiment for sphere
+    # cells, a one-cell sweep_tables for labelled data
     budgets = (10.0, 1e3)
-    cfg, data = _tiny_config(), {}
+    cfg = _tiny_config()
     if external:
-        cfg = replace(cfg, n=30, target_kind="external-labels")
-        data = dict(zip(("train", "test"), _external_data()))
-    sweep = runner.run_sweep(cfg, seeds=[2, 0], iteration_budgets=budgets,
-                             **{f"{axis}_values": values}, **data)
-    assert list(sweep.records) == [(v, s) for v in values for s in (2, 0)]
+        cfg = replace(cfg, n=30)
+        train, test = _external_data()
+        summaries = runner.sweep_tables(cfg, train, test, values, [2, 0], budgets)
+    else:
+        sweep = runner.run_sweep(cfg, seeds=[2, 0], iteration_budgets=budgets,
+                                 **{f"{axis}_values": values})
+        summaries = sweep.summaries
+    assert list(summaries) == [(v, s) for v in values for s in (2, 0)]
     minnorm, budget = [], []
-    for (value, seed), rec in sweep.records.items():
+    for value, seed in summaries:
         m = value if axis == "m" else max(1, int(round(value * cfg.n)))
-        solo = runner.run_experiment(replace(cfg, seed=seed, m=m), budgets, **data)
-        runner.emit_csv(rec, tmp_path / "sweep.csv")
-        runner.emit_csv(solo, tmp_path / "solo.csv")
-        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
-        minnorm.append(_csv_row(value, seed, solo.summary["min_norm_test_error"],
-                                solo.summary["smallest_gram_eigenvalue"]))
+        if external:
+            solo = runner.sweep_tables(cfg, train, test, [m], [seed], budgets)[(m, seed)]
+        else:
+            rec = runner.run_experiment(replace(cfg, seed=seed, m=m), budgets)
+            runner.emit_csv(sweep.records[(value, seed)], tmp_path / "sweep.csv")
+            runner.emit_csv(rec, tmp_path / "solo.csv")
+            assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+            solo = rec.summary
+        minnorm.append(_csv_row(value, seed, solo.min_norm_test_error,
+                                solo.smallest_gram_eigenvalue))
         budget.extend(_csv_row(value, seed, T, *solo.budget_errors[T]) for T in budgets)
     # the sweep tables, value-major, hold the same values
-    runner.emit_sweep_csv(sweep, tmp_path / "minnorm.csv")
-    runner.emit_budget_csv(sweep, tmp_path / "budgets.csv")
+    runner.emit_sweep_csv(axis, summaries, tmp_path / "minnorm.csv")
+    runner.emit_budget_csv(axis, summaries, tmp_path / "budgets.csv")
     assert (tmp_path / "minnorm.csv").read_text().splitlines()[1:] == minnorm
     assert (tmp_path / "budgets.csv").read_text().splitlines()[1:] == budget
 
@@ -350,11 +358,6 @@ def test_a_feature_set_shorter_than_m_is_rejected():
     feats = features.sample_features([0, 2], 4, 10)
     with pytest.raises(ValueError, match="10 feature directions given for m = 15"):
         runner.run_experiment(_tiny_config(), feats=feats)
-
-
-def test_external_runs_need_their_datasets():
-    with pytest.raises(ValueError, match="external runs need train and test"):
-        runner.run_experiment(_tiny_config(target_kind="external-labels"))
 
 
 def test_all_zero_feature_matrix_names_the_cause():
@@ -412,7 +415,7 @@ def test_csv_round_trip_is_lossless(rows, metadata):
                                    test_error=table[:, 2], param_norm=table[:, 3],
                                    pred_norm=np.zeros(len(rows))),
         bound_rough=table[:, 4], bound_finer=table[:, 5],
-        assumption=None, summary={}, metadata=metadata, budget_errors={})
+        assumption=None, summary=runner.CellSummary(0.0, 0.0, 0.0, {}), metadata=metadata)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.csv"
         runner.emit_csv(rec, path)
@@ -517,7 +520,7 @@ def _phenomenology_sweep():
 
 def test_min_norm_error_peaks_at_interpolation_threshold():
     sweep = _phenomenology_sweep()
-    med = {v: np.median([sweep.records[(v, s)].summary["min_norm_test_error"]
+    med = {v: np.median([sweep.records[(v, s)].summary.min_norm_test_error
                          for s in (0, 1, 2)])
            for v in (100, 160, 200, 240, 400)}
     assert max(med, key=med.get) == 200  # the m = n resonance
@@ -528,7 +531,7 @@ def test_budget_errors_monotone_in_iterations_at_resonance():
     # at m = n, the eta = 1/lambda_max budgets all land past the plateau
     # onset, so the (median) test error is non-decreasing in T
     sweep = _phenomenology_sweep()
-    meds = [np.median([sweep.records[(200, s)].budget_errors[T][1]
+    meds = [np.median([sweep.records[(200, s)].summary.budget_errors[T][1]
                        for s in (0, 1, 2)])
             for T in (1e4, 1e5, 1e6, 1e8)]
     assert all(b >= a * 0.98 for a, b in zip(meds, meds[1:]))
