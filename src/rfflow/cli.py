@@ -70,8 +70,6 @@ LIST_FLAGS = {
                    "distinct comma-separated positive numbers"),
     "seeds": (int, lambda vs: _distinct(vs) and all(v >= 0 for v in vs),
               "distinct comma-separated integers >= 0"),
-    "fit_window": (float, lambda vs: len(vs) == 2 and all(map(math.isfinite, vs)),
-                   "two numbers lo,hi"),
 }
 
 
@@ -125,6 +123,7 @@ def _trajectory_svg(record, path):
             Series("train error", t[keep], train[keep]),
             Series("test error", t, traj.test_error[fin]),
             Series("parameter norm", t, traj.param_norm[fin]),
+            Series("model norm", t, traj.model_norm[fin]),
             Series("sqrt-t norm bound", t, record.bound_rough[fin], dashed=True),
         ),
         x_label="flow time t",
@@ -207,6 +206,10 @@ def cmd_spectra(args, cfg) -> int:
     return 0
 
 
+# gamma window of mp's calibration fit, around the m = n resonance
+FIT_WINDOW = (0.8, 1.25)
+
+
 def cmd_mp(args, cfg) -> int:
     from . import random_matrix as rm
     from .runner import m_for_gamma, seed_draw, write_csv
@@ -223,7 +226,7 @@ def cmd_mp(args, cfg) -> int:
     rows = [(g, float(np.mean(vals)), float(np.median(vals)))
             for g, vals in zip(args.gamma_list, np.array(per_seed).T)]
 
-    fit_lo, fit_hi = args.fit_window
+    fit_lo, fit_hi = FIT_WINDOW
     fit_pts = [(g, mean) for g, mean, _ in rows if fit_lo <= g <= fit_hi and g != 1.0]
     if not fit_pts:  # window missed the grid: fall back to all off-resonance cells
         fit_pts = [(g, mean) for g, mean, _ in rows if g != 1.0]
@@ -334,8 +337,6 @@ def main(argv=None) -> int:
     common(p_mp, seed=False)
     p_mp.add_argument("--gamma-list", default="0.5,0.7,0.85,1.0,1.2,1.5,2.0")
     p_mp.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    p_mp.add_argument("--fit-window", default="0.8,1.25",
-                      help="gamma window for the calibration fit")
     p_mp.set_defaults(func=cmd_mp)
 
     p_mn = sub.add_parser("mnist", help="two-class MNIST double-descent pipeline")

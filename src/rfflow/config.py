@@ -6,7 +6,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .features import FEATURE_KINDS, TARGET_KINDS
+from .features import FEATURE_KINDS
 
 
 @dataclass(frozen=True)
@@ -16,10 +16,9 @@ class ExperimentConfig:
 
     The time grid is logarithmic between 10^t_log_start and 10^t_log_stop with
     ``t_per_decade`` points per decade, followed by the t = inf (min-norm)
-    snapshot.  ``eta`` only affects the recorded discrete-iteration
-    correspondence: under the flow's 1/(mn) rate convention a discrete step
-    at learning rate eta advances flow time by eta.  An invalid value raises
-    ValueError at construction, naming its key.
+    snapshot.  The target is the order-``target_order`` zonal harmonic of
+    ``features.TargetSpec``.  An invalid value raises ValueError at
+    construction, naming its key.
     """
 
     seed: int = 0
@@ -27,7 +26,6 @@ class ExperimentConfig:
     m: int = 500
     d: int = 10
     feature_kind: str = "relu"
-    target_kind: str = "constant-harmonic"
     target_order: int = 0
     t_log_start: float = -2.0
     t_log_stop: float = 10.0
@@ -35,7 +33,6 @@ class ExperimentConfig:
     test_count: int = 2000
     assumption_points: int = 2000
     delta: float = 0.1
-    eta: str = "auto"            # "auto" = 1 / (largest Gram eigenvalue)
 
     def __post_init__(self):
         def need(ok: bool, key: str, rule: str):
@@ -46,17 +43,11 @@ class ExperimentConfig:
         for key in ("n", "m", "d", "t_per_decade", "test_count", "assumption_points"):
             need(getattr(self, key) >= 1, key, "must be a count >= 1")
         need(self.feature_kind in FEATURE_KINDS, "feature_kind", f"must be one of {FEATURE_KINDS}")
-        need(self.target_kind in TARGET_KINDS, "target_kind",
-             f"must be one of {TARGET_KINDS}")
         need(self.target_order >= 0, "target_order", "must be >= 0")
-        need(self.target_kind != "legendre" or self.d >= 3, "d", "must be >= 3 for legendre targets")
+        need(self.target_order == 0 or self.d >= 3, "d", "must be >= 3 for a target of order >= 1")
         need(-math.inf < self.t_log_start <= self.t_log_stop < math.inf, "t_log_start",
              f"must be finite and <= t_log_stop = {self.t_log_stop!r}")
         need(0.0 < self.delta < 1.0, "delta", "must lie in (0, 1)")
-        need(self.eta == "auto" or 0.0 < _parsed(float, self.eta) < math.inf, "eta",
-             "must be 'auto' or a positive finite number")
-        if self.eta != "auto":  # one spelling per value: 0.5, 0.50 and 5e-1 hash alike
-            object.__setattr__(self, "eta", repr(float(self.eta)))
 
     def time_grid(self) -> list[float]:
         decades = self.t_log_stop - self.t_log_start
@@ -71,14 +62,6 @@ class ExperimentConfig:
     def digest(self) -> str:
         """Hash of the text form; every field determines results."""
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
-
-
-def _parsed(cast, text: str):
-    """``text`` parsed by ``cast``; nan, which fails every comparison, if it does not parse."""
-    try:
-        return cast(text)
-    except ValueError:
-        return math.nan
 
 
 def _coerce(name: str, raw: str):

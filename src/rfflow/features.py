@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 FEATURE_KINDS = ("relu", "indicator", "affine-relu")
-TARGET_KINDS = ("constant-harmonic", "legendre")
 
 _UNIT_TOL = 1e-12
 
@@ -109,50 +107,42 @@ def build_feature_matrix(data: Dataset, feats: FeatureSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target function on the sphere: a constant or a zonal harmonic.
+    """Target function on the sphere: the zonal harmonic sqrt(N(d, k)) P_k(x_1)
+    of order k = ``order`` about the first axis, of unit norm; order 0 is the
+    constant 1 in every dimension, and an order >= 1 needs d >= 3.
 
     Data with given labels (MNIST) needs no target function: its labels are
     the ``targets`` of its ``Dataset``.
     """
 
-    kind: str = "constant-harmonic"
     order: int = 0
-    axis: Optional[np.ndarray] = None
-    normalization: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in TARGET_KINDS:
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
-        if self.kind == "legendre":
-            if self.axis is None:
-                raise ValueError("legendre targets need an axis")
-            if abs(np.linalg.norm(self.axis) - 1.0) > _UNIT_TOL:
-                raise ValueError("legendre axis must be a unit vector")
+        if self.order < 0:
+            raise ValueError(f"target order must be >= 0, got {self.order!r}")
 
 
-def legendre_target(dim: int, order: int, axis: np.ndarray) -> TargetSpec:
-    """Zonal harmonic target sqrt(N(d, n)) P_n(axis . x), unit norm under the sphere.
+def target_normaliser(dim: int, order: int) -> float:
+    """sqrt(N(d, k)), the normaliser of the order-k target and its sup norm.
 
-    The squared sphere average of P_n(axis . x) is 1/N(d, n), so the
-    multiplicity root is the exact normaliser.
+    The squared sphere average of P_k(x_1) is 1/N(d, k), and |P_k| <= 1 on
+    [-1, 1] with P_k(1) = 1.
     """
+    if order == 0:
+        return 1.0
     from . import kernel_analytic
 
-    norm = float(np.sqrt(kernel_analytic.harmonic_multiplicity(dim, order)))
-    return TargetSpec(kind="legendre", order=order, axis=np.asarray(axis, float),
-                      normalization=norm)
+    return float(np.sqrt(kernel_analytic.harmonic_multiplicity(dim, order)))
 
 
 def eval_target_many(spec: TargetSpec, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
-    if spec.kind == "constant-harmonic":
-        return np.full(points.shape[0], spec.normalization)
+    if spec.order == 0:
+        return np.ones(points.shape[0])
     from . import kernel_analytic
 
-    values = kernel_analytic.legendre(points.shape[1], spec.order, points @ spec.axis)
-    return spec.normalization * np.asarray(values)
+    values = kernel_analytic.legendre(points.shape[1], spec.order, points[:, 0])
+    return target_normaliser(points.shape[1], spec.order) * np.asarray(values)
 
 
 def sample_dataset(rng_seed, n: int, dim: int, target: TargetSpec) -> Dataset:

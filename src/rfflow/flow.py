@@ -119,7 +119,7 @@ class Trajectory:
     train_error: np.ndarray   # ||Phi a - y||^2 / (2n)
     test_error: np.ndarray    # RMS of (f_t - f*) over the test set
     param_norm: np.ndarray    # ||a(t)||
-    pred_norm: np.ndarray     # RMS of f_t over the test set
+    model_norm: np.ndarray    # ||f_t||: RMS of f_t over the test set
 
 
 def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
@@ -161,12 +161,12 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     param = np.sqrt((coeff_basis ** 2).sum(axis=0))
     # one (N_test, T) scratch array: squared predictions, then squared errors
     sq = np.square(preds)
-    pred_norm = np.sqrt(np.mean(sq, axis=0))
+    model_norm = np.sqrt(np.mean(sq, axis=0))
     np.subtract(preds, test_points.targets[:, None], out=preds)
     test_err = np.sqrt(np.mean(np.square(preds, out=sq), axis=0))
 
     return Trajectory(time=grid, train_error=train, test_error=test_err,
-                      param_norm=param, pred_norm=pred_norm)
+                      param_norm=param, model_norm=model_norm)
 
 
 def spectral_energy_profile(dec: SpectralDecomposition, y: np.ndarray,

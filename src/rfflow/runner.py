@@ -21,15 +21,11 @@ from .config import ExperimentConfig
 # rng stream tags: data, features, test points, measurement points
 _STREAM_DATA, _STREAM_FEATS, _STREAM_TEST, _STREAM_MC = 1, 2, 3, 4
 
-CSV_HEADER = "time,train_error,test_error,param_norm,bound_rough,bound_finer"
+CSV_HEADER = "time,train_error,test_error,param_norm,model_norm,bound_rough,bound_finer"
 
 
 def target_spec_for(cfg: ExperimentConfig) -> feat_mod.TargetSpec:
-    if cfg.target_kind == "constant-harmonic":
-        return feat_mod.TargetSpec(kind="constant-harmonic", normalization=1.0)
-    axis = np.zeros(cfg.d)
-    axis[0] = 1.0
-    return feat_mod.legendre_target(cfg.d, cfg.target_order, axis)
+    return feat_mod.TargetSpec(order=cfg.target_order)
 
 
 def feature_norm_sq(d: int, kind: str) -> float:
@@ -49,17 +45,14 @@ def feature_norm_sq(d: int, kind: str) -> float:
 
 
 def target_norm(cfg: ExperimentConfig) -> float:
-    """||f*|| under the sphere: both synthetic targets are unit-norm by construction."""
+    """||f*|| under the sphere: the target is unit-norm by construction."""
     return 1.0
 
 
 def sup_bound(cfg: ExperimentConfig) -> float:
     """Exact sup-norm bound M for the feature map and target on the sphere."""
     feat_sup = math.sqrt(2.0) if cfg.feature_kind == "affine-relu" else 1.0
-    # |P_n| <= 1 on [-1, 1], so a Legendre target's normaliser is its sup
-    target_sup = 1.0 if cfg.target_kind == "constant-harmonic" \
-        else target_spec_for(cfg).normalization
-    return max(feat_sup, target_sup)
+    return max(feat_sup, feat_mod.target_normaliser(cfg.d, cfg.target_order))
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,6 @@ class CellSummary:
     min_norm_test_error: float
     # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
     smallest_gram_eigenvalue: float
-    top_gram_eigenvalue: float
     budget_errors: dict              # T -> (flow time, test error), ascending T
 
 
@@ -77,7 +69,6 @@ class CellSummary:
 class RunRecord:
     """All artifacts of one experiment cell."""
 
-    config: ExperimentConfig
     trajectory: flow_mod.Trajectory
     bound_rough: np.ndarray
     bound_finer: np.ndarray          # stated form; nan when hypothesis fails
@@ -123,8 +114,8 @@ def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
 def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.FeatureSet) -> tuple:
     """The prologue of every cell: its m directions (the first m rows of the
     seed's draw ``feats``), the decomposed training features, the learning
-    rate and the top and smallest Gram eigenvalues, as
-    (feats, dec, eta, top, smallest)."""
+    rate eta = 1/(largest Gram eigenvalue) and the smallest Gram eigenvalue,
+    as (feats, dec, eta, smallest)."""
     m = cfg.m
     if feats.count < m:
         raise ValueError(f"{feats.count} feature directions given for m = {m}")
@@ -137,11 +128,10 @@ def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.Feature
     if s[0] == 0.0:
         raise ValueError(f"no feature is active on any training point "
                          f"(n = {n}, m = {m}, seed = {cfg.seed})")
-    # learning rate; under the flow's 1/(mn) rate convention one discrete
-    # step at learning rate eta advances flow time by eta
-    top_gram = float(s[0] ** 2 / (n * m))
-    eta = 1.0 / top_gram if cfg.eta == "auto" else float(cfg.eta)
-    return feats, dec, eta, top_gram, float(s[-1] ** 2 / (n * m))
+    # under the flow's 1/(mn) rate convention one discrete step at learning
+    # rate eta advances flow time by eta
+    eta = 1.0 / float(s[0] ** 2 / (n * m))
+    return feats, dec, eta, float(s[-1] ** 2 / (n * m))
 
 
 def _budget_times(eta: float, iteration_budgets: Sequence[float]) -> tuple[list, list]:
@@ -164,7 +154,7 @@ def run_experiment(cfg: ExperimentConfig,
     """
     m = cfg.m
     train, test, feats, mc_points = _draws(cfg, m, train, test, feats, mc_points)
-    feats, dec, eta, top_gram, smallest_gram = _fit(cfg, train, feats)
+    feats, dec, eta, smallest_gram = _fit(cfg, train, feats)
     n = train.count
     y = train.targets
 
@@ -200,21 +190,18 @@ def run_experiment(cfg: ExperimentConfig,
         pass  # bounds stay nan, flagged by finer_bound_hypothesis_ok below
 
     summary = CellSummary(min_norm_test_error=float(trajectory.test_error[-1]),
-                          smallest_gram_eigenvalue=smallest_gram,
-                          top_gram_eigenvalue=top_gram, budget_errors=budget_errors)
+                          smallest_gram_eigenvalue=smallest_gram, budget_errors=budget_errors)
     metadata = {
         "config_hash": cfg.digest(),
-        "target": f"{cfg.target_kind}:{cfg.target_order}",
+        "target": f"zonal-harmonic:{cfg.target_order}",
         "rank_threshold": flow_mod.RANK_THRESHOLD,
         "eta": eta,
-        "flow_time_per_iteration": eta,
         "f_norm": f_norm,
         "feature_norm_sq": feat_sq,
         "sup_bound": m_sup,
         "finer_bound_hypothesis_ok": hypothesis_ok,
     }
     return RunRecord(
-        config=cfg,
         trajectory=trajectory,
         bound_rough=bound_rough,
         bound_finer=bound_finer,
@@ -303,8 +290,8 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
         _, feats = seed_draw(replace(base, seed=seed), max(values), train)
         for m in values:
             try:
-                cell_feats, dec, eta, top, smallest = _fit(replace(base, seed=seed, m=m),
-                                                           train, feats)
+                cell_feats, dec, eta, smallest = _fit(replace(base, seed=seed, m=m),
+                                                      train, feats)
                 budgets, budget_times = _budget_times(eta, iteration_budgets)
                 traj = flow_mod.errors_on_grid(dec, train.targets, cell_feats, test,
                                                budget_times + [math.inf])
@@ -312,7 +299,7 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
                 raise RuntimeError(f"sweep cell m={m} seed={seed} failed: {exc}") from exc
             tables[(m, seed)] = CellSummary(
                 min_norm_test_error=float(traj.test_error[-1]),
-                smallest_gram_eigenvalue=smallest, top_gram_eigenvalue=top,
+                smallest_gram_eigenvalue=smallest,
                 budget_errors=dict(zip(budgets, zip(traj.time[:-1].tolist(),
                                                     traj.test_error[:-1].tolist()))))
     return {(m, seed): tables[(m, seed)] for m in values for seed in seeds}
@@ -351,15 +338,12 @@ def write_csv(path, header: str, rows, comments: Sequence[str] = ()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_csv(record: Optional[RunRecord], path) -> None:
+def emit_csv(record: RunRecord, path) -> None:
     """Trajectory CSV: '# key = value' metadata lines, header, then rows."""
-    if record is None:
-        write_csv(path, CSV_HEADER, ())
-        return
     traj = record.trajectory
     write_csv(path, CSV_HEADER,
               zip(traj.time, traj.train_error, traj.test_error, traj.param_norm,
-                  record.bound_rough, record.bound_finer),
+                  traj.model_norm, record.bound_rough, record.bound_finer),
               [f"{key} = {record.metadata[key]}" for key in sorted(record.metadata)])
 
 

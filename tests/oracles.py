@@ -4,6 +4,7 @@ Each is an independent route to a quantity the package computes another
 way, kept out of ``rfflow`` because no CLI verb runs it:
 
 - ``ode_oracle``: explicit-Euler integration of the flow (A01, test_flow);
+- ``population_mse``: the exact population error of a flow model (A16);
 - ``analytic_eigenvalue`` with ``_log_lambda_zero`` and ``_eigenvalue_ratio``:
   the paper's closed-form ReLU eigenvalue family in log space (A05, A06);
 - ``quadrature_eigenvalue``: the integral route, normalised differently;
@@ -23,14 +24,14 @@ exactly one for every aspect ratio.
 from __future__ import annotations
 
 import math
-from math import exp, gamma, lgamma, log
+from math import exp, gamma, lgamma, log, pi, sqrt
 
 import numpy as np
 from scipy.special import rgamma
 
 from rfflow.flow import _check_times
-from rfflow.kernel_analytic import (_gegenbauer_values, kernel_profile, legendre_conversion,
-                                    weighted_cosine_integral)
+from rfflow.kernel_analytic import (_gegenbauer_values, feature_kernel, kernel_profile,
+                                    legendre_conversion, weighted_cosine_integral)
 
 # ---------------------------------------------------------------------------
 # flow
@@ -67,6 +68,28 @@ def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
     if rem > 0.0:
         a += rem * (rhs - hmat @ a)
     return a
+
+
+def population_mse(coefficients, feats) -> np.ndarray:
+    """Exact ||f - f*||^2 under the uniform sphere for f = phi(.; B) a and the
+    order-0 target f* = 1, one value per column of ``coefficients`` (m, T).
+
+    With x and b in swapped roles, E_x[phi(x; b) phi(x; b')] is the
+    feature kernel of b.b', so the error is a^T K_B a - 2 a^T h + ||f*||^2
+    with K_B = feature_kernel(B B^T) and h_j = E_x phi(x; b_j): the mean of
+    max(0, x_1), Gamma(d/2) / (2 sqrt(pi) Gamma((d+1)/2)), for ReLU and 1/2
+    for the indicator.  K_B is formed in row blocks of 256.
+    """
+    a = np.asarray(coefficients, dtype=float).reshape(feats.count, -1)
+    dirs = feats.directions
+    d = dirs.shape[1]
+    mean = {"relu": exp(lgamma(d / 2) - lgamma((d + 1) / 2)) / (2 * sqrt(pi)),
+            "indicator": 0.5}[feats.kind]
+    quad = np.zeros(a.shape[1])
+    for lo in range(0, feats.count, 256):
+        k_rows = feature_kernel(dirs[lo:lo + 256] @ dirs.T, d, feats.kind)
+        quad += np.einsum("it,it->t", a[lo:lo + 256], k_rows @ a)
+    return quad - 2.0 * mean * a.sum(axis=0) + 1.0
 
 
 # ---------------------------------------------------------------------------

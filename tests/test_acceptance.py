@@ -31,8 +31,7 @@ def _report(cid: str, ok: bool, detail: str):
 
 def _base_500(seed: int, m: int = 500) -> ExperimentConfig:
     return ExperimentConfig(seed=seed, n=500, m=m, d=10,
-                            feature_kind="relu",
-                            target_kind="constant-harmonic",
+                            feature_kind="relu", target_order=0,
                             t_log_start=-2.0, t_log_stop=10.0, t_per_decade=20,
                             test_count=2000, assumption_points=2000)
 
@@ -116,7 +115,7 @@ def test_a04_norm_bound_holds_on_most_seeds():
     hits = 0
     for seed in range(20):
         rec = runner.run_experiment(_base_500(seed))
-        measured = rec.trajectory.pred_norm
+        measured = rec.trajectory.model_norm
         fin = np.isfinite(rec.trajectory.time)
         if np.all(measured[fin] <= rec.bound_rough[fin]):
             hits += 1
@@ -192,7 +191,7 @@ def test_a07_gram_vs_kernel_matrix_at_gamma8():
     rels = []
     for seed in range(5):
         data = features.sample_dataset([seed, 1], n, d,
-                                       features.TargetSpec(kind="constant-harmonic"))
+                                       features.TargetSpec())
         feats = features.sample_features([seed, 2], d, m, "relu")
         ev_g = rm.symmetric_eigenvalues(rm.gram_matrix(data.points, feats))
         # the exact ReLU kernel k(t)/(2 pi d)
@@ -214,7 +213,7 @@ def test_a08_smallest_eigenvalue_dip_and_mp_fit():
     per_seed = []
     for seed in range(10):  # one feature draw per seed serves every gamma
         data = features.sample_dataset([seed, 1], n, d,
-                                       features.TargetSpec(kind="constant-harmonic"))
+                                       features.TargetSpec())
         feats = features.sample_features([seed, 2], d, max(m_values), "relu")
         per_seed.append(rm.smallest_gram_eigenvalue(data.points, feats, m_values))
     means = [float(np.mean(vals)) for vals in np.array(per_seed).T]
@@ -426,3 +425,33 @@ def test_a15_analytic_spectrum_matches_the_kernel_matrix():
     _report("A15 analytic spectrum vs kernel-matrix blocks (n=2000)",
             ok, f"worst block-mean relative difference {worst:.4f} (<=0.05), "
                 f"{time.perf_counter() - t0:.1f}s" if ok else f"failed: {failures}")
+
+
+def test_a16_test_error_column_matches_the_population_error():
+    # the test-set RMS error of a cell against the exact population error of
+    # its flow model, at every grid time: z = (test MSE - exact) / (sample std
+    # of the per-point squared errors / sqrt(N_test)), bound fixed at |z| <= 5
+    t0 = time.perf_counter()
+    worst_z, worst_rel, failures = 0.0, 0.0, []
+    for kind in ("relu", "indicator"):
+        for m in (100, 500, 2500):
+            for seed in (3, 4, 5):
+                cfg = replace(_base_500(seed, m=m), feature_kind=kind)
+                train, test, feats, _ = runner._draws(cfg, m)
+                feats, dec, _, _ = runner._fit(cfg, train, feats)
+                grid = cfg.time_grid()
+                mse = flow.errors_on_grid(dec, train.targets, feats, test, grid).test_error ** 2
+                coeffs = flow.coefficients_at(dec, train.targets, np.array(grid))
+                exact = oracles.population_mse(coeffs, feats)
+                sq = np.square(features.feature_values(feats, test.points) @ coeffs
+                               - test.targets[:, None])
+                z = (mse - exact) / (sq.std(axis=0, ddof=1) / np.sqrt(test.count))
+                worst_z = max(worst_z, float(np.abs(z).max()))
+                worst_rel = max(worst_rel, float(np.max(np.abs(mse / exact - 1))))
+                if np.any(np.abs(z) > 5.0):
+                    failures.append(f"{kind} m={m} seed={seed}: |z| {np.abs(z).max():.2f}")
+    ok = not failures
+    _report("A16 test-error column vs exact population error",
+            ok, f"worst |z| {worst_z:.2f} (<=5) over 18 cells x {len(grid)} times, "
+                f"largest relative gap {worst_rel:.3f}, {time.perf_counter() - t0:.1f}s"
+                + (f"; {failures}" if failures else ""))

@@ -6,8 +6,8 @@ import pytest
 from rfflow import bounds, features, flow
 
 
-def _instance(seed, n, m, d=5, target_kind="constant-harmonic"):
-    target = features.TargetSpec(kind=target_kind)
+def _instance(seed, n, m, d=5):
+    target = features.TargetSpec()
     data = features.sample_dataset([seed, 1], n, d, target)
     feats = features.sample_features([seed, 2], d, m, "relu")
     phi = features.build_feature_matrix(data, feats)

@@ -35,7 +35,10 @@ def test_run_verb(tmp_path, capsys):
     assert len(csvs) == 1 and len(svgs) == 1
     header = [ln for ln in csvs[0].read_text().splitlines()
               if not ln.startswith("#")][0]
-    assert header == "time,train_error,test_error,param_norm,bound_rough,bound_finer"
+    assert header == ("time,train_error,test_error,param_norm,model_norm,"
+                      "bound_rough,bound_finer")
+    # the plot shows the model norm next to the sqrt-t bound on it
+    assert ">model norm</text>" in svgs[0].read_text()
 
 
 def test_run_verb_reports_min_norm_only_with_inf_snapshot(tmp_path, capsys):
@@ -100,7 +103,7 @@ def test_bad_config_value_is_a_one_line_usage_error(tmp_path, capsys, override, 
     (["sweep", "--gamma-list", "0.5,nan"], "--gamma-list"),
     (["mp", "--seeds", "0.9"], "--seeds"),
     (["mp", "--gamma-list", "-1"], "--gamma-list"),
-    (["mp", "--fit-window", "1"], "--fit-window"),       # needs lo,hi
+    (["mnist", "--seeds", "-1"], "--seeds"),
     (["spectra", "--gamma", "0"], "--gamma"),
     (["mnist", "--m-list", "20,x"], "--m-list"),
     (["sweep", "--m-list", "100,100"], "--m-list"),     # a cell would run twice
@@ -119,26 +122,29 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["spectra", "--gamma", "abc"], "rfflow spectra: error: argument --gamma: invalid float"),
     (["run", "--seed", "x"], "rfflow run: error: argument --seed: invalid int value: 'x'"),
     (["run", "--bogus", "1"], "rfflow run: error: unrecognized arguments: --bogus 1"),
-    (["mp", "--fit-window"],
-     "rfflow mp: error: argument --fit-window: expected one argument"),
+    (["mp", "--seeds"], "rfflow mp: error: argument --seeds: expected one argument"),
     (["frob"], "rfflow: error: argument verb: invalid choice: 'frob'"),
     (["mp", "--gamma", "2"], "rfflow mp: error: unrecognized arguments: --gamma 2"),  # no prefixes
     (["sweep", "--m-list", "10", "--gamma-list", "2"],
      "rfflow sweep: error: sweep takes --m-list or --gamma-list, not both"),
     (["spectra", "--set", "d=2"], "rfflow spectra: error: d must be >= 3 for spectra, got 2"),
     (["mp", "--set", "d=2"], "rfflow mp: error: d must be >= 3 for mp, got 2"),
-    # labelled data is read by the mnist verb itself, never chosen by a target kind
+    # labelled data is read by the mnist verb itself; the target has an order, no kind
     (["run", "--set", "target_kind=external-labels"],
-     "rfflow run: error: target_kind must be one of ('constant-harmonic', 'legendre'), "
-     "got 'external-labels'"),
+     "rfflow run: error: unknown config key 'target_kind'"),
     (["spectra", "--set", "target_kind=external-labels"],
-     "rfflow spectra: error: target_kind must be one of ('constant-harmonic', 'legendre'), "
-     "got 'external-labels'"),
+     "rfflow spectra: error: unknown config key 'target_kind'"),
     (["run", "--set", "m=sqrt-n"], "rfflow run: error: m: expected int, got 'sqrt-n'"),
     # sweep and mp run every --seeds entry, so a --seed would be ignored
     (["sweep", "--seed", "3", "--m-list", "100"],
      "rfflow sweep: error: unrecognized arguments: --seed 3"),
     (["mp", "--seed", "3"], "rfflow mp: error: unrecognized arguments: --seed 3"),
+    # the calibration window and the learning rate are constants, not options
+    (["mp", "--fit-window", "0.8,1.25"],
+     "rfflow mp: error: unrecognized arguments: --fit-window 0.8,1.25"),
+    (["run", "--set", "eta=0.5"], "rfflow run: error: unknown config key 'eta'"),
+    (["run", "--set", "target_order=1", "--set", "d=2"],
+     "rfflow run: error: d must be >= 3 for a target of order >= 1, got 2"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -165,6 +171,25 @@ def _status(argv) -> int:
 def test_removed_execution_keys_are_usage_errors(tmp_path, extra):
     assert _status(["run", *_overrides(tmp_path), *extra]) == 2
     assert not list(tmp_path.glob("run_*.csv"))
+
+
+@pytest.mark.parametrize("line,key", [
+    ("target_kind = legendre", "target_kind"),
+    ("eta = 0.5", "eta"),
+])
+def test_removed_keys_in_a_config_file_are_usage_errors(tmp_path, capsys, line, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"n = 16\n{line}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"rfflow run: error: unknown config key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_verb_at_d2_takes_the_constant_target(tmp_path):
+    # order 0 is the constant 1 in every dimension; an order >= 1 needs d >= 3
+    assert main(["run", *_overrides(tmp_path), "--set", "d=2"]) == 0
+    (csv_path,) = tmp_path.glob("run_*.csv")
+    assert "# target = zonal-harmonic:0" in csv_path.read_text().splitlines()
 
 
 def test_errors_inside_a_run_propagate(tmp_path, monkeypatch):
@@ -217,15 +242,15 @@ def test_spectra_plot_stops_the_gram_series_at_its_rank(tmp_path):
 def test_run_plot_drops_the_train_error_rounding_floor(tmp_path):
     # the order-2 Legendre target lies in the span of 250 features, so the
     # train error falls to round-off; the axis stops near eps times its start
-    assert main(["run", "--set", "n=200", "--set", "m=250", "--set", "target_kind=legendre",
-                 "--set", "target_order=2", "--out", str(tmp_path)]) == 0
+    assert main(["run", "--set", "n=200", "--set", "m=250", "--set", "target_order=2",
+                 "--out", str(tmp_path)]) == 0
     (svg_path,) = tmp_path.glob("run_*.svg")
     y_ticks = _y_ticks(svg_path)
     assert y_ticks and min(y_ticks) >= 1e-16
 
 
 def test_mp_verb_widens_empty_fit_window(tmp_path):
-    # default window [0.8, 1.25] misses this grid; fit falls back to all
+    # the window [0.8, 1.25] misses this grid; the fit falls back to all
     # off-resonance cells instead of failing
     assert main(["mp", "--out", str(tmp_path),
                  "--set", "n=40", "--set", "d=5",
@@ -257,7 +282,7 @@ def test_mp_verb_matches_a_per_cell_recomputation(tmp_path):
         smallest, top = [], []
         for seed in seeds:
             data = features.sample_dataset([seed, 1], n, d,
-                                           features.TargetSpec(kind="constant-harmonic"))
+                                           features.TargetSpec())
             phi = features.build_feature_matrix(
                 data, features.sample_features([seed, 2], d, m, "relu"))
             comp = phi @ phi.T if n <= m else phi.T @ phi

@@ -116,39 +116,36 @@ def test_rotation_invariance():
 
 
 def test_constant_target():
-    spec = features.TargetSpec(kind="constant-harmonic", normalization=1.0)
-    pts = features.sample_sphere(1, 3, 10)
-    np.testing.assert_array_equal(features.eval_target_many(spec, pts), 1.0)
+    # order 0 is the constant 1 in every dimension, d = 2 included
+    for d in (2, 3):
+        pts = features.sample_sphere(1, d, 10)
+        np.testing.assert_array_equal(features.eval_target_many(features.TargetSpec(), pts), 1.0)
 
 
 def test_legendre_target_at_axis():
     d = 4
     axis = np.zeros(d)
     axis[0] = 1.0
-    spec = features.legendre_target(d, 1, axis)
-    # P_1(1) = 1, so the value at the axis is the normaliser itself
-    assert features.eval_target_many(spec, axis[None, :])[0] == pytest.approx(spec.normalization)
+    # P_1(1) = 1, so the value at the first axis is the normaliser sqrt(N(4, 1)) = 2
+    assert features.target_normaliser(d, 1) == 2.0
+    value = features.eval_target_many(features.TargetSpec(order=1), axis[None, :])[0]
+    assert value == pytest.approx(2.0)
 
 
 def test_legendre_target_unit_norm_mc():
     d = 3
-    axis = np.zeros(d)
-    axis[0] = 1.0
-    spec = features.legendre_target(d, 2, axis)
     pts = features.sample_sphere(123, d, 100_000)
-    sq = features.eval_target_many(spec, pts) ** 2
+    sq = features.eval_target_many(features.TargetSpec(order=2), pts) ** 2
     assert np.mean(sq) == pytest.approx(1.0, abs=0.02)
 
 
 @pytest.mark.parametrize("orders", [(1, 2), (2, 3), (1, 3)])
 def test_legendre_targets_orthogonal_mc(orders):
     d = 5
-    axis = np.zeros(d)
-    axis[0] = 1.0
     n_mc = 100_000
     pts = features.sample_sphere(77, d, n_mc)
-    a = features.eval_target_many(features.legendre_target(d, orders[0], axis), pts)
-    b = features.eval_target_many(features.legendre_target(d, orders[1], axis), pts)
+    a = features.eval_target_many(features.TargetSpec(order=orders[0]), pts)
+    b = features.eval_target_many(features.TargetSpec(order=orders[1]), pts)
     prod = a * b
     se = prod.std(ddof=1) / np.sqrt(n_mc)
     assert abs(prod.mean()) < 3 * se
@@ -161,14 +158,16 @@ def test_dataset_carries_no_dimension_of_its_own():
 
 
 def test_external_target_lookup_and_missing():
-    # labelled data carries its labels row by row in Dataset.targets; there is
-    # no target kind that looks them up by point identity any more
+    # labelled data carries its labels row by row in Dataset.targets; a
+    # target function has an order and nothing else, so no kind looks them up
     pts = features.sample_sphere(4, 3, 5)
     data = features.Dataset(points=2 * pts, targets=np.arange(5.0),
                             distribution_tag="external")
     assert data.targets[2] == 2.0
-    with pytest.raises(ValueError, match="unknown target kind"):
+    with pytest.raises(TypeError, match="kind"):
         features.TargetSpec(kind="external-labels")
+    with pytest.raises(ValueError, match="order"):
+        features.TargetSpec(order=-1)
 
 
 def test_dataset_validation():

@@ -242,7 +242,7 @@ def test_min_norm_interpolates_full_rank():
 def _trajectory(seed, n, m, times, d=5):
     phi, y, feats, data = _random_instance(seed, n, m, d)
     dec = flow.decompose(phi)
-    target = features.TargetSpec(kind="constant-harmonic")
+    target = features.TargetSpec()
     test = features.sample_dataset([seed, 9], 200, d, target)
     return flow.errors_on_grid(dec, y, feats, test, times), y, dec
 
@@ -294,7 +294,7 @@ def test_errors_on_grid_sub_grid_gives_the_same_columns(seed, n, m, d, times, in
     keep = sorted(data.draw(st.sets(st.integers(0, len(grid) - 1), min_size=1)))
     full, _, _ = _trajectory(seed, n, m, grid, d)
     sub, _, _ = _trajectory(seed, n, m, [grid[i] for i in keep], d)
-    for col in ("time", "train_error", "test_error", "param_norm", "pred_norm"):
+    for col in ("time", "train_error", "test_error", "param_norm", "model_norm"):
         np.testing.assert_allclose(getattr(sub, col), getattr(full, col)[keep],
                                    rtol=1e-12, atol=0.0, err_msg=col)
 
@@ -302,7 +302,7 @@ def test_errors_on_grid_sub_grid_gives_the_same_columns(seed, n, m, d, times, in
 def test_errors_on_grid_validation():
     phi, y, feats, data = _random_instance(15, 5, 5)
     dec = flow.decompose(phi)
-    target = features.TargetSpec(kind="constant-harmonic")
+    target = features.TargetSpec()
     test = features.sample_dataset(1, 50, 5, target)
     with pytest.raises(ValueError):
         flow.errors_on_grid(dec, y, feats, test, [1.0, 0.5])

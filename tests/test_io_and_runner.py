@@ -40,13 +40,10 @@ def _configs(draw):
         m=draw(_count),
         d=draw(st.integers(3, 10**4)),
         feature_kind=draw(st.sampled_from(features.FEATURE_KINDS)),
-        target_kind=draw(st.sampled_from(features.TARGET_KINDS)),
         target_order=draw(st.integers(0, 50)), t_log_start=lo, t_log_stop=hi,
         t_per_decade=draw(_count),
         test_count=draw(_count), assumption_points=draw(_count),
         delta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        eta=draw(st.one_of(st.just("auto"),
-                           st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr))),
     )
 
 
@@ -72,22 +69,17 @@ def test_config_digest_changes_with_every_field(cfg, other, data):
 
 
 def test_config_overrides_and_types():
-    cfg = apply_overrides(ExperimentConfig(), ["n=77", "m=9", "delta=0.2", "eta=0.5"])
+    cfg = apply_overrides(ExperimentConfig(), ["n=77", "m=9", "delta=0.2", "target_order=3"])
     assert cfg.n == 77
     assert cfg.m == 9
     assert cfg.delta == 0.2
-    assert cfg.eta == "0.5"
-    for key in ("unknown", "workers", "out_dir", "include_min_norm", "time_map", "digest"):
+    assert cfg.target_order == 3
+    for key in ("unknown", "workers", "out_dir", "include_min_norm", "time_map", "digest",
+                "target_kind", "eta"):
         with pytest.raises(KeyError, match=key):
             apply_overrides(cfg, [f"{key}=1"])
     with pytest.raises(ValueError):
         apply_overrides(cfg, ["n77"])
-
-
-def test_config_digest_does_not_depend_on_how_eta_is_spelled():
-    cfgs = [apply_overrides(ExperimentConfig(), [f"eta={text}"]) for text in ("0.5", "0.50", "5e-1")]
-    assert {cfg.eta for cfg in cfgs} == {"0.5"}
-    assert len({cfg.digest() for cfg in cfgs}) == 1
 
 
 def test_config_file_loading(tmp_path):
@@ -151,8 +143,41 @@ def test_run_record_contents():
     assert set(rec.summary.budget_errors) == {10.0, 100.0}
     t_flow, _ = rec.summary.budget_errors[100.0]
     # one discrete step at learning rate eta advances flow time by eta
-    assert rec.metadata["flow_time_per_iteration"] == rec.metadata["eta"]
     assert t_flow == pytest.approx(100.0 * rec.metadata["eta"])
+
+
+# one perturbation per config field, each a valid config that the run must see
+_PERTURBED = {
+    "seed": 1,
+    "n": 120,
+    "m": 150,
+    "d": 6,
+    "feature_kind": "indicator",
+    "target_order": 2,
+    "t_log_start": -1.0,
+    "t_log_stop": 9.0,
+    "t_per_decade": 3,
+    "test_count": 250,
+    "assumption_points": 300,   # moves bound_finer: C/sqrt(n) < 1 at this size
+    "delta": 0.2,
+}
+
+
+def _run_rows(cfg, path):
+    runner.emit_csv(runner.run_experiment(cfg), path)
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def test_every_config_key_changes_the_run_rows(tmp_path):
+    # every field determines results: changing any one changes the rows that
+    # run writes, not only the config hash in its metadata
+    assert list(_PERTURBED) == [f.name for f in fields(ExperimentConfig)]
+    base = ExperimentConfig(n=100, m=200, d=5, t_per_decade=2, test_count=200,
+                            assumption_points=200)
+    rows = _run_rows(base, tmp_path / "base.csv")
+    unchanged = [key for key, value in _PERTURBED.items()
+                 if _run_rows(replace(base, **{key: value}), tmp_path / f"{key}.csv") == rows]
+    assert unchanged == []
 
 
 @pytest.mark.parametrize("m", [12, 30, 75])
@@ -162,7 +187,7 @@ def test_smallest_gram_eigenvalue_read_from_the_svd(m):
     rec = runner.run_experiment(cfg)
     data, feats = runner.seed_draw(cfg, m)
     [want] = random_matrix.smallest_gram_eigenvalue(data.points, feats, [m])
-    top = rec.summary.top_gram_eigenvalue
+    top = 1.0 / rec.metadata["eta"]  # the run's SVD: eta = 1/(largest Gram eigenvalue)
     assert abs(rec.summary.smallest_gram_eigenvalue - want) <= 1e-12 * top
 
 
@@ -183,9 +208,9 @@ def test_grid_without_finite_times_fails():
     ("target_order", dict(target_order=-1)),
     ("m", dict(m=-1)),
     ("m", dict(m=0)),
-    ("eta", dict(eta="-1")),
-    ("eta", dict(eta="fast")),
-    ("d", dict(target_kind="legendre", target_order=2, d=2)),
+    ("n", dict(n=0)),
+    ("assumption_points", dict(assumption_points=0)),
+    ("d", dict(target_order=2, d=2)),
     ("feature_kind", dict(feature_kind="tanh")),
     ("delta", dict(delta=1.0)),
     ("test_count", dict(test_count=0)),
@@ -225,7 +250,7 @@ def test_feature_norm_sq_matches_monte_carlo(kind, d):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_target_norm_matches_monte_carlo(order):
-    cfg = _tiny_config(d=10, target_kind="legendre", target_order=order)
+    cfg = _tiny_config(d=10, target_order=order)
     pts = features.sample_sphere([43, cfg.d], cfg.d, 400_000)
     values = features.eval_target_many(runner.target_spec_for(cfg), pts)
     estimate = np.sqrt(np.mean(values ** 2))
@@ -402,20 +427,19 @@ def test_translate_curves():
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(*[st.floats()] * 6), max_size=8),
+@given(rows=st.lists(st.tuples(*[st.floats()] * 7), max_size=8),
        metadata=st.dictionaries(st.from_regex(r"[a-z_]{1,12}", fullmatch=True),
                                 st.one_of(st.floats(), st.integers(), st.booleans()),
                                 max_size=5))
 def test_csv_round_trip_is_lossless(rows, metadata):
     # every float64, nan and +-inf included, survives emit_csv and a numpy parse
-    table = np.array(rows, dtype=float).reshape(-1, 6)
+    table = np.array(rows, dtype=float).reshape(-1, 7)
     rec = runner.RunRecord(
-        config=ExperimentConfig(),
         trajectory=flow.Trajectory(time=table[:, 0], train_error=table[:, 1],
                                    test_error=table[:, 2], param_norm=table[:, 3],
-                                   pred_norm=np.zeros(len(rows))),
-        bound_rough=table[:, 4], bound_finer=table[:, 5],
-        assumption=None, summary=runner.CellSummary(0.0, 0.0, 0.0, {}), metadata=metadata)
+                                   model_norm=table[:, 4]),
+        bound_rough=table[:, 5], bound_finer=table[:, 6],
+        assumption=None, summary=runner.CellSummary(0.0, 0.0, {}), metadata=metadata)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.csv"
         runner.emit_csv(rec, path)
@@ -424,7 +448,7 @@ def test_csv_round_trip_is_lossless(rows, metadata):
     meta = {key.strip(): value.strip()
             for key, _, value in (line[1:].partition("=") for line in lines[:n_meta])}
     header = lines[n_meta].split(",")
-    back = np.array([row.split(",") for row in lines[n_meta + 1:]], dtype=float).reshape(-1, 6)
+    back = np.array([row.split(",") for row in lines[n_meta + 1:]], dtype=float).reshape(-1, 7)
     assert header == runner.CSV_HEADER.split(",")
     assert meta == {key: str(value) for key, value in metadata.items()}
     np.testing.assert_array_equal(back, table)
@@ -458,12 +482,6 @@ def test_write_csv_round_trip_is_lossless(data, int_columns):
                 parsed = float(token)
                 assert parsed == value or (math.isnan(parsed) and math.isnan(value))
                 assert math.isnan(value) or math.copysign(1, parsed) == math.copysign(1, value)
-
-
-def test_csv_empty_record_is_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    runner.emit_csv(None, path)
-    assert path.read_text() == runner.CSV_HEADER + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_legendre_conversion_is_the_binomial_value_at_one():
 def test_legendre_target_has_unit_norm_in_high_dimension():
     # d = 200 is past the overflow of Gamma(n + d - 2) in the Gamma-function form
     d = 200
-    target = features.legendre_target(d, 2, np.eye(d)[0])
+    target = features.TargetSpec(order=2)
     vals = features.eval_target_many(target, features.sample_sphere(7, d, 20_000))
     assert np.sqrt(np.mean(vals ** 2)) == pytest.approx(1.0, rel=0.02)
 

@@ -13,7 +13,7 @@ from rfflow.flow import decompose
 
 def _draw(seed, n, m, d=10, kind="relu"):
     data = features.sample_dataset([seed, 1], n, d,
-                                   features.TargetSpec(kind="constant-harmonic"))
+                                   features.TargetSpec())
     return data.points, features.sample_features([seed, 2], d, m, kind)
 
 

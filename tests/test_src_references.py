@@ -1,5 +1,5 @@
 """Everything defined in ``src/rfflow`` is reached from the package itself,
-and every module uses what it imports.
+every dataclass field is read there, and every module uses what it imports.
 
 A function or class that only the tests call belongs in ``tests/oracles.py``.
 """
@@ -17,6 +17,21 @@ ALLOWED = {
                          "fails on a missing name; it goes once TRACED drops it",
     "spectrum_feature_scale": "perfbench/spans.TRACED wraps it by name, and Tracer.install "
                               "fails on a missing name; it goes once TRACED drops it",
+}
+
+
+# dataclass fields that nothing in src/ reads: "Class.field" -> reason
+UNREAD_FIELDS = {
+    "Dataset.distribution_tag": "read only by its own validation, which checks unit-norm "
+                                "rows of sphere samples",
+    "RunRecord.assumption": "the assumption report; a run sidecar is to write it",
+    "AssumptionReport.c_prime": "waits for a run sidecar that writes it",
+    "AssumptionReport.discrepancies": "waits for a run sidecar that writes it",
+    "AssumptionReport.concentration_index": "waits for a run sidecar that writes it",
+    "AssumptionReport.regime_constants": "waits for a run sidecar that writes it",
+    "RegimeWindow.t_low": "waits for a run sidecar that writes regime_window",
+    "RegimeWindow.t_high": "waits for a run sidecar that writes regime_window",
+    "RegimeWindow.level": "waits for a run sidecar that writes regime_window",
 }
 
 
@@ -46,6 +61,36 @@ def test_every_src_definition_is_named_in_src_exported_or_allowed():
     # a name beyond the allowlist moves to tests/oracles.py; an entry whose
     # reason has gone (a caller appeared) leaves the allowlist
     assert sorted(unreferenced) == sorted(ALLOWED)
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        _name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+        for dec in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_in_src_or_allowed():
+    """A field counts as read when some attribute load in src/ has its name,
+    outside its own class's ``__post_init__``.  The match is by name only, so
+    a read of an unrelated attribute of the same name (``args.config``, say,
+    for a field ``config``) hides an unread field."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    loads = [sub for tree in trees for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
+    unread = []
+    for cls in (node for tree in trees for node in tree.body if _is_dataclass(node)):
+        own = {id(sub) for item in cls.body
+               if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+               for sub in ast.walk(item)}
+        for item in cls.body:
+            if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                continue
+            field = item.target.id
+            if not any(load.attr == field and id(load) not in own for load in loads):
+                unread.append(f"{cls.name}.{field}")
+    # a field beyond the allowlist is written or deleted; an entry that is
+    # read again leaves the allowlist
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
 
 
 def _bound_names(node):
