@@ -3,7 +3,9 @@
 Verbs: run, sweep, spectra, mp, mnist.  Every verb accepts --config PATH
 (flat key = value file), repeated --set key=value overrides and --out DIR
 (default: the current directory); run, spectra and mnist also take --seed N
-(sweep and mp take --seeds).  Cells run one after another.
+(sweep and mp take --seeds).  --set may name only the keys the verb reads;
+the keys of a --config file are not checked, as one file may serve several
+verbs.  Cells run one after another.
 MNIST IDX files are looked up in $RFFLOW_DATA_DIR unless all four paths
 are given.
 """
@@ -14,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,11 @@ def _build_config(args):
         cfg = load_config(args.config, cfg)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
+    for pair in args.set:
+        key = pair.partition("=")[0].strip()
+        if key not in args.keys:
+            raise ValueError(f"{args.verb} does not read config key {key!r}; "
+                             f"it reads {', '.join(args.keys)}")
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -304,6 +311,9 @@ def cmd_mnist(args, cfg) -> int:
 
 
 def main(argv=None) -> int:
+    from .config import ExperimentConfig
+
+    every_key = tuple(f.name for f in fields(ExperimentConfig))
     parser = _Parser(prog="rfflow", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -317,7 +327,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="single trajectory experiment")
     common(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, keys=every_key)
 
     p_sweep = sub.add_parser("sweep", help="sweep feature counts or gamma values")
     common(p_sweep, seed=False)
@@ -326,18 +336,19 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seeds", default="0,1,2,3,4")
     p_sweep.add_argument("--translate", action="store_true",
                          help="shift curves to a common minimum in the plot")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep,
+                         keys=tuple(k for k in every_key if k not in ("seed", "m")))
 
     p_spec = sub.add_parser("spectra", help="gram vs kernel-matrix vs analytic spectra")
     common(p_spec)
     p_spec.add_argument("--gamma", type=float, default=1.0)
-    p_spec.set_defaults(func=cmd_spectra)
+    p_spec.set_defaults(func=cmd_spectra, keys=("seed", "n", "d", "feature_kind"))
 
     p_mp = sub.add_parser("mp", help="smallest-eigenvalue sweep and MP calibration")
     common(p_mp, seed=False)
     p_mp.add_argument("--gamma-list", default="0.5,0.7,0.85,1.0,1.2,1.5,2.0")
     p_mp.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    p_mp.set_defaults(func=cmd_mp)
+    p_mp.set_defaults(func=cmd_mp, keys=("n", "d", "feature_kind"))
 
     p_mn = sub.add_parser("mnist", help="two-class MNIST double-descent pipeline")
     common(p_mn)
@@ -347,7 +358,7 @@ def main(argv=None) -> int:
     p_mn.add_argument("--test-labels")
     p_mn.add_argument("--m-list")
     p_mn.add_argument("--seeds", default="0")
-    p_mn.set_defaults(func=cmd_mnist)
+    p_mn.set_defaults(func=cmd_mnist, keys=("seed", "n", "feature_kind"))
 
     try:
         args, unknown = parser.parse_known_args(argv)

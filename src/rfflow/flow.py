@@ -17,6 +17,7 @@ least-squares solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -123,13 +124,16 @@ class Trajectory:
 
 
 def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
-                   test_points: Dataset, times) -> Trajectory:
+                   test_points: Dataset, times,
+                   test_features: Optional[np.ndarray] = None) -> Trajectory:
     """The trajectory over an ascending grid (inf allowed as last entry).
 
     Training error is evaluated in the spectral basis, test error by
     root-mean-square against ``test_points.targets``.  Each time's values
     depend on no other time, so a sub-grid gives the same values up to
-    rounding.
+    rounding.  ``test_features``, the (N_test, m) values of ``feats`` at the
+    test points, is evaluated here unless given; a sweep passes a column
+    block of one evaluation at its largest m.
     """
     grid = _check_times(list(times))
     if np.any(np.isinf(grid[:-1])):
@@ -148,11 +152,15 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     outside = y - dec.left_vectors[:, :r] @ uy
     perp = float(outside @ outside)
 
-    phi_test = feature_values(feats, test_points.points)
+    if test_features is None:
+        test_features = feature_values(feats, test_points.points)
+    elif test_features.shape != (test_points.count, m):
+        raise ValueError(f"test features of shape {test_features.shape} given, "
+                         f"expected {(test_points.count, m)}")
 
     coeff_basis = _damping(s, grid, n, m) * uy[:, None]   # (r+, T)
-    preds = phi_test @ (dec.right_vectors[:, :r] @ coeff_basis)
-    del phi_test
+    preds = test_features @ (dec.right_vectors[:, :r] @ coeff_basis)
+    del test_features
 
     # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2, zero at t = inf
     expo = np.exp(-_exponents(s, grid, n, m))

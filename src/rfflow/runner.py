@@ -278,23 +278,27 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
                  iteration_budgets: Sequence[float]) -> dict:
     """(m, seed) -> CellSummary over a labelled train/test pair, value-major.
 
-    Each cell makes one grid call, at its budget times and t = inf, so the
-    test features are evaluated once per cell; no trajectory, bound or
-    assumption report is computed.  A seed's feature directions are drawn
-    once, at the largest m; any cell failure aborts with its id.
+    Each cell makes one grid call, at its budget times and t = inf; no
+    trajectory, bound or assumption report is computed.  A seed's feature
+    directions are drawn once, at the largest m, and the test set is
+    featurized once per seed over all of them: a cell reads the first m
+    columns, a view.  That holds N_test x max m doubles per seed, while the
+    training features stay per cell.  Any cell failure aborts with its id.
     """
     values = list(m_values)
     _check_grid(values, seeds)
     tables = {}
     for seed in seeds:
         _, feats = seed_draw(replace(base, seed=seed), max(values), train)
+        test_features = feat_mod.feature_values(feats, test.points)
         for m in values:
             try:
                 cell_feats, dec, eta, smallest = _fit(replace(base, seed=seed, m=m),
                                                       train, feats)
                 budgets, budget_times = _budget_times(eta, iteration_budgets)
                 traj = flow_mod.errors_on_grid(dec, train.targets, cell_feats, test,
-                                               budget_times + [math.inf])
+                                               budget_times + [math.inf],
+                                               test_features[:, :m])
             except Exception as exc:
                 raise RuntimeError(f"sweep cell m={m} seed={seed} failed: {exc}") from exc
             tables[(m, seed)] = CellSummary(
@@ -302,6 +306,7 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
                 smallest_gram_eigenvalue=smallest,
                 budget_errors=dict(zip(budgets, zip(traj.time[:-1].tolist(),
                                                     traj.test_error[:-1].tolist()))))
+        del test_features   # free this seed's before the next seed's is made
     return {(m, seed): tables[(m, seed)] for m in values for seed in seeds}
 
 

@@ -16,13 +16,15 @@ from rfflow.cli import main
 from rfflow.config import ExperimentConfig
 
 
-def _overrides(tmp_path, extra=()):
+def _overrides(tmp_path, verb="run"):
+    """Small cells for run or sweep; sweep reads no m (its cells take --m-list)."""
     args = ["--out", str(tmp_path),
-            "--set", "n=20", "--set", "m=15", "--set", "d=4",
+            "--set", "n=20", "--set", "d=4",
             "--set", "t_log_start=-1", "--set", "t_log_stop=2",
             "--set", "t_per_decade=4", "--set", "test_count=80",
             "--set", "assumption_points=100"]
-    args.extend(extra)
+    if verb == "run":
+        args += ["--set", "m=15"]
     return args
 
 
@@ -67,7 +69,7 @@ def test_run_verb_with_config_file(tmp_path):
 
 
 def test_sweep_verb(tmp_path):
-    assert main(["sweep", *_overrides(tmp_path),
+    assert main(["sweep", *_overrides(tmp_path, "sweep"),
                  "--m-list", "10,20", "--seeds", "0,1", "--translate"]) == 0
     assert (tmp_path / "sweep_m_minnorm.csv").exists()
     assert (tmp_path / "sweep_m_budgets.csv").exists()
@@ -78,7 +80,7 @@ def test_sweep_verb(tmp_path):
 
 
 def test_sweep_requires_axis(tmp_path, capsys):
-    assert main(["sweep", *_overrides(tmp_path)]) == 2
+    assert main(["sweep", *_overrides(tmp_path, "sweep")]) == 2
     assert capsys.readouterr().err == "rfflow sweep: error: sweep needs --m-list or --gamma-list\n"
     assert main(["sweep", "--out", str(tmp_path / "new")]) == 2
     assert not (tmp_path / "new").exists()  # a usage error makes no output directory
@@ -183,6 +185,39 @@ def test_removed_keys_in_a_config_file_are_usage_errors(tmp_path, capsys, line, 
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"rfflow run: error: unknown config key {key!r}\n"
     assert not (tmp_path / "out").exists()
+
+
+_SWEEP_READS = ("n, d, feature_kind, target_order, t_log_start, t_log_stop, t_per_decade, "
+                "test_count, assumption_points, delta")
+
+
+@pytest.mark.parametrize("argv,key,reads", [
+    # run reads every key; sweep's cells take their m from --m-list and seeds from --seeds
+    (["sweep", "--m-list", "10", "--set", "m=15"], "m", _SWEEP_READS),
+    (["sweep", "--m-list", "10", "--set", "seed=3"], "seed", _SWEEP_READS),
+    (["spectra", "--set", "n=50", "--set", "target_order=2"], "target_order",
+     "seed, n, d, feature_kind"),
+    (["mp", "--set", "n=50", "--set", "seed=3"], "seed", "n, d, feature_kind"),
+    (["mnist", "--set", "t_per_decade=3"], "t_per_decade", "seed, n, feature_kind"),
+    (["mnist", "--set", "d=3"], "d", "seed, n, feature_kind"),
+], ids=["sweep-m", "sweep-seed", "spectra-target_order", "mp-seed", "mnist-t_per_decade",
+        "mnist-d"])
+def test_set_of_a_key_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys, argv, key,
+                                                               reads):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"rfflow {argv[0]}: error: {argv[0]} does not read config key "
+                            f"{key!r}; it reads {reads}\n")
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_config_file_keys_are_not_checked_per_verb(tmp_path):
+    # one file may serve several verbs: spectra takes a file that sets m and the time grid
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 50\nm = 7\nd = 5\nt_per_decade = 3\n")
+    assert main(["spectra", "--config", str(path), "--gamma", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "spectra_gamma2.csv").exists()
 
 
 def test_run_verb_at_d2_takes_the_constant_target(tmp_path):
@@ -379,8 +414,7 @@ def test_spectra_verb_memory_is_bounded_in_m_and_d(tmp_path, gamma, d):
     assert peak < 8e6
 
 
-_MNIST_ARGS = ["--set", "n=40", "--set", "t_log_start=-1", "--set", "t_log_stop=2",
-               "--set", "t_per_decade=4", "--m-list", "20,40,60", "--seeds", "0"]
+_MNIST_ARGS = ["--set", "n=40", "--m-list", "20,40,60", "--seeds", "0"]
 
 
 def _write_synthetic_idx(root):
@@ -443,21 +477,23 @@ def _kept_rows(labels_path) -> int:
     return int(np.isin(idx.read_idx_labels(labels_path), (0, 1)).sum())
 
 
-def test_mnist_verb_evaluates_each_dataset_once_per_cell(tmp_path, monkeypatch):
-    # per cell: the n x m training features and the N_test x m test
-    # features, one grid call at the four budget times and t = inf, and no
+def test_mnist_verb_evaluates_the_test_set_once_per_seed(tmp_path, monkeypatch):
+    # per seed: the N_test x max m test features; per cell: the n x m
+    # training features and one grid call at the four budget times and
+    # t = inf, on the first m columns of the seed's test features, and no
     # assumption report or finer bound
     paths = _write_synthetic_idx(tmp_path)
-    shapes, grid_points = [], []
+    shapes, grid_calls = [], []
     calls = dict.fromkeys(("measure_assumptions", "finer_bound"), 0)
 
     def counted_values(feats, points, _original=features.feature_values):
         shapes.append((len(points), feats.count))
         return _original(feats, points)
 
-    def counted_grid(dec, y, feats, test_points, times, _original=flow.errors_on_grid):
-        grid_points.append(len(times))
-        return _original(dec, y, feats, test_points, times)
+    def counted_grid(dec, y, feats, test_points, times, test_features=None,
+                     _original=flow.errors_on_grid):
+        grid_calls.append((len(times), getattr(test_features, "shape", None)))
+        return _original(dec, y, feats, test_points, times, test_features)
 
     for module in (features, flow, bounds):  # flow and bounds bind their own name
         monkeypatch.setattr(module, "feature_values", counted_values)
@@ -468,14 +504,21 @@ def test_mnist_verb_evaluates_each_dataset_once_per_cell(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(bounds, name, counted)
 
-    assert main(["mnist", "--out", str(tmp_path / "out"), *paths, *_MNIST_ARGS]) == 0
     n, n_test = 40, _kept_rows(paths[7])
-    assert shapes == [shape for m in (20, 40, 60) for shape in ((n, m), (n_test, m))]
-    assert grid_points == [4 + 1] * 3
+    per_seed = [(n_test, 60)] + [(n, m) for m in (20, 40, 60)]
+    assert main(["mnist", "--out", str(tmp_path / "out"), *paths, *_MNIST_ARGS]) == 0
+    assert shapes == per_seed
+    assert grid_calls == [(4 + 1, (n_test, m)) for m in (20, 40, 60)]
     assert calls == {"measure_assumptions": 0, "finer_bound": 0}
 
+    shapes.clear()
+    assert main(["mnist", "--out", str(tmp_path / "two"), *paths, *_MNIST_ARGS,
+                 "--seeds", "0,1"]) == 0
+    assert shapes == per_seed * 2
+
     # the counters see a sweep cell's assumption report and finer bounds
-    assert main(["sweep", *_overrides(tmp_path / "sweep"), "--m-list", "10", "--seeds", "0"]) == 0
+    assert main(["sweep", *_overrides(tmp_path / "sweep", "sweep"),
+                 "--m-list", "10", "--seeds", "0"]) == 0
     assert calls == {"measure_assumptions": 1, "finer_bound": 13 + 1}
 
 
@@ -490,7 +533,7 @@ def test_mnist_tables_equal_the_full_grid_cell(tmp_path):
     # smallest Gram eigenvalue the SVD's
     paths = _write_synthetic_idx(tmp_path)
     assert main(["mnist", "--out", str(tmp_path), *paths, *_MNIST_ARGS]) == 0
-    cfg = ExperimentConfig(n=40, t_log_start=-1, t_log_stop=2, t_per_decade=4)
+    cfg = ExperimentConfig(n=40)
     train = idx.load_idx(paths[1], paths[3], classes=(0, 1), subsample=cfg.n, seed=0)
     test = idx.load_idx(paths[5], paths[7], classes=(0, 1))
     minnorm = _table(tmp_path / "mnist_minnorm.csv")

@@ -7,9 +7,9 @@ import oracles
 from rfflow import features, flow
 
 
-def _random_instance(seed, n, m, d=5):
+def _random_instance(seed, n, m, d=5, kind="relu"):
     pts = features.sample_sphere([seed, 1], d, n)
-    feats = features.sample_features([seed, 2], d, m, "relu")
+    feats = features.sample_features([seed, 2], d, m, kind)
     data = features.Dataset(points=pts, targets=np.ones(n))
     phi = features.build_feature_matrix(data, feats)
     y = np.random.default_rng([seed, 3]).standard_normal(n)
@@ -21,6 +21,7 @@ def _random_instance(seed, n, m, d=5):
 _instance = dict(seed=st.integers(0, 10**6), n=st.integers(1, 12), m=st.integers(1, 12),
                  d=st.integers(2, 8))
 _finite_times = st.lists(st.floats(0.0, 1e10), min_size=1, max_size=12).map(sorted)
+_COLUMNS = ("time", "train_error", "test_error", "param_norm", "model_norm")
 
 
 def test_decompose_scalar():
@@ -294,7 +295,7 @@ def test_errors_on_grid_sub_grid_gives_the_same_columns(seed, n, m, d, times, in
     keep = sorted(data.draw(st.sets(st.integers(0, len(grid) - 1), min_size=1)))
     full, _, _ = _trajectory(seed, n, m, grid, d)
     sub, _, _ = _trajectory(seed, n, m, [grid[i] for i in keep], d)
-    for col in ("time", "train_error", "test_error", "param_norm", "model_norm"):
+    for col in _COLUMNS:
         np.testing.assert_allclose(getattr(sub, col), getattr(full, col)[keep],
                                    rtol=1e-12, atol=0.0, err_msg=col)
 
@@ -311,6 +312,43 @@ def test_errors_on_grid_validation():
     empty = features.Dataset(points=np.empty((0, 5)), targets=np.empty(0))
     with pytest.raises(ValueError):
         flow.errors_on_grid(dec, y, feats, empty, [1.0])
+
+
+def test_errors_on_grid_rejects_test_features_of_the_wrong_shape():
+    phi, y, feats, _ = _random_instance(15, 5, 4)
+    dec = flow.decompose(phi)
+    test = features.sample_dataset(1, 50, 5, features.TargetSpec())
+    values = features.feature_values(feats, test.points)
+    for bad in (values[:, :3], values[:49], values.T,
+                np.hstack([values, values])):
+        with pytest.raises(ValueError) as info:
+            flow.errors_on_grid(dec, y, feats, test, [1.0], bad)
+        assert f"{bad.shape}" in str(info.value) and "(50, 4)" in str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["relu", "indicator", "affine-relu"]), extra=st.integers(0, 20),
+       times=_finite_times, **_instance)
+def test_errors_on_grid_takes_the_test_features_or_a_prefix_of_more(kind, extra, times,
+                                                                     seed, n, m, d):
+    # a sweep evaluates the test features once, at its largest m, and hands
+    # each cell the first m columns
+    phi, y, feats, _ = _random_instance(seed, n, m, d, kind)
+    dec = flow.decompose(phi)
+    test = features.sample_dataset([seed, 9], 200, d, features.TargetSpec())
+    grid = times + [np.inf]
+    own = flow.errors_on_grid(dec, y, feats, test, grid)
+
+    given_values = flow.errors_on_grid(dec, y, feats, test, grid,
+                                       features.feature_values(feats, test.points))
+    more = features.sample_features([seed, 2], d, m + extra, kind)
+    prefix = flow.errors_on_grid(dec, y, feats, test, grid,
+                                 features.feature_values(more, test.points)[:, :m])
+    for col in _COLUMNS:
+        np.testing.assert_array_equal(getattr(given_values, col), getattr(own, col),
+                                      err_msg=col)
+        np.testing.assert_allclose(getattr(prefix, col), getattr(own, col),
+                                   rtol=1e-12, atol=0.0, err_msg=col)
 
 
 def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
