@@ -27,16 +27,19 @@ DATA_DIR_ENV = "RFFLOW_DATA_DIR"
 def _build_config(args):
     from .config import ExperimentConfig, apply_overrides, load_config
 
+    # a key the verb does not read is reported before any value is parsed;
+    # a name that is no config key is left to apply_overrides
+    config_keys = {f.name for f in fields(ExperimentConfig)}
+    for pair in args.set:
+        key = pair.partition("=")[0].strip()
+        if key in config_keys and key not in args.keys:
+            raise ValueError(f"{args.verb} does not read config key {key!r}; "
+                             f"it reads {', '.join(args.keys)}")
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    for pair in args.set:
-        key = pair.partition("=")[0].strip()
-        if key not in args.keys:
-            raise ValueError(f"{args.verb} does not read config key {key!r}; "
-                             f"it reads {', '.join(args.keys)}")
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -159,23 +162,24 @@ def cmd_sweep(args, cfg) -> int:
 
     seeds = args.seeds
     if args.m_list:
-        sweep = run_sweep(cfg, m_values=args.m_list, seeds=seeds)
+        axis, records = "m", run_sweep(cfg, seeds, m_values=args.m_list)
     else:
-        sweep = run_sweep(cfg, gamma_values=args.gamma_list, seeds=seeds)
+        axis, records = "gamma", run_sweep(cfg, seeds, gamma_values=args.gamma_list)
+    summaries = {key: rec.summary for key, rec in records.items()}
     out = Path(args.out)
-    emit_sweep_csv(sweep.axis, sweep.summaries, out / f"sweep_{sweep.axis}_minnorm.csv")
-    emit_budget_csv(sweep.axis, sweep.summaries, out / f"sweep_{sweep.axis}_budgets.csv")
+    emit_sweep_csv(axis, summaries, out / f"sweep_{axis}_minnorm.csv")
+    emit_budget_csv(axis, summaries, out / f"sweep_{axis}_budgets.csv")
 
-    values = sorted({v for v, _ in sweep.records})
-    time = sweep.records[(values[0], seeds[0])].trajectory.time  # every cell's grid
+    values = sorted({v for v, _ in records})
+    time = records[(values[0], seeds[0])].trajectory.time  # every cell's grid
     fin = np.isfinite(time)
-    curves = [sweep.records[(v, seeds[0])].trajectory.test_error[fin] for v in values]
+    curves = [records[(v, seeds[0])].trajectory.test_error[fin] for v in values]
     if args.translate:
         curves, _ = translate_curves(curves)
-    series = tuple(Series(f"{sweep.axis}={v:g}", time[fin], c) for v, c in zip(values, curves))
-    emit_svg(PlotSpec(title=f"test error curves over {sweep.axis}",
+    series = tuple(Series(f"{axis}={v:g}", time[fin], c) for v, c in zip(values, curves))
+    emit_svg(PlotSpec(title=f"test error curves over {axis}",
                       series=series, x_label="flow time t"),
-             out / f"sweep_{sweep.axis}_curves.svg")
+             out / f"sweep_{axis}_curves.svg")
     print(f"wrote sweep tables under {out}")
     return 0
 
@@ -290,7 +294,7 @@ def cmd_mnist(args, cfg) -> int:
         m_values = sorted({m_for_gamma(g, cfg.n)
                            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2,
                                      1.5, 2.0, 3.0)})
-    tables = sweep_tables(cfg, train, test, m_values, args.seeds, (1e4, 1e5, 1e6, 1e8))
+    tables = sweep_tables(cfg, train, test, m_values, args.seeds)
     out = Path(args.out)
     emit_sweep_csv("m", tables, out / "mnist_minnorm.csv")
     emit_budget_csv("m", tables, out / "mnist_budgets.csv")

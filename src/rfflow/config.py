@@ -17,7 +17,10 @@ class ExperimentConfig:
     The time grid is logarithmic between 10^t_log_start and 10^t_log_stop with
     ``t_per_decade`` points per decade, followed by the t = inf (min-norm)
     snapshot.  The target is the order-``target_order`` zonal harmonic of
-    ``features.TargetSpec``.  An invalid value raises ValueError at
+    ``features.TargetSpec``.  The test-set size, the Monte-Carlo size of the
+    assumption report and the rough bound's confidence delta are the
+    constants ``runner.TEST_COUNT``, ``runner.ASSUMPTION_POINTS`` and
+    ``runner.DELTA``, not keys.  An invalid value raises ValueError at
     construction, naming its key.
     """
 
@@ -30,9 +33,6 @@ class ExperimentConfig:
     t_log_start: float = -2.0
     t_log_stop: float = 10.0
     t_per_decade: int = 20
-    test_count: int = 2000
-    assumption_points: int = 2000
-    delta: float = 0.1
 
     def __post_init__(self):
         def need(ok: bool, key: str, rule: str):
@@ -40,14 +40,13 @@ class ExperimentConfig:
                 raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
 
         need(self.seed >= 0, "seed", "must be >= 0")
-        for key in ("n", "m", "d", "t_per_decade", "test_count", "assumption_points"):
+        for key in ("n", "m", "d", "t_per_decade"):
             need(getattr(self, key) >= 1, key, "must be a count >= 1")
         need(self.feature_kind in FEATURE_KINDS, "feature_kind", f"must be one of {FEATURE_KINDS}")
         need(self.target_order >= 0, "target_order", "must be >= 0")
         need(self.target_order == 0 or self.d >= 3, "d", "must be >= 3 for a target of order >= 1")
         need(-math.inf < self.t_log_start <= self.t_log_stop < math.inf, "t_log_start",
              f"must be finite and <= t_log_stop = {self.t_log_stop!r}")
-        need(0.0 < self.delta < 1.0, "delta", "must lie in (0, 1)")
 
     def time_grid(self) -> list[float]:
         decades = self.t_log_stop - self.t_log_start

@@ -20,6 +20,13 @@ from .config import ExperimentConfig
 
 # rng stream tags: data, features, test points, measurement points
 _STREAM_DATA, _STREAM_FEATS, _STREAM_TEST, _STREAM_MC = 1, 2, 3, 4
+# sizes of the test set and of the assumption report's Monte-Carlo set
+TEST_COUNT = 2000
+ASSUMPTION_POINTS = 2000
+# confidence of the rough bound's Hoeffding terms
+DELTA = 0.1
+# a sweep's fixed gradient-descent iteration budgets T
+ITERATION_BUDGETS = (1e4, 1e5, 1e6, 1e8)
 
 CSV_HEADER = "time,train_error,test_error,param_norm,model_norm,bound_rough,bound_finer"
 
@@ -103,10 +110,10 @@ def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
     from the config seed's streams."""
     target = target_spec_for(cfg)
     if test is None:
-        test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], cfg.test_count, cfg.d, target)
+        test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], TEST_COUNT, cfg.d, target)
     if mc_points is None:
-        mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC],
-                                            cfg.assumption_points, cfg.d, target)
+        mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC], ASSUMPTION_POINTS,
+                                            cfg.d, target)
     train, feats = seed_draw(cfg, m, train, feats)
     return train, test, feats, mc_points
 
@@ -174,7 +181,7 @@ def run_experiment(cfg: ExperimentConfig,
     m_sup = sup_bound(cfg)
 
     # M > 0 here (s_max > 0), so the t = inf row is inf
-    bound_rough = bounds_mod.norm_bound_rough(times, n, m, m_sup, cfg.delta, f_norm, feat_sq)
+    bound_rough = bounds_mod.norm_bound_rough(times, n, m, m_sup, DELTA, f_norm, feat_sq)
 
     assumption = None
     hypothesis_ok = False
@@ -215,19 +222,6 @@ def run_experiment(cfg: ExperimentConfig,
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepResult:
-    """RunRecords of a sweep keyed by (axis value, seed), in value-major order."""
-
-    axis: str                      # "m" | "gamma"
-    records: dict
-
-    @property
-    def summaries(self) -> dict:
-        """(axis value, seed) -> CellSummary, in value-major order."""
-        return {key: rec.summary for key, rec in self.records.items()}
-
-
 def _check_grid(values: list, seeds: Sequence[int]) -> None:
     if not values:
         raise ValueError("empty sweep axis")
@@ -235,12 +229,11 @@ def _check_grid(values: list, seeds: Sequence[int]) -> None:
         raise ValueError("sweep axis values and seeds must be distinct")
 
 
-def run_sweep(base: ExperimentConfig,
+def run_sweep(base: ExperimentConfig, seeds: Sequence[int],
               m_values: Optional[Sequence] = None,
-              gamma_values: Optional[Sequence[float]] = None,
-              seeds: Sequence[int] = (0, 1, 2, 3, 4),
-              iteration_budgets: Sequence[float] = (1e4, 1e5, 1e6, 1e8)) -> SweepResult:
-    """Run every (axis value, seed) cell; any cell failure aborts with its id.
+              gamma_values: Optional[Sequence[float]] = None) -> dict:
+    """(axis value, seed) -> RunRecord of every cell at ``ITERATION_BUDGETS``,
+    value-major; any cell failure aborts with its id.
 
     Cells run one seed at a time.  A seed's datasets and its feature
     directions, drawn once at the seed's largest m, serve all of its cells;
@@ -264,25 +257,23 @@ def run_sweep(base: ExperimentConfig,
         for value in values:
             try:
                 records[(value, seed)] = run_experiment(replace(cells[value], seed=seed),
-                                                        iteration_budgets, *draws)
+                                                        ITERATION_BUDGETS, *draws)
             except Exception as exc:
                 raise RuntimeError(f"sweep cell {axis}={value} seed={seed} failed: {exc}") from exc
         del draws   # free this seed's draws before the next seed's are made
 
-    return SweepResult(axis=axis, records={(value, seed): records[(value, seed)]
-                                           for value in values for seed in seeds})
+    return {(value, seed): records[(value, seed)] for value in values for seed in seeds}
 
 
 def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod.Dataset,
-                 m_values: Sequence[int], seeds: Sequence[int],
-                 iteration_budgets: Sequence[float]) -> dict:
+                 m_values: Sequence[int], seeds: Sequence[int]) -> dict:
     """(m, seed) -> CellSummary over a labelled train/test pair, value-major.
 
-    Each cell makes one grid call, at its budget times and t = inf; no
-    trajectory, bound or assumption report is computed.  A seed's feature
-    directions are drawn once, at the largest m, and the test set is
-    featurized once per seed over all of them: a cell reads the first m
-    columns, a view.  That holds N_test x max m doubles per seed, while the
+    Each cell makes one grid call, at the times of ``ITERATION_BUDGETS`` and
+    t = inf; no trajectory, bound or assumption report is computed.  A
+    seed's feature directions are drawn once, at the largest m, and the test
+    set is featurized once per seed over all of them: a cell reads the first
+    m columns, a view.  That holds N_test x max m doubles per seed, while the
     training features stay per cell.  Any cell failure aborts with its id.
     """
     values = list(m_values)
@@ -295,7 +286,7 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
             try:
                 cell_feats, dec, eta, smallest = _fit(replace(base, seed=seed, m=m),
                                                       train, feats)
-                budgets, budget_times = _budget_times(eta, iteration_budgets)
+                budgets, budget_times = _budget_times(eta, ITERATION_BUDGETS)
                 traj = flow_mod.errors_on_grid(dec, train.targets, cell_feats, test,
                                                budget_times + [math.inf],
                                                test_features[:, :m])

@@ -21,8 +21,7 @@ def _overrides(tmp_path, verb="run"):
     args = ["--out", str(tmp_path),
             "--set", "n=20", "--set", "d=4",
             "--set", "t_log_start=-1", "--set", "t_log_stop=2",
-            "--set", "t_per_decade=4", "--set", "test_count=80",
-            "--set", "assumption_points=100"]
+            "--set", "t_per_decade=4"]
     if verb == "run":
         args += ["--set", "m=15"]
     return args
@@ -62,7 +61,7 @@ def test_run_verb_reports_min_norm_only_with_inf_snapshot(tmp_path, capsys):
 def test_run_verb_with_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n = 16\nm = 12\nd = 3\nt_log_start = -1\nt_log_stop = 1\n"
-                   "t_per_decade = 3\ntest_count = 50\nassumption_points = 60\n")
+                   "t_per_decade = 3\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
                  "--seed", "2"]) == 0
     assert list(tmp_path.glob("run_*.csv"))
@@ -147,6 +146,10 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["run", "--set", "eta=0.5"], "rfflow run: error: unknown config key 'eta'"),
     (["run", "--set", "target_order=1", "--set", "d=2"],
      "rfflow run: error: d must be >= 3 for a target of order >= 1, got 2"),
+    # the test-set size, the Monte-Carlo size and delta are runner constants
+    *[([verb, "--set", f"{key}=1"], f"rfflow {verb}: error: unknown config key {key!r}")
+      for key in ("test_count", "assumption_points", "delta")
+      for verb in ("run", "sweep", "spectra", "mp", "mnist")],
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -178,6 +181,9 @@ def test_removed_execution_keys_are_usage_errors(tmp_path, extra):
 @pytest.mark.parametrize("line,key", [
     ("target_kind = legendre", "target_kind"),
     ("eta = 0.5", "eta"),
+    ("test_count = 50", "test_count"),
+    ("assumption_points = 60", "assumption_points"),
+    ("delta = 0.2", "delta"),
 ])
 def test_removed_keys_in_a_config_file_are_usage_errors(tmp_path, capsys, line, key):
     path = tmp_path / "exp.cfg"
@@ -187,27 +193,33 @@ def test_removed_keys_in_a_config_file_are_usage_errors(tmp_path, capsys, line, 
     assert not (tmp_path / "out").exists()
 
 
-_SWEEP_READS = ("n, d, feature_kind, target_order, t_log_start, t_log_stop, t_per_decade, "
-                "test_count, assumption_points, delta")
+# the config keys each verb reads, in the order of its usage error; run reads every key
+_READS = {
+    # sweep's cells take their m from --m-list and seeds from --seeds
+    "sweep": "n, d, feature_kind, target_order, t_log_start, t_log_stop, t_per_decade",
+    "spectra": "seed, n, d, feature_kind",
+    "mp": "n, d, feature_kind",
+    "mnist": "seed, n, feature_kind",
+}
 
 
-@pytest.mark.parametrize("argv,key,reads", [
-    # run reads every key; sweep's cells take their m from --m-list and seeds from --seeds
-    (["sweep", "--m-list", "10", "--set", "m=15"], "m", _SWEEP_READS),
-    (["sweep", "--m-list", "10", "--set", "seed=3"], "seed", _SWEEP_READS),
-    (["spectra", "--set", "n=50", "--set", "target_order=2"], "target_order",
-     "seed, n, d, feature_kind"),
-    (["mp", "--set", "n=50", "--set", "seed=3"], "seed", "n, d, feature_kind"),
-    (["mnist", "--set", "t_per_decade=3"], "t_per_decade", "seed, n, feature_kind"),
-    (["mnist", "--set", "d=3"], "d", "seed, n, feature_kind"),
+@pytest.mark.parametrize("argv,key", [
+    (["sweep", "--m-list", "10", "--set", "m=15"], "m"),
+    (["sweep", "--m-list", "10", "--set", "seed=3"], "seed"),
+    (["spectra", "--set", "n=50", "--set", "target_order=2"], "target_order"),
+    (["mp", "--set", "n=50", "--set", "seed=3"], "seed"),
+    (["mnist", "--set", "t_per_decade=3"], "t_per_decade"),
+    (["mnist", "--set", "d=3"], "d"),
+    # the key is reported before its value is parsed or checked
+    (["mp", "--set", "m=abc"], "m"),
+    (["mp", "--set", "m=0"], "m"),
 ], ids=["sweep-m", "sweep-seed", "spectra-target_order", "mp-seed", "mnist-t_per_decade",
-        "mnist-d"])
-def test_set_of_a_key_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys, argv, key,
-                                                               reads):
+        "mnist-d", "mp-m-not-an-int", "mp-m-not-a-count"])
+def test_set_of_a_key_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys, argv, key):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"rfflow {argv[0]}: error: {argv[0]} does not read config key "
-                            f"{key!r}; it reads {reads}\n")
+                            f"{key!r}; it reads {_READS[argv[0]]}\n")
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
@@ -584,3 +596,35 @@ def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeyp
     assert message in err
     if case == "count mismatch":
         assert paths[1] in err and paths[3] in err
+
+
+# small cells of the verbs that read only some keys, and one new value per key
+_SMALL_ARGS = {
+    "sweep": ["--m-list", "10,30", "--seeds", "0", "--set", "n=20", "--set", "d=4",
+              "--set", "t_log_start=-1", "--set", "t_log_stop=2", "--set", "t_per_decade=4"],
+    "spectra": ["--gamma", "2", "--set", "n=30", "--set", "d=4"],
+    "mp": ["--gamma-list", "0.5,1,2", "--seeds", "0,1", "--set", "n=30", "--set", "d=4"],
+    "mnist": _MNIST_ARGS,
+}
+_NEW_VALUE = {"seed": 1, "n": 24, "d": 5, "feature_kind": "indicator", "target_order": 2,
+              "t_log_start": -0.5, "t_log_stop": 3, "t_per_decade": 3}
+
+
+@pytest.mark.parametrize("verb,key", [(verb, key) for verb, reads in _READS.items()
+                                      for key in reads.split(", ")])
+def test_every_key_a_verb_reads_changes_what_it_writes(tmp_path, verb, key):
+    # the other verbs' counterpart of test_every_config_key_changes_the_run_rows:
+    # a key a verb accepts but whose value moves none of its files is ignored silently
+    args = list(_SMALL_ARGS[verb])
+    if verb == "mnist":
+        args += _write_synthetic_idx(tmp_path)
+
+    def written(name, extra=()):
+        out = tmp_path / name
+        assert main([verb, *args, *extra, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    base = written("base")
+    moved = written("moved", ["--set", f"{key}={_NEW_VALUE[key]}"])
+    assert moved.keys() == base.keys()
+    assert moved != base

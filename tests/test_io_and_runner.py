@@ -19,7 +19,7 @@ from rfflow.config import ExperimentConfig, apply_overrides, load_config, parse_
 
 def _tiny_config(**kw):
     base = dict(seed=0, n=20, m=15, d=4, t_log_start=-1.0, t_log_stop=3.0,
-                t_per_decade=5, test_count=100, assumption_points=150)
+                t_per_decade=5)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -42,8 +42,6 @@ def _configs(draw):
         feature_kind=draw(st.sampled_from(features.FEATURE_KINDS)),
         target_order=draw(st.integers(0, 50)), t_log_start=lo, t_log_stop=hi,
         t_per_decade=draw(_count),
-        test_count=draw(_count), assumption_points=draw(_count),
-        delta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
     )
 
 
@@ -69,13 +67,13 @@ def test_config_digest_changes_with_every_field(cfg, other, data):
 
 
 def test_config_overrides_and_types():
-    cfg = apply_overrides(ExperimentConfig(), ["n=77", "m=9", "delta=0.2", "target_order=3"])
+    cfg = apply_overrides(ExperimentConfig(), ["n=77", "m=9", "t_log_stop=7.5", "target_order=3"])
     assert cfg.n == 77
     assert cfg.m == 9
-    assert cfg.delta == 0.2
+    assert cfg.t_log_stop == 7.5
     assert cfg.target_order == 3
     for key in ("unknown", "workers", "out_dir", "include_min_norm", "time_map", "digest",
-                "target_kind", "eta"):
+                "target_kind", "eta", "test_count", "assumption_points", "delta"):
         with pytest.raises(KeyError, match=key):
             apply_overrides(cfg, [f"{key}=1"])
     with pytest.raises(ValueError):
@@ -107,7 +105,7 @@ def test_time_grid_shape():
 # ---------------------------------------------------------------------------
 
 def test_run_experiment_scalar_toy_matches_closed_form():
-    cfg = _tiny_config(n=1, m=1, d=3, test_count=50, assumption_points=50)
+    cfg = _tiny_config(n=1, m=1, d=3)
     rec = runner.run_experiment(cfg)
     # reproduce the scalar trajectory directly from the decomposition
     target = runner.target_spec_for(cfg)
@@ -157,9 +155,6 @@ _PERTURBED = {
     "t_log_start": -1.0,
     "t_log_stop": 9.0,
     "t_per_decade": 3,
-    "test_count": 250,
-    "assumption_points": 300,   # moves bound_finer: C/sqrt(n) < 1 at this size
-    "delta": 0.2,
 }
 
 
@@ -172,8 +167,7 @@ def test_every_config_key_changes_the_run_rows(tmp_path):
     # every field determines results: changing any one changes the rows that
     # run writes, not only the config hash in its metadata
     assert list(_PERTURBED) == [f.name for f in fields(ExperimentConfig)]
-    base = ExperimentConfig(n=100, m=200, d=5, t_per_decade=2, test_count=200,
-                            assumption_points=200)
+    base = ExperimentConfig(n=100, m=200, d=5, t_per_decade=2)
     rows = _run_rows(base, tmp_path / "base.csv")
     unchanged = [key for key, value in _PERTURBED.items()
                  if _run_rows(replace(base, **{key: value}), tmp_path / f"{key}.csv") == rows]
@@ -209,11 +203,11 @@ def test_grid_without_finite_times_fails():
     ("m", dict(m=-1)),
     ("m", dict(m=0)),
     ("n", dict(n=0)),
-    ("assumption_points", dict(assumption_points=0)),
+    ("d", dict(d=0)),
     ("d", dict(target_order=2, d=2)),
     ("feature_kind", dict(feature_kind="tanh")),
-    ("delta", dict(delta=1.0)),
-    ("test_count", dict(test_count=0)),
+    ("t_log_start", dict(t_log_start=-math.inf)),
+    ("t_log_start", dict(t_log_stop=math.inf)),
     ("seed", dict(seed=-1)),              # numpy's seeding rejects it only inside the run
 ])
 def test_invalid_config_fails_at_construction(key, overrides):
@@ -231,7 +225,7 @@ def test_min_norm_train_error_is_not_negative_at_m_equals_n():
 def test_exactly_sqrt_n_modes_fail_the_hypothesis():
     # m = floor(sqrt(500)) = 22: the hypothesis needs 23 positive modes
     cfg = ExperimentConfig(n=500, m=22, t_log_start=-1.0, t_log_stop=3.0,
-                           t_per_decade=5, test_count=200)
+                           t_per_decade=5)
     assert cfg.m == math.isqrt(cfg.n)
     rec = runner.run_experiment(cfg)
     assert rec.metadata["finer_bound_hypothesis_ok"] is False
@@ -259,8 +253,9 @@ def test_target_norm_matches_monte_carlo(order):
 
 def test_unexpected_errors_in_the_bounds_propagate(monkeypatch):
     # an empty measurement set is an error, not a cell with NaN bounds
-    with pytest.raises(ValueError, match="count"):
-        runner.run_experiment(_tiny_config(assumption_points=0))
+    empty = features.Dataset(points=np.empty((0, 4)), targets=np.empty(0))
+    with pytest.raises(ValueError, match="mc_points must be nonempty"):
+        runner.run_experiment(_tiny_config(), mc_points=empty)
     # only a failed hypothesis is caught
     def broken(*args, **kwargs):
         raise ValueError("not a hypothesis failure")
@@ -315,13 +310,11 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 
 def test_sweep_single_cell_matches_run(tmp_path):
     cfg = _tiny_config()
-    sweep = runner.run_sweep(cfg, m_values=[15], seeds=[0],
-                             iteration_budgets=(100.0,))
-    rec = sweep.records[(15, 0)]
-    solo = runner.run_experiment(replace(cfg, m=15),
-                                 iteration_budgets=(100.0,))
+    rec = runner.run_sweep(cfg, [0], m_values=[15])[(15, 0)]
+    solo = runner.run_experiment(replace(cfg, m=15), runner.ITERATION_BUDGETS)
     assert rec.trajectory.test_error.tolist() == solo.trajectory.test_error.tolist()
     assert rec.summary.min_norm_test_error == solo.trajectory.test_error[-1]
+    assert rec.summary.budget_errors == solo.summary.budget_errors
 
 
 def _external_data(d=6, n=30, n_test=50):
@@ -347,25 +340,24 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
     # each cell of a sweep, which shares its seed's draws, writes the same CSV
     # rows as a call that draws everything itself: run_experiment for sphere
     # cells, a one-cell sweep_tables for labelled data
-    budgets = (10.0, 1e3)
+    budgets = runner.ITERATION_BUDGETS
     cfg = _tiny_config()
     if external:
         cfg = replace(cfg, n=30)
         train, test = _external_data()
-        summaries = runner.sweep_tables(cfg, train, test, values, [2, 0], budgets)
+        summaries = runner.sweep_tables(cfg, train, test, values, [2, 0])
     else:
-        sweep = runner.run_sweep(cfg, seeds=[2, 0], iteration_budgets=budgets,
-                                 **{f"{axis}_values": values})
-        summaries = sweep.summaries
+        records = runner.run_sweep(cfg, [2, 0], **{f"{axis}_values": values})
+        summaries = {key: rec.summary for key, rec in records.items()}
     assert list(summaries) == [(v, s) for v in values for s in (2, 0)]
     minnorm, budget = [], []
     for value, seed in summaries:
         m = value if axis == "m" else max(1, int(round(value * cfg.n)))
         if external:
-            solo = runner.sweep_tables(cfg, train, test, [m], [seed], budgets)[(m, seed)]
+            solo = runner.sweep_tables(cfg, train, test, [m], [seed])[(m, seed)]
         else:
             rec = runner.run_experiment(replace(cfg, seed=seed, m=m), budgets)
-            runner.emit_csv(sweep.records[(value, seed)], tmp_path / "sweep.csv")
+            runner.emit_csv(records[(value, seed)], tmp_path / "sweep.csv")
             runner.emit_csv(rec, tmp_path / "solo.csv")
             assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
             solo = rec.summary
@@ -399,15 +391,15 @@ def test_all_zero_feature_matrix_names_the_cause():
 def test_sweep_validation():
     cfg = _tiny_config()
     with pytest.raises(ValueError):
-        runner.run_sweep(cfg, m_values=[5], gamma_values=[1.0])
+        runner.run_sweep(cfg, [0], m_values=[5], gamma_values=[1.0])
     with pytest.raises(ValueError):
-        runner.run_sweep(cfg)
+        runner.run_sweep(cfg, [0])
     with pytest.raises(ValueError):
-        runner.run_sweep(cfg, m_values=[])
+        runner.run_sweep(cfg, [0], m_values=[])
     with pytest.raises(ValueError, match="distinct"):
-        runner.run_sweep(cfg, m_values=[5, 5])
+        runner.run_sweep(cfg, [0], m_values=[5, 5])
     with pytest.raises(ValueError, match="distinct"):
-        runner.run_sweep(cfg, gamma_values=[0.5], seeds=[1, 1])
+        runner.run_sweep(cfg, [1, 1], gamma_values=[0.5])
 
 
 def test_translate_curves():
@@ -531,14 +523,13 @@ def test_svg_drops_nonpositive_on_log_axes():
 
 def _phenomenology_sweep():
     base = ExperimentConfig(n=200, m=200, d=10, t_log_start=-1.0, t_log_stop=8.0,
-                            t_per_decade=8, test_count=800, assumption_points=400)
-    return runner.run_sweep(base, m_values=[100, 160, 200, 240, 400],
-                            seeds=[0, 1, 2], iteration_budgets=(1e4, 1e5, 1e6, 1e8))
+                            t_per_decade=8)
+    return runner.run_sweep(base, [0, 1, 2], m_values=[100, 160, 200, 240, 400])
 
 
 def test_min_norm_error_peaks_at_interpolation_threshold():
     sweep = _phenomenology_sweep()
-    med = {v: np.median([sweep.records[(v, s)].summary.min_norm_test_error
+    med = {v: np.median([sweep[(v, s)].summary.min_norm_test_error
                          for s in (0, 1, 2)])
            for v in (100, 160, 200, 240, 400)}
     assert max(med, key=med.get) == 200  # the m = n resonance
@@ -549,7 +540,7 @@ def test_budget_errors_monotone_in_iterations_at_resonance():
     # at m = n, the eta = 1/lambda_max budgets all land past the plateau
     # onset, so the (median) test error is non-decreasing in T
     sweep = _phenomenology_sweep()
-    meds = [np.median([sweep.records[(200, s)].summary.budget_errors[T][1]
+    meds = [np.median([sweep[(200, s)].summary.budget_errors[T][1]
                        for s in (0, 1, 2)])
-            for T in (1e4, 1e5, 1e6, 1e8)]
+            for T in runner.ITERATION_BUDGETS]
     assert all(b >= a * 0.98 for a, b in zip(meds, meds[1:]))
