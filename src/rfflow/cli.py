@@ -281,12 +281,12 @@ def cmd_mnist(args, cfg) -> int:
     from .runner import emit_budget_csv, emit_sweep_csv, m_for_gamma, sweep_tables
     from .svgplot import PlotSpec, Series, emit_svg
 
-    img, lab, timg, tlab = _mnist_paths(args)
     try:
+        img, lab, timg, tlab = _mnist_paths(args)
         train = load_idx(img, lab, classes=(0, 1), subsample=cfg.n, seed=cfg.seed)
         test = load_idx(timg, tlab, classes=(0, 1))
-    except ValueError as exc:  # unreadable or too small inputs, not a failed cell
-        return _usage_error(args, exc.args[0])
+    except (OSError, ValueError) as exc:  # missing, unreadable or too small inputs
+        return _usage_error(args, str(exc))
 
     if args.m_list:
         m_values = args.m_list

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -12,35 +14,37 @@ IMAGE_MAGIC = 2051  # 0x00000803: ubyte, 3 dimensions
 LABEL_MAGIC = 2049  # 0x00000801: ubyte, 1 dimension
 
 
-def _read_header(payload: bytes, path, expected_magic: int, n_dims: int):
-    """The header's dimensions and a view of the body after it (no copy)."""
+def _read_header(path, expected_magic: int, n_dims: int):
+    """The header's dimensions and the body's offset, once the file's size
+    matches them: a body shorter or longer than declared is rejected."""
     head = 4 * (1 + n_dims)
-    if len(payload) < head:
+    with open(path, "rb") as fh:
+        header = fh.read(head)
+        size = os.fstat(fh.fileno()).st_size
+    if len(header) < head:
         raise ValueError(f"{path}: truncated IDX header")
-    magic = struct.unpack(">i", payload[:4])[0]
+    magic = struct.unpack(">i", header[:4])[0]
     if magic != expected_magic:
         raise ValueError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
-    dims = struct.unpack(f">{n_dims}i", payload[4:head])
-    return dims, memoryview(payload)[head:]
+    dims = struct.unpack(f">{n_dims}I", header[4:])
+    declared, held = math.prod(dims), size - head
+    if held != declared:
+        kind = "truncated IDX payload" if held < declared else "IDX payload too long"
+        raise ValueError(f"{path}: {kind}: the header declares {declared} bytes, "
+                         f"the file holds {held}")
+    return dims, head
 
 
 def read_idx_images(path) -> np.ndarray:
-    """Raw uint8 images of shape (count, rows, cols)."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    (count, rows, cols), body = _read_header(payload, path, IMAGE_MAGIC, 3)
-    if len(body) != count * rows * cols:
-        raise ValueError(f"{path}: truncated IDX payload")
-    return np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
+    """Raw uint8 images of shape (count, rows, cols), mapped read-only from
+    the file: only the rows a caller reads are read from disk."""
+    dims, head = _read_header(path, IMAGE_MAGIC, 3)
+    return np.memmap(path, dtype=np.uint8, mode="r", offset=head, shape=dims)
 
 
 def read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    (count,), body = _read_header(payload, path, LABEL_MAGIC, 1)
-    if len(body) != count:
-        raise ValueError(f"{path}: truncated IDX payload")
-    return np.frombuffer(body, dtype=np.uint8)
+    _, head = _read_header(path, LABEL_MAGIC, 1)
+    return np.fromfile(path, dtype=np.uint8, offset=head)
 
 
 def load_idx(images_path, labels_path, classes=None, subsample: int | None = None,
@@ -50,24 +54,24 @@ def load_idx(images_path, labels_path, classes=None, subsample: int | None = Non
     Pixel values are scaled to [0, 1] by /255; vectors are left raw (not
     re-normalized).  ``classes`` filters by label, ``subsample`` draws that
     many rows without replacement using the seed.  Rows are selected on the
-    raw bytes, so only the kept ones are converted to float.
+    labels, so only the kept images are read and converted to float.
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"image/label count mismatch: {images.shape[0]} images in "
                          f"{images_path}, {labels.shape[0]} labels in {labels_path}")
-    pixels = images.reshape(images.shape[0], -1)
+    rows = np.arange(labels.shape[0])
     if classes is not None:
-        keep = np.isin(labels, list(classes))
-        pixels, labels = pixels[keep], labels[keep]
+        rows = np.flatnonzero(np.isin(labels, list(classes)))
     if subsample is not None:
-        if subsample > labels.shape[0]:
+        if subsample > rows.shape[0]:
             raise ValueError(f"subsample n = {subsample} is larger than the "
-                             f"{labels.shape[0]} rows kept from {images_path}")
-        idx = np.sort(np.random.default_rng(seed).choice(
-            labels.shape[0], size=subsample, replace=False))
-        pixels, labels = pixels[idx], labels[idx]
-    points = pixels.astype(float)
+                             f"{rows.shape[0]} rows kept from {images_path}")
+        rows = rows[np.sort(np.random.default_rng(seed).choice(
+            rows.shape[0], size=subsample, replace=False))]
+    # a gather copies into a plain array, so no view of the mapping is kept
+    points = np.asarray(images.reshape(images.shape[0], -1)[rows], dtype=float)
     points /= 255.0
-    return Dataset(points=points, targets=labels.astype(float), distribution_tag="external")
+    return Dataset(points=points, targets=labels[rows].astype(float),
+                   distribution_tag="external")

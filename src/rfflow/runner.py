@@ -118,19 +118,27 @@ def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
     return train, test, feats, mc_points
 
 
-def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.FeatureSet) -> tuple:
+def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.FeatureSet,
+         train_features: Optional[np.ndarray] = None) -> tuple:
     """The prologue of every cell: its m directions (the first m rows of the
     seed's draw ``feats``), the decomposed training features, the learning
     rate eta = 1/(largest Gram eigenvalue) and the smallest Gram eigenvalue,
-    as (feats, dec, eta, smallest)."""
-    m = cfg.m
+    as (feats, dec, eta, smallest).  ``train_features``, the values of all of
+    ``feats`` at the training points, is evaluated here unless given; a
+    sweep passes one evaluation at its largest m, of which the cell
+    decomposes the first m columns."""
+    m, n = cfg.m, train.count
     if feats.count < m:
         raise ValueError(f"{feats.count} feature directions given for m = {m}")
+    if train_features is not None and train_features.shape != (n, feats.count):
+        raise ValueError(f"training features of shape {train_features.shape} given, "
+                         f"expected {(n, feats.count)}")
     if feats.count > m:
         feats = feat_mod.FeatureSet(directions=feats.directions[:m], kind=feats.kind)
+    if train_features is None:
+        train_features = feat_mod.build_feature_matrix(train, feats)
 
-    n = train.count
-    dec = flow_mod.decompose(feat_mod.build_feature_matrix(train, feats))
+    dec = flow_mod.decompose(train_features[:, :m])
     s = dec.singular_values
     if s[0] == 0.0:
         raise ValueError(f"no feature is active on any training point "
@@ -272,9 +280,10 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
     Each cell makes one grid call, at the times of ``ITERATION_BUDGETS`` and
     t = inf; no trajectory, bound or assumption report is computed.  A
     seed's feature directions are drawn once, at the largest m, and the test
-    set is featurized once per seed over all of them: a cell reads the first
-    m columns, a view.  That holds N_test x max m doubles per seed, while the
-    training features stay per cell.  Any cell failure aborts with its id.
+    and training sets are each featurized once per seed over all of them: a
+    cell reads the first m columns of both, views.  That holds
+    (N_test + n) x max m doubles per seed.  Any cell failure aborts with its
+    id.
     """
     values = list(m_values)
     _check_grid(values, seeds)
@@ -282,10 +291,11 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
     for seed in seeds:
         _, feats = seed_draw(replace(base, seed=seed), max(values), train)
         test_features = feat_mod.feature_values(feats, test.points)
+        train_features = feat_mod.feature_values(feats, train.points)
         for m in values:
             try:
                 cell_feats, dec, eta, smallest = _fit(replace(base, seed=seed, m=m),
-                                                      train, feats)
+                                                      train, feats, train_features)
                 budgets, budget_times = _budget_times(eta, ITERATION_BUDGETS)
                 traj = flow_mod.errors_on_grid(dec, train.targets, cell_feats, test,
                                                budget_times + [math.inf],
@@ -297,7 +307,7 @@ def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod
                 smallest_gram_eigenvalue=smallest,
                 budget_errors=dict(zip(budgets, zip(traj.time[:-1].tolist(),
                                                     traj.test_error[:-1].tolist()))))
-        del test_features   # free this seed's before the next seed's is made
+        del test_features, train_features   # free this seed's before the next seed's
     return {(m, seed): tables[(m, seed)] for m in values for seed in seeds}
 
 

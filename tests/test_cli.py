@@ -479,21 +479,24 @@ def test_mnist_verb_takes_all_four_paths_or_none(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "part").exists()
 
 
-def test_mnist_verb_requires_paths(tmp_path, monkeypatch):
+def test_mnist_verb_requires_paths(tmp_path, monkeypatch, capsys):
+    # no path flags and no data directory: a usage error naming the variable
     monkeypatch.delenv("RFFLOW_DATA_DIR", raising=False)
-    with pytest.raises(FileNotFoundError):
-        main(["mnist", "--out", str(tmp_path)])
+    assert main(["mnist", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfflow mnist: error: ") and err.count("\n") == 1
+    assert "RFFLOW_DATA_DIR" in err
 
 
 def _kept_rows(labels_path) -> int:
     return int(np.isin(idx.read_idx_labels(labels_path), (0, 1)).sum())
 
 
-def test_mnist_verb_evaluates_the_test_set_once_per_seed(tmp_path, monkeypatch):
-    # per seed: the N_test x max m test features; per cell: the n x m
-    # training features and one grid call at the four budget times and
-    # t = inf, on the first m columns of the seed's test features, and no
-    # assumption report or finer bound
+def test_mnist_verb_evaluates_each_dataset_once_per_seed(tmp_path, monkeypatch):
+    # per seed: the N_test x max m test features and the n x max m training
+    # features; per cell: one SVD of the first m training columns and one
+    # grid call at the four budget times and t = inf, on the first m columns
+    # of the seed's test features, and no assumption report or finer bound
     paths = _write_synthetic_idx(tmp_path)
     shapes, grid_calls = [], []
     calls = dict.fromkeys(("measure_assumptions", "finer_bound"), 0)
@@ -516,10 +519,19 @@ def test_mnist_verb_evaluates_the_test_set_once_per_seed(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(bounds, name, counted)
 
+    decomposed = []
+
+    def counted_decompose(phi, _original=flow.decompose):
+        decomposed.append(phi.shape)
+        return _original(phi)
+
+    monkeypatch.setattr(flow, "decompose", counted_decompose)
+
     n, n_test = 40, _kept_rows(paths[7])
-    per_seed = [(n_test, 60)] + [(n, m) for m in (20, 40, 60)]
+    per_seed = [(n_test, 60), (n, 60)]
     assert main(["mnist", "--out", str(tmp_path / "out"), *paths, *_MNIST_ARGS]) == 0
     assert shapes == per_seed
+    assert decomposed == [(n, m) for m in (20, 40, 60)]
     assert grid_calls == [(4 + 1, (n_test, m)) for m in (20, 40, 60)]
     assert calls == {"measure_assumptions": 0, "finer_bound": 0}
 
@@ -534,6 +546,38 @@ def test_mnist_verb_evaluates_the_test_set_once_per_seed(tmp_path, monkeypatch):
     assert calls == {"measure_assumptions": 1, "finer_bound": 13 + 1}
 
 
+def _perfbench_spans():
+    """The benchmark's span module, loaded from its file as the benchmark runs it."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mnist_verb_under_the_benchmark_tracer(tmp_path):
+    # the benchmark's spans bind load_idx's and decompose's parameters by
+    # name, so a rename there must fail here, not only in a traced benchmark run
+    paths = _write_synthetic_idx(tmp_path)
+    spans = _perfbench_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:  # the tracer wraps rfflow.cli.main, not this module's name for it
+        assert rfflow.cli.main(["mnist", "--out", str(tmp_path / "out"), *paths,
+                                *_MNIST_ARGS, "--seeds", "0,1"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["features.values_calls"] == 2 * 2
+    assert metrics["idx.bytes_read"] == sum(os.path.getsize(p) for p in paths[1::2])
+    assert metrics["flow.decompose_calls"] == 3 * 2
+    assert metrics["flow.decompose_bytes"] == 2 * 8 * 40 * (20 + 40 + 60)
+    assert metrics["cli.main_s"] > 0.0
+    assert tracer.self_time_total() == pytest.approx(metrics["cli.main_s"], rel=1e-9)
+
+
 def _table(path):
     lines = path.read_text().splitlines()
     return [[float(v) for v in line.split(",")] for line in lines[1:]]
@@ -542,7 +586,8 @@ def _table(path):
 def test_mnist_tables_equal_the_full_grid_cell(tmp_path):
     # each cell's min-norm error is the t = inf row of the full time grid, its
     # budget errors those of a grid call at the budget times alone, and its
-    # smallest Gram eigenvalue the SVD's
+    # smallest Gram eigenvalue the SVD's of the first m columns of the seed's
+    # training features at the largest m
     paths = _write_synthetic_idx(tmp_path)
     assert main(["mnist", "--out", str(tmp_path), *paths, *_MNIST_ARGS]) == 0
     cfg = ExperimentConfig(n=40)
@@ -552,10 +597,12 @@ def test_mnist_tables_equal_the_full_grid_cell(tmp_path):
     budget_rows = _table(tmp_path / "mnist_budgets.csv")
     budgets = [1e4, 1e5, 1e6, 1e8]
     assert [row[:2] for row in minnorm] == [[20, 0], [40, 0], [60, 0]]
+    _, seed_feats = runner.seed_draw(cfg, 60, train)
+    block = features.build_feature_matrix(train, seed_feats)
     for i, (m, seed, min_norm, smallest) in enumerate(minnorm):
         m = int(m)
         _, feats = runner.seed_draw(cfg, m, train)
-        dec = flow.decompose(features.build_feature_matrix(train, feats))
+        dec = flow.decompose(block[:, :m])
         s = dec.singular_values
         full = flow.errors_on_grid(dec, train.targets, feats, test, cfg.time_grid())
         assert abs(min_norm - full.test_error[-1]) <= 1e-12 * full.test_error[-1]
@@ -574,6 +621,7 @@ def test_mnist_tables_equal_the_full_grid_cell(tmp_path):
     ("n", "subsample n = 1000 is larger than the 120 rows kept from "),
     ("labels as images", "bad IDX magic 2049, expected 2051"),
     ("count mismatch", "image/label count mismatch: 120 images in "),
+    ("missing file", "No such file or directory: "),
 ])
 def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch,
                                                        case, message):
@@ -583,8 +631,10 @@ def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeyp
         extra = ["--set", "n=1000"]
     elif case == "labels as images":
         paths[1] = paths[3]
-    else:  # the test set's 40 labels for the 120 training images
+    elif case == "count mismatch":  # the test set's 40 labels for the 120 training images
         paths[3] = paths[7]
+    else:
+        paths[5] = str(tmp_path / "no-such-images-idx3-ubyte")
 
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran")
@@ -596,6 +646,8 @@ def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeyp
     assert message in err
     if case == "count mismatch":
         assert paths[1] in err and paths[3] in err
+    if case == "missing file":
+        assert paths[5] in err
 
 
 # small cells of the verbs that read only some keys, and one new value per key

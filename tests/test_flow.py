@@ -351,6 +351,24 @@ def test_errors_on_grid_takes_the_test_features_or_a_prefix_of_more(kind, extra,
                                    rtol=1e-12, atol=0.0, err_msg=col)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["relu", "indicator", "affine-relu"]), extra=st.integers(0, 100),
+       seed=st.integers(0, 10**6), n=st.integers(1, 40), m=st.integers(1, 60),
+       d=st.integers(2, 50))
+def test_a_column_prefix_of_more_features_has_the_fresh_singular_values(kind, extra, seed,
+                                                                       n, m, d):
+    # a sweep evaluates the training features once, at its largest m, and each
+    # cell decomposes the first m columns; they differ from a fresh m-column
+    # evaluation by rounding E, and |s_i - s'_i| <= ||E||_2 (Weyl)
+    phi, _, _, data = _random_instance(seed, n, m, d, kind)
+    more = features.sample_features([seed, 2], d, m + extra, kind)
+    block = features.build_feature_matrix(data, more)
+    fresh = flow.decompose(phi).singular_values
+    prefix = flow.decompose(block[:, :m]).singular_values
+    assert prefix.shape == fresh.shape
+    assert np.max(np.abs(prefix - fresh)) <= 1e-12 * fresh[0]
+
+
 def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
     # raw (non-sphere) points with arbitrary labels, as an IDX dataset has
     phi, y, feats, _ = _random_instance(17, 8, 6)

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,40 @@ def test_truncated_payload_rejected(tmp_path):
         fh.write(b"\x00" * 10)  # needs 32
     with pytest.raises(ValueError, match="truncated"):
         idx.read_idx_images(path)
+
+
+def test_long_payload_rejected(tmp_path):
+    path = tmp_path / "long"
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">4i", idx.IMAGE_MAGIC, 2, 4, 4))
+        fh.write(b"\x00" * 40)  # needs 32
+    with pytest.raises(ValueError, match="too long: the header declares 32 bytes, "
+                                         "the file holds 40"):
+        idx.read_idx_images(path)
+
+
+def test_payload_size_is_checked_before_the_images_are_mapped(tmp_path):
+    # np.memmap's own "mmap length is greater than file size" never reaches a user
+    images = np.zeros((2, 4, 4), dtype=np.uint8)
+    img_path, lab_path = _write_pair(tmp_path, images, np.array([0, 1], dtype=np.uint8))
+    img_path.write_bytes(img_path.read_bytes()[:-10])
+    with pytest.raises(ValueError) as info:
+        idx.load_idx(img_path, lab_path)
+    assert str(info.value) == (f"{img_path}: truncated IDX payload: the header declares "
+                               f"32 bytes, the file holds 22")
+
+
+def test_load_idx_returns_plain_arrays_and_keeps_no_mapping(tmp_path):
+    rng = np.random.default_rng(4)
+    images = rng.integers(0, 256, size=(12, 3, 3), dtype=np.uint8)
+    labels = np.array([0, 1, 2] * 4, dtype=np.uint8)
+    img_path, lab_path = _write_pair(tmp_path, images, labels)
+    data = idx.load_idx(img_path, lab_path, classes=(0, 1), subsample=5, seed=1)
+    for array in (data.points, data.targets):
+        assert type(array) is np.ndarray and array.base is None
+    maps = Path("/proc/self/maps")
+    if maps.exists():  # Linux lists every live mapping of the process
+        assert str(img_path) not in maps.read_text()
 
 
 def test_count_mismatch_rejected(tmp_path):

@@ -377,6 +377,23 @@ def test_a_feature_set_shorter_than_m_is_rejected():
         runner.run_experiment(_tiny_config(), feats=feats)
 
 
+def test_fit_takes_the_training_features_of_every_given_direction():
+    # a sweep hands each cell the seed's n x max m training block, of which
+    # the cell decomposes the first m columns
+    cfg = _tiny_config()
+    train, _, feats, _ = runner._draws(cfg, 40)
+    block = features.build_feature_matrix(train, feats)
+    given_block = runner._fit(cfg, train, feats, block)
+    own = runner._fit(cfg, train, feats)
+    assert given_block[1].n_cols == own[1].n_cols == cfg.m
+    np.testing.assert_allclose(given_block[1].singular_values, own[1].singular_values,
+                               rtol=0.0, atol=1e-12 * own[1].singular_values[0])
+    for bad in (block[:, :cfg.m], block[1:], block.T):
+        with pytest.raises(ValueError) as info:
+            runner._fit(cfg, train, feats, bad)
+        assert f"{bad.shape}" in str(info.value) and "(20, 40)" in str(info.value)
+
+
 def test_all_zero_feature_matrix_names_the_cause():
     # `rfflow run --set n=1 --set m=1 --seed 0`: the one direction points
     # away from the one training point, so no ReLU is active
