@@ -119,6 +119,14 @@ def _parse_flags(args, cfg) -> None:
         raise ValueError(f"--gamma must be a positive number, got {args.gamma!r}")
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, made just before a verb's first write: a verb
+    that fails on its inputs or in its run leaves no directory behind."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _trajectory_svg(record, path):
     from .svgplot import PlotSpec, Series, emit_svg
 
@@ -144,7 +152,7 @@ def cmd_run(args, cfg) -> int:
     from .runner import emit_csv, run_experiment
 
     record = run_experiment(cfg)
-    out = Path(args.out)
+    out = _out_dir(args)
     csv_path = out / f"run_{record.metadata['config_hash']}.csv"
     emit_csv(record, csv_path)
     _trajectory_svg(record, out / f"run_{record.metadata['config_hash']}.svg")
@@ -166,7 +174,7 @@ def cmd_sweep(args, cfg) -> int:
     else:
         axis, records = "gamma", run_sweep(cfg, seeds, gamma_values=args.gamma_list)
     summaries = {key: rec.summary for key, rec in records.items()}
-    out = Path(args.out)
+    out = _out_dir(args)
     emit_sweep_csv(axis, summaries, out / f"sweep_{axis}_minnorm.csv")
     emit_budget_csv(axis, summaries, out / f"sweep_{axis}_budgets.csv")
 
@@ -198,7 +206,7 @@ def cmd_spectra(args, cfg) -> int:
 
     analytic = ka.analytic_spectrum(d, cfg.feature_kind, n)
 
-    out = Path(args.out)
+    out = _out_dir(args)
     path = out / f"spectra_gamma{args.gamma:g}.csv"
     ranks = np.arange(1, n + 1)
     write_csv(path, "rank,gram,kernel_matrix,analytic", zip(ranks, gram_ev, kernel_ev, analytic))
@@ -243,7 +251,7 @@ def cmd_mp(args, cfg) -> int:
         fit_pts = [(g, mean) for g, mean, _ in rows if g != 1.0]
     c, resid = rm.calibrate_c(fit_pts)
 
-    out = Path(args.out)
+    out = _out_dir(args)
     path = out / "mp_smallest.csv"
     gam, mean_v, median_v = np.array(rows).T
     pred_v = np.array([rm.predict_smallest(g, c) for g in gam])
@@ -295,7 +303,7 @@ def cmd_mnist(args, cfg) -> int:
                            for g in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2,
                                      1.5, 2.0, 3.0)})
     tables = sweep_tables(cfg, train, test, m_values, args.seeds)
-    out = Path(args.out)
+    out = _out_dir(args)
     emit_sweep_csv("m", tables, out / "mnist_minnorm.csv")
     emit_budget_csv("m", tables, out / "mnist_budgets.csv")
 
@@ -377,7 +385,6 @@ def main(argv=None) -> int:
         _parse_flags(args, cfg)
     except (KeyError, ValueError) as exc:  # a bad flag or config value, not a failed run
         return _usage_error(args, exc.args[0])
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     return args.func(args, cfg)
 
 

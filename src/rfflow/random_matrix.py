@@ -10,10 +10,10 @@ and c * (1 - sqrt(1/gamma))^2 above, with a calibration constant c fitted
 from measurements near gamma = 1.
 
 Memory stays O(n^2) at any m: the Gram matrices are summed over feature
-blocks of at most n directions and the kernel matrix is filled in row
-blocks, so besides the block being evaluated no array is larger than
-n x n, and at most one n x n temporary lives beside the result and
-LAPACK's own copy.
+blocks of at most min(n, _BLOCK) directions and the kernel matrix is
+filled in row blocks.  A Gram sum holds the running n x n sum, one n x n
+block product and one n x _BLOCK block, and ``eigvalsh`` makes its own
+copy of the matrix it reads.
 """
 
 from __future__ import annotations
@@ -27,37 +27,58 @@ from .kernel_analytic import feature_kernel
 
 _SYM_TOL = 1e-10
 _KERNEL_ROWS = 128  # rows of the kernel matrix filled per block
+_BLOCK = 256  # feature directions evaluated per block of a Gram sum
 
 
-def _feature_blocks(points: np.ndarray, feats: FeatureSet, stops: Sequence[int]):
-    """Feature values at the points in blocks of at most n directions.
+def _feature_blocks(points: np.ndarray, feats: FeatureSet, stops: Sequence[int], lo: int = 0):
+    """Feature values at the points in blocks of at most min(n, _BLOCK) directions.
 
-    Yields (lo, hi, Phi[:, lo:hi]); the blocks tile the first max(stops)
-    directions in order, and one ends at every count in the ascending
-    ``stops``.
+    Yields (hi, Phi[:, lo:hi]); the blocks tile directions lo..max(stops) in
+    order, and one ends at every count in the ascending ``stops``.
     """
-    n, lo = points.shape[0], 0
+    width = min(points.shape[0], _BLOCK)
     for stop in stops:
         while lo < stop:
-            hi = min(lo + n, stop)
-            yield lo, hi, feature_values(FeatureSet(feats.directions[lo:hi], feats.kind), points)
+            hi = min(lo + width, stop)
+            yield hi, feature_values(FeatureSet(feats.directions[lo:hi], feats.kind), points)
             lo = hi
+
+
+def _gram_sums(points: np.ndarray, feats: FeatureSet, stops: Sequence[int],
+               lo: int = 0, gram: np.ndarray | None = None):
+    """Yields (k, Phi[:, :k] Phi[:, :k]^T), unscaled, at every count k in the
+    ascending ``stops``.
+
+    Phi_b Phi_b^T is added into one running sum over the blocks of
+    ``_feature_blocks``, so besides the sum only one block and its product
+    are alive.  ``gram``, if given, is the sum over the first ``lo``
+    directions.  The yielded array is the running sum itself: the next
+    block is added into it in place.
+    """
+    for hi, block in _feature_blocks(points, feats, stops, lo):
+        product = block @ block.T
+        del block  # freed before the next block is evaluated
+        if gram is None:
+            gram = product
+        else:
+            gram += product
+        del product  # or the next block's product would be made beside it
+        if hi in stops:
+            yield hi, gram
 
 
 def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
     """G = Phi Phi^T / (nm) of the m features at the n points, without Phi.
 
-    Phi_b Phi_b^T is summed over blocks of at most n feature directions and
-    divided once at the end, so memory stays O(n^2) however large m is; an
-    m <= n Gram is one block, the plain product.
+    Phi_b Phi_b^T is summed over blocks of at most min(n, _BLOCK) feature
+    directions and divided once at the end, so memory stays O(n^2) however
+    large m is.
     """
     points = np.asarray(points, dtype=float)
     n, m = points.shape[0], feats.count
     if m == 0:
         raise ValueError("empty feature set")
-    gram = 0.0
-    for _, _, block in _feature_blocks(points, feats, [m]):
-        gram += block @ block.T  # the first block turns the 0.0 into an array
+    [(_, gram)] = _gram_sums(points, feats, [m])
     gram /= n * m
     return gram
 
@@ -96,10 +117,11 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     For m < n the n x n Gram matrix is rank deficient by construction, so the
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
 
-    The features are evaluated at the n points in blocks of at most n
-    directions, so Phi is never built: every m < n companion is a leading
-    block of the first block's product, and the m >= n companions are the
-    running sum of Phi_b Phi_b^T over the blocks, taken in ascending m.
+    Phi is never built.  The m < n companions are leading blocks of the
+    product of one head block, the first max(m < n) directions; the m >= n
+    counts are the running Gram sum, which starts from the head block's
+    product and adds the following directions in blocks of at most
+    min(n, _BLOCK), taken in ascending m.  Each direction is evaluated once.
     Each value is the smallest eigenvalue of the unscaled product divided by nm.
     """
     points = np.asarray(points, dtype=float)
@@ -111,19 +133,18 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
                          f"a feature matrix of shape ({n}, {total}), got {counts.tolist()}")
     below = sorted({int(k) for k in counts if k < n})
     above = sorted({int(k) for k in counts if k >= n})
-    smallest, gram = {}, 0.0
-    for lo, hi, block in _feature_blocks(points, feats, [min(n, int(counts.max()))] + above):
-        if lo == 0 and below:
-            head = block[:, :below[-1]]
-            comp = head.T @ head
-            for k in below:
-                smallest[k] = float(np.linalg.eigvalsh(comp[:k, :k])[0]) / (n * k)
-            del head, comp
+    smallest, head, gram = {}, max(below, default=0), None
+    if below:
+        block = feature_values(FeatureSet(feats.directions[:head], feats.kind), points)
+        comp = block.T @ block
+        for k in below:
+            smallest[k] = float(np.linalg.eigvalsh(comp[:k, :k])[0]) / (n * k)
+        del comp
         if above:
-            gram += block @ block.T  # the first block turns the 0.0 into an array
-        del block  # freed before the next block is evaluated
-        if hi in above:
-            smallest[hi] = float(np.linalg.eigvalsh(gram)[0]) / (n * hi)
+            gram = block @ block.T
+        del block
+    for k, running in _gram_sums(points, feats, above, head, gram):
+        smallest[k] = float(np.linalg.eigvalsh(running)[0]) / (n * k)
     return np.array([smallest[int(k)] for k in counts])
 
 

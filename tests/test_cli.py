@@ -488,6 +488,15 @@ def test_mnist_verb_requires_paths(tmp_path, monkeypatch, capsys):
     assert "RFFLOW_DATA_DIR" in err
 
 
+def test_mnist_verb_leaves_no_out_directory_when_an_input_is_missing(tmp_path, capsys):
+    out = tmp_path / "deep"
+    paths = ["--images", str(tmp_path / "nonexistent"), "--labels", str(tmp_path / "x"),
+             "--test-images", str(tmp_path / "y"), "--test-labels", str(tmp_path / "z")]
+    assert main(["mnist", "--out", str(out), *paths]) == 2
+    assert capsys.readouterr().err.startswith("rfflow mnist: error: ")
+    assert not out.exists()
+
+
 def _kept_rows(labels_path) -> int:
     return int(np.isin(idx.read_idx_labels(labels_path), (0, 1)).sum())
 

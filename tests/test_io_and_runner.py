@@ -338,8 +338,11 @@ def _csv_row(*values):
 ])
 def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, external):
     # each cell of a sweep, which shares its seed's draws, writes the same CSV
-    # rows as a call that draws everything itself: run_experiment for sphere
-    # cells, a one-cell sweep_tables for labelled data
+    # rows as the cell computed alone: run_experiment, which draws everything
+    # itself, for sphere cells; for labelled data, _fit and one grid call on
+    # the first m columns of the seed's blocks at the largest m, as the sweep
+    # evaluates them (a fresh n x m evaluation may round differently in the
+    # last bit, so byte equality with it would rest on BLAS blocking)
     budgets = runner.ITERATION_BUDGETS
     cfg = _tiny_config()
     if external:
@@ -354,7 +357,16 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
     for value, seed in summaries:
         m = value if axis == "m" else max(1, int(round(value * cfg.n)))
         if external:
-            solo = runner.sweep_tables(cfg, train, test, [m], [seed])[(m, seed)]
+            cell = replace(cfg, seed=seed, m=m)
+            _, feats = runner.seed_draw(cell, max(values), train)
+            cell_feats, dec, eta, smallest = runner._fit(
+                cell, train, feats, train_features=features.feature_values(feats, train.points))
+            ascending, times = runner._budget_times(eta, budgets)
+            traj = flow.errors_on_grid(dec, train.targets, cell_feats, test, times + [math.inf],
+                                       features.feature_values(feats, test.points)[:, :m])
+            solo = runner.CellSummary(
+                min_norm_test_error=traj.test_error[-1], smallest_gram_eigenvalue=smallest,
+                budget_errors=dict(zip(ascending, zip(traj.time[:-1], traj.test_error[:-1]))))
         else:
             rec = runner.run_experiment(replace(cfg, seed=seed, m=m), budgets)
             runner.emit_csv(records[(value, seed)], tmp_path / "sweep.csv")

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +58,36 @@ def test_gram_block_sum_matches_full_product(kind, m):
     assert np.max(np.abs(gram - full)) <= 1e-14 * np.linalg.eigvalsh(full)[-1]
     if m <= n:  # one block: the plain product, to the last bit
         assert gram.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_gram_sum_of_narrow_blocks_matches_full_product(kind, monkeypatch):
+    # blocks of 7 directions, narrower than n = 40, the last one short
+    monkeypatch.setattr(rm, "_BLOCK", 7)
+    n, m = 40, 100
+    points, feats = _draw(4, n, m, 6, kind)
+    phi = features.feature_values(feats, points)
+    full = phi @ phi.T / (n * m)
+    gram = rm.gram_matrix(points, feats)
+    assert np.max(np.abs(gram - full)) <= 1e-14 * np.linalg.eigvalsh(full)[-1]
+
+
+def test_gram_sums_hold_one_block_product_beside_the_sum():
+    # at n = 1,000 > _BLOCK a Gram sum holds the running n x n sum, one n x n
+    # block product and one n x _BLOCK block: 2.26 n x n arrays of doubles.
+    # The m < n companions' head block and its product stay below that, and
+    # LAPACK's own copy inside eigvalsh is not traced.
+    n = 1000
+    points, feats = _draw(0, n, 4 * n, 10)
+    for run in (lambda: rm.gram_matrix(points, feats),
+                lambda: rm.smallest_gram_eigenvalue(points, feats, [n // 2, n - 1, n, 2 * n, 4 * n])):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 8 * n * n
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
@@ -142,8 +175,11 @@ def _blockwise_values(points, feats, ms):
     evaluation can differ from a column slice in the last bits, which an
     affine pre-activation near 0 amplifies far beyond 1 ulp."""
     n = points.shape[0]
-    stops = [min(n, max(ms))] + sorted({k for k in ms if k >= n})
-    return np.hstack([block for _, _, block in rm._feature_blocks(points, feats, stops)])
+    head = max([k for k in ms if k < n], default=0)
+    blocks = [features.feature_values(features.FeatureSet(feats.directions[:head], feats.kind),
+                                      points)]
+    stops = sorted({k for k in ms if k >= n})
+    return np.hstack(blocks + [block for _, block in rm._feature_blocks(points, feats, stops, head)])
 
 
 def _companion_eigenvalues(phi):
@@ -162,25 +198,28 @@ def _affine_pair_case(seed=1484):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_multi_m_cases())
-@example(case=_affine_pair_case())
-def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case):
+@given(case=_multi_m_cases(), width=st.integers(1, 30))
+@example(case=_affine_pair_case(), width=rm._BLOCK)
+def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case, width):
+    # blocks of any width up to and beyond n, as _BLOCK gives for n > _BLOCK
     points, feats, ms = case
-    got = rm.smallest_gram_eigenvalue(points, feats, ms)
-    assert isinstance(got, np.ndarray) and got.shape == (len(ms),)
-    phi = _blockwise_values(points, feats, ms)
-    for m, value in zip(ms, got):
-        ev = _companion_eigenvalues(phi[:, :m])
-        assert abs(value - ev[0]) <= 1e-14 * ev[-1]
-        head = features.FeatureSet(feats.directions[:m], feats.kind)  # exactly m features
-        [one] = rm.smallest_gram_eigenvalue(points, head, [m])
-        ev = _companion_eigenvalues(_blockwise_values(points, head, [m]))
-        assert abs(one - ev[0]) <= 1e-14 * ev[-1]
+    with mock.patch.object(rm, "_BLOCK", width):
+        got = rm.smallest_gram_eigenvalue(points, feats, ms)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ms),)
+        phi = _blockwise_values(points, feats, ms)
+        for m, value in zip(ms, got):
+            ev = _companion_eigenvalues(phi[:, :m])
+            assert abs(value - ev[0]) <= 1e-14 * ev[-1]
+            head = features.FeatureSet(feats.directions[:m], feats.kind)  # exactly m features
+            [one] = rm.smallest_gram_eigenvalue(points, head, [m])
+            ev = _companion_eigenvalues(_blockwise_values(points, head, [m]))
+            assert abs(one - ev[0]) <= 1e-14 * ev[-1]
 
 
 def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
-    # blocks of at most n = 20 directions that end at every count >= n; the
-    # first block also serves the m < n companions
+    # one head block of the largest count below n = 20 serves the m < n
+    # companions; blocks of at most min(n, _BLOCK) = 8 directions follow and
+    # one ends at every count >= n
     widths = []
 
     def spy(feats, points):
@@ -188,9 +227,10 @@ def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
         return features.feature_values(feats, points)
 
     monkeypatch.setattr(rm, "feature_values", spy)
+    monkeypatch.setattr(rm, "_BLOCK", 8)
     points, feats = _draw(0, 20, 75, 5)
     rm.smallest_gram_eigenvalue(points, feats, [33, 5, 20, 19, 75])
-    assert widths == [20, 13, 20, 20, 2]
+    assert widths == [19, 1, 8, 5, 8, 8, 8, 8, 8, 2]
 
 
 @pytest.mark.parametrize("shape,m,message", [
