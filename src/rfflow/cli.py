@@ -25,13 +25,13 @@ DATA_DIR_ENV = "RFFLOW_DATA_DIR"
 
 
 def _build_config(args):
-    from .config import ExperimentConfig, apply_overrides, load_config
+    from .config import ExperimentConfig, apply_overrides, load_config, split_key_value
 
     # a key the verb does not read is reported before any value is parsed;
     # a name that is no config key is left to apply_overrides
     config_keys = {f.name for f in fields(ExperimentConfig)}
     for pair in args.set:
-        key = pair.partition("=")[0].strip()
+        key, _ = split_key_value(pair, "--set")
         if key in config_keys and key not in args.keys:
             raise ValueError(f"{args.verb} does not read config key {key!r}; "
                              f"it reads {', '.join(args.keys)}")
@@ -165,20 +165,30 @@ def cmd_run(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
-    from .runner import emit_budget_csv, emit_sweep_csv, run_sweep, translate_curves
+    """Sweep over --m-list, or over --gamma-list at m = m_for_gamma(gamma, n).
+
+    The runner takes feature counts: the distinct counts run once each, in
+    the list's order, and every (value, seed) row reads its count's cell, so
+    two gamma values that round to one count share that cell.
+    """
+    from .runner import (emit_budget_csv, emit_sweep_csv, m_for_gamma, run_sweep,
+                         translate_curves)
     from .svgplot import PlotSpec, Series, emit_svg
 
     seeds = args.seeds
     if args.m_list:
-        axis, records = "m", run_sweep(cfg, seeds, m_values=args.m_list)
+        axis, values, counts = "m", args.m_list, args.m_list
     else:
-        axis, records = "gamma", run_sweep(cfg, seeds, gamma_values=args.gamma_list)
+        axis, values = "gamma", args.gamma_list
+        counts = [m_for_gamma(g, cfg.n) for g in values]
+    by_m = run_sweep(cfg, seeds, list(dict.fromkeys(counts)))
+    records = {(v, seed): by_m[(m, seed)] for v, m in zip(values, counts) for seed in seeds}
     summaries = {key: rec.summary for key, rec in records.items()}
     out = _out_dir(args)
     emit_sweep_csv(axis, summaries, out / f"sweep_{axis}_minnorm.csv")
     emit_budget_csv(axis, summaries, out / f"sweep_{axis}_budgets.csv")
 
-    values = sorted({v for v, _ in records})
+    values = sorted(values)
     time = records[(values[0], seeds[0])].trajectory.time  # every cell's grid
     fin = np.isfinite(time)
     curves = [records[(v, seeds[0])].trajectory.test_error[fin] for v in values]

@@ -63,33 +63,37 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
 
 
-def _coerce(name: str, raw: str):
+def split_key_value(text: str, where: str) -> tuple[str, str]:
+    """The one reader of 'key = value' text: (key, value), both stripped.  A
+    text without '=' raises ValueError, naming it as ``where``."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    return key.strip(), value.strip()
+
+
+def _updated(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
+    """cfg with each (key, value text) pair applied, the text cast to the
+    key's type; an unknown key raises KeyError, a bad value ValueError."""
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    if name not in defaults:
-        raise KeyError(f"unknown config key {name!r}")
-    raw = raw.strip()
-    cast = type(defaults[name])
-    if cast is str:
-        return raw
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
+    updates = {}
+    for name, raw in pairs:
+        if name not in defaults:
+            raise KeyError(f"unknown config key {name!r}")
+        cast = type(defaults[name])
+        try:
+            updates[name] = cast(raw)
+        except ValueError:
+            raise ValueError(f"{name}: expected {cast.__name__}, got {raw!r}") from None
+    return replace(cfg, **updates)
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
-    updates = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        updates[key] = _coerce(key, value)
-    return replace(cfg, **updates)
+    """Apply a file's 'key = value' lines; blank and '#' lines are skipped."""
+    lines = [(ln, line.strip()) for ln, line in enumerate(text.splitlines(), start=1)]
+    return _updated(base or ExperimentConfig(),
+                    (split_key_value(line, f"line {ln}") for ln, line in lines
+                     if line and not line.startswith("#")))
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -99,11 +103,4 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
     """Apply --set key=value overrides."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not key=value")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        updates[key] = _coerce(key, value)
-    return replace(cfg, **updates)
+    return _updated(cfg, (split_key_value(pair, "--set") for pair in pairs))

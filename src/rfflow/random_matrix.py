@@ -76,6 +76,8 @@ def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float)
     n, m = points.shape[0], feats.count
+    if n == 0:  # blocks of min(n, _BLOCK) = 0 directions would never advance
+        raise ValueError(f"no points: points of shape {points.shape}")
     if m == 0:
         raise ValueError("empty feature set")
     [(_, gram)] = _gram_sums(points, feats, [m])
@@ -126,6 +128,8 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     """
     points = np.asarray(points, dtype=float)
     n, total = points.shape[0], feats.count
+    if n == 0:
+        raise ValueError(f"no points: points of shape {points.shape}")
     counts = np.asarray(m)
     if (counts.ndim != 1 or counts.size == 0 or not np.issubdtype(counts.dtype, np.integer)
             or counts.min() < 1 or counts.max() > total):

@@ -237,40 +237,28 @@ def _check_grid(values: list, seeds: Sequence[int]) -> None:
         raise ValueError("sweep axis values and seeds must be distinct")
 
 
-def run_sweep(base: ExperimentConfig, seeds: Sequence[int],
-              m_values: Optional[Sequence] = None,
-              gamma_values: Optional[Sequence[float]] = None) -> dict:
-    """(axis value, seed) -> RunRecord of every cell at ``ITERATION_BUDGETS``,
+def run_sweep(base: ExperimentConfig, seeds: Sequence[int], m_values: Sequence[int]) -> dict:
+    """(m, seed) -> RunRecord of every cell at ``ITERATION_BUDGETS``,
     value-major; any cell failure aborts with its id.
 
     Cells run one seed at a time.  A seed's datasets and its feature
     directions, drawn once at the seed's largest m, serve all of its cells;
     each cell is identical to a ``run_experiment`` call that draws its own.
     """
-    if (m_values is None) == (gamma_values is None):
-        raise ValueError("exactly one of m_values / gamma_values must be given")
-    if m_values is not None:
-        axis, values = "m", list(m_values)
-        cell_m = {v: v for v in values}
-    else:
-        axis, values = "gamma", list(gamma_values)
-        cell_m = {g: m_for_gamma(g, base.n) for g in values}
+    values = list(m_values)
     _check_grid(values, seeds)
-
-    cells = {v: replace(base, m=cell_m[v]) for v in values}
-    m_max = max(cell_m.values())
     records = {}
     for seed in seeds:
-        draws = _draws(replace(base, seed=seed), m_max)
-        for value in values:
+        draws = _draws(replace(base, seed=seed), max(values))
+        for m in values:
             try:
-                records[(value, seed)] = run_experiment(replace(cells[value], seed=seed),
-                                                        ITERATION_BUDGETS, *draws)
+                records[(m, seed)] = run_experiment(replace(base, seed=seed, m=m),
+                                                    ITERATION_BUDGETS, *draws)
             except Exception as exc:
-                raise RuntimeError(f"sweep cell {axis}={value} seed={seed} failed: {exc}") from exc
+                raise RuntimeError(f"sweep cell m={m} seed={seed} failed: {exc}") from exc
         del draws   # free this seed's draws before the next seed's are made
 
-    return {(value, seed): records[(value, seed)] for value in values for seed in seeds}
+    return {(m, seed): records[(m, seed)] for m in values for seed in seeds}
 
 
 def sweep_tables(base: ExperimentConfig, train: feat_mod.Dataset, test: feat_mod.Dataset,

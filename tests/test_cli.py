@@ -78,6 +78,41 @@ def test_sweep_verb(tmp_path):
     assert len(body) == 5  # header + 2 values x 2 seeds
 
 
+def _sweep_rows(path):
+    """(value column, rest of the row) pairs of a sweep CSV, in row order."""
+    return [line.split(",", 1) for line in path.read_text().splitlines()[1:]]
+
+
+def test_gamma_sweep_is_the_count_sweep_relabelled(tmp_path, monkeypatch):
+    grid = ["--set", "n=40", "--set", "d=5", "--set", "t_log_start=-1",
+            "--set", "t_log_stop=2", "--set", "t_per_decade=4", "--seeds", "0,1"]
+    assert main(["sweep", *grid, "--m-list", "20,40,80", "--out", str(tmp_path / "m")]) == 0
+    assert main(["sweep", *grid, "--gamma-list", "0.5,1,2",
+                 "--out", str(tmp_path / "gamma")]) == 0
+    for table in ("minnorm", "budgets"):
+        by_m = _sweep_rows(tmp_path / "m" / f"sweep_m_{table}.csv")
+        by_gamma = _sweep_rows(tmp_path / "gamma" / f"sweep_gamma_{table}.csv")
+        assert [rest for _, rest in by_gamma] == [rest for _, rest in by_m]
+        assert [int(float(g) * 40) for g, _ in by_gamma] == [int(m) for m, _ in by_m]
+
+    # gamma = 0.99 and 1 both round to m = 40: one cell per seed serves both rows
+    calls = []
+    run_experiment = runner.run_experiment
+
+    def counted(cfg, *args, **kwargs):
+        calls.append((cfg.m, cfg.seed))
+        return run_experiment(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_experiment", counted)
+    out = tmp_path / "shared"
+    assert main(["sweep", *grid, "--gamma-list", "0.99,1.0,2", "--out", str(out)]) == 0
+    assert calls == [(40, 0), (80, 0), (40, 1), (80, 1)]
+    rows = _sweep_rows(out / "sweep_gamma_minnorm.csv")
+    assert [g for g, _ in rows] == ["0.98999999999999999", "0.98999999999999999",
+                                    "1", "1", "2", "2"]
+    assert rows[0][1] == rows[2][1] and rows[1][1] == rows[3][1]
+
+
 def test_sweep_requires_axis(tmp_path, capsys):
     assert main(["sweep", *_overrides(tmp_path, "sweep")]) == 2
     assert capsys.readouterr().err == "rfflow sweep: error: sweep needs --m-list or --gamma-list\n"
@@ -89,6 +124,7 @@ def test_sweep_requires_axis(tmp_path, capsys):
     ("t_per_decade=0", "t_per_decade"),   # rejected by the config's validation
     ("bogus=1", "bogus"),                 # unknown key
     ("n=abc", "n"),                       # not an integer
+    ("n77", "--set: expected 'key = value', got 'n77'"),  # no '='
 ])
 def test_bad_config_value_is_a_one_line_usage_error(tmp_path, capsys, override, key):
     assert main(["run", "--out", str(tmp_path), "--set", override]) == 2

@@ -76,7 +76,7 @@ def test_config_overrides_and_types():
                 "target_kind", "eta", "test_count", "assumption_points", "delta"):
         with pytest.raises(KeyError, match=key):
             apply_overrides(cfg, [f"{key}=1"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="--set: expected 'key = value', got 'n77'"):
         apply_overrides(cfg, ["n77"])
 
 
@@ -85,8 +85,8 @@ def test_config_file_loading(tmp_path):
     path.write_text("# comment\nn = 40\nm = 20\n\nseed = 9\n")
     cfg = load_config(path)
     assert (cfg.n, cfg.m, cfg.seed) == (40, 20, 9)
-    with pytest.raises(ValueError):
-        parse_config_text("garbage line")
+    with pytest.raises(ValueError, match="line 2: expected 'key = value', got 'garbage line'"):
+        parse_config_text("n = 4\n  garbage line  ")
 
 
 def test_time_grid_shape():
@@ -333,7 +333,7 @@ def _csv_row(*values):
 
 @pytest.mark.parametrize("axis,values,external", [
     ("m", [15, 5, 40], False),           # the largest m is not last
-    ("gamma", [0.5, 1.0, 1.5], False),
+    ("gamma", [0.5, 1.0, 1.5], False),  # the sweep runs the counts m_for_gamma gives
     ("m", [10, 30, 45], True),
 ])
 def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, external):
@@ -345,17 +345,18 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
     # last bit, so byte equality with it would rest on BLAS blocking)
     budgets = runner.ITERATION_BUDGETS
     cfg = _tiny_config()
+    if axis == "gamma":
+        values = [runner.m_for_gamma(g, cfg.n) for g in values]
     if external:
         cfg = replace(cfg, n=30)
         train, test = _external_data()
         summaries = runner.sweep_tables(cfg, train, test, values, [2, 0])
     else:
-        records = runner.run_sweep(cfg, [2, 0], **{f"{axis}_values": values})
+        records = runner.run_sweep(cfg, [2, 0], values)
         summaries = {key: rec.summary for key, rec in records.items()}
     assert list(summaries) == [(v, s) for v in values for s in (2, 0)]
     minnorm, budget = [], []
-    for value, seed in summaries:
-        m = value if axis == "m" else max(1, int(round(value * cfg.n)))
+    for m, seed in summaries:
         if external:
             cell = replace(cfg, seed=seed, m=m)
             _, feats = runner.seed_draw(cell, max(values), train)
@@ -369,16 +370,16 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
                 budget_errors=dict(zip(ascending, zip(traj.time[:-1], traj.test_error[:-1]))))
         else:
             rec = runner.run_experiment(replace(cfg, seed=seed, m=m), budgets)
-            runner.emit_csv(records[(value, seed)], tmp_path / "sweep.csv")
+            runner.emit_csv(records[(m, seed)], tmp_path / "sweep.csv")
             runner.emit_csv(rec, tmp_path / "solo.csv")
             assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
             solo = rec.summary
-        minnorm.append(_csv_row(value, seed, solo.min_norm_test_error,
+        minnorm.append(_csv_row(m, seed, solo.min_norm_test_error,
                                 solo.smallest_gram_eigenvalue))
-        budget.extend(_csv_row(value, seed, T, *solo.budget_errors[T]) for T in budgets)
+        budget.extend(_csv_row(m, seed, T, *solo.budget_errors[T]) for T in budgets)
     # the sweep tables, value-major, hold the same values
-    runner.emit_sweep_csv(axis, summaries, tmp_path / "minnorm.csv")
-    runner.emit_budget_csv(axis, summaries, tmp_path / "budgets.csv")
+    runner.emit_sweep_csv("m", summaries, tmp_path / "minnorm.csv")
+    runner.emit_budget_csv("m", summaries, tmp_path / "budgets.csv")
     assert (tmp_path / "minnorm.csv").read_text().splitlines()[1:] == minnorm
     assert (tmp_path / "budgets.csv").read_text().splitlines()[1:] == budget
 
@@ -420,15 +421,11 @@ def test_all_zero_feature_matrix_names_the_cause():
 def test_sweep_validation():
     cfg = _tiny_config()
     with pytest.raises(ValueError):
-        runner.run_sweep(cfg, [0], m_values=[5], gamma_values=[1.0])
-    with pytest.raises(ValueError):
-        runner.run_sweep(cfg, [0])
-    with pytest.raises(ValueError):
         runner.run_sweep(cfg, [0], m_values=[])
     with pytest.raises(ValueError, match="distinct"):
         runner.run_sweep(cfg, [0], m_values=[5, 5])
     with pytest.raises(ValueError, match="distinct"):
-        runner.run_sweep(cfg, [1, 1], gamma_values=[0.5])
+        runner.run_sweep(cfg, [1, 1], m_values=[5])
 
 
 def test_translate_curves():

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 import oracles
+import rfflow
 from rfflow import features
 from rfflow import kernel_analytic as ka
 from rfflow import random_matrix as rm
@@ -45,6 +51,30 @@ def test_gram_shape_validation():
         rm.gram_matrix(np.eye(3), features.FeatureSet(np.eye(4), "relu"))
     with pytest.raises(ValueError, match="empty feature set"):
         rm.gram_matrix(np.eye(3), features.FeatureSet(np.empty((0, 3)), "relu"))
+
+
+def test_zero_points_are_rejected_before_any_block():
+    # blocks of min(n, _BLOCK) directions are empty at n = 0, so a call that
+    # reached them would never return: it runs in a subprocess whose timeout
+    # turns such a hang into a failure
+    code = textwrap.dedent("""
+        import numpy as np
+        from rfflow import random_matrix as rm
+        from rfflow.features import FeatureSet
+        points, feats = np.empty((0, 3)), FeatureSet(np.eye(3), "relu")
+        for call in (lambda: rm.gram_matrix(points, feats),
+                     lambda: rm.smallest_gram_eigenvalue(points, feats, [2, 3])):
+            try:
+                call()
+            except ValueError as exc:
+                assert "points of shape (0, 3)" in str(exc), exc
+            else:
+                raise AssertionError("no ValueError for zero points")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(rfflow.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
