@@ -88,6 +88,8 @@ def _parse_flags(args, cfg) -> None:
 
     Runs before the output directory is made; a ValueError names the flag.
     """
+    from .runner import m_for_gamma
+
     for dest, (cast, ok, rule) in LIST_FLAGS.items():
         text = getattr(args, dest, None)
         if text is None:
@@ -108,15 +110,19 @@ def _parse_flags(args, cfg) -> None:
     # mp measures is round-off, so its calibration fails
     if args.verb in ("spectra", "mp") and cfg.d < 3:
         raise ValueError(f"d must be >= 3 for {args.verb}, got {cfg.d}")
-    if args.verb == "mp" and all(g == 1.0 for g in args.gamma_list):
-        raise ValueError("--gamma-list must hold a gamma other than 1: "
-                         "the calibration fit has no point at gamma = 1")
+    if args.verb == "mp" and all(m_for_gamma(g, cfg.n) == cfg.n for g in args.gamma_list):
+        raise ValueError(f"--gamma-list must hold a gamma other than 1: every gamma gives "
+                         f"m = n = {cfg.n}, where the calibration shape vanishes")
     if args.verb == "mnist":
         missing = [f"--{flag.replace('_', '-')}" for flag in MNIST_FLAGS if not getattr(args, flag)]
         if 0 < len(missing) < len(MNIST_FLAGS):
             raise ValueError(f"give all four IDX paths or none; missing {', '.join(missing)}")
     if getattr(args, "gamma", None) is not None and not 0.0 < args.gamma < math.inf:
         raise ValueError(f"--gamma must be a positive number, got {args.gamma!r}")
+    # a file at --out or at one of its parents would fail mkdir after the run
+    existing = next(p for p in (Path(args.out), *Path(args.out).parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ValueError(f"--out {args.out}: {existing} is not a directory")
 
 
 def _out_dir(args) -> Path:
@@ -235,7 +241,8 @@ def cmd_spectra(args, cfg) -> int:
     return 0
 
 
-# gamma window of mp's calibration fit, around the m = n resonance
+# window of m/n around the m = n resonance for mp's calibration fit; mp's
+# fit, prediction and plot read each row's m/n, and gamma only labels the row
 FIT_WINDOW = (0.8, 1.25)
 
 
@@ -252,25 +259,27 @@ def cmd_mp(args, cfg) -> int:
     for seed in args.seeds:
         data, feats = seed_draw(replace(cfg, seed=seed), max(m_values))
         per_seed.append(rm.smallest_gram_eigenvalue(data.points, feats, m_values))
-    rows = [(g, float(np.mean(vals)), float(np.median(vals)))
-            for g, vals in zip(args.gamma_list, np.array(per_seed).T)]
+    per_m = np.array(per_seed).T
+    mean_v = np.array([np.mean(vals) for vals in per_m])
+    median_v = np.array([np.median(vals) for vals in per_m])
 
+    ratio = np.array(m_values) / n
+    off = np.array(m_values) != n
     fit_lo, fit_hi = FIT_WINDOW
-    fit_pts = [(g, mean) for g, mean, _ in rows if fit_lo <= g <= fit_hi and g != 1.0]
-    if not fit_pts:  # window missed the grid: fall back to all off-resonance cells
-        fit_pts = [(g, mean) for g, mean, _ in rows if g != 1.0]
-    c, resid = rm.calibrate_c(fit_pts)
+    fit = off & (fit_lo <= ratio) & (ratio <= fit_hi)
+    if not fit.any():  # window missed the grid: fall back to all off-resonance cells
+        fit = off
+    c, resid = rm.calibrate_c(list(zip(ratio[fit], mean_v[fit])))
+    pred_v = c * rm.mp_shape(ratio)
 
     out = _out_dir(args)
     path = out / "mp_smallest.csv"
-    gam, mean_v, median_v = np.array(rows).T
-    pred_v = np.array([rm.predict_smallest(g, c) for g in gam])
     write_csv(path, "gamma,mean_smallest,median_smallest,mp_prediction",
-              zip(gam, mean_v, median_v, pred_v))
+              zip(args.gamma_list, mean_v, median_v, pred_v))
     emit_svg(PlotSpec(
         title=f"smallest Gram eigenvalue vs gamma (n={n}, d={d}, c={c:.3e})",
-        series=(Series("measured mean", gam, mean_v),
-                Series("MP prediction", gam, pred_v, dashed=True)),
+        series=(Series("measured mean", ratio, mean_v),
+                Series("MP prediction", ratio, pred_v, dashed=True)),
         log_x=False, x_label="gamma = m/n", y_label="smallest eigenvalue",
     ), out / "mp_smallest.svg")
     print(f"wrote {path}; calibration c={c:.6e} (rms residual {resid:.3e})")

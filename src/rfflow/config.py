@@ -97,8 +97,13 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"cannot read config file {path}: {reason}") from None
+    return parse_config_text(text, base)
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:

@@ -15,20 +15,15 @@ _UNIT_TOL = 1e-12
 class Dataset:
     """Sample points with target values.
 
-    ``points`` is (n, d); rows are unit vectors when sphere-sampled.
+    ``points`` is (n, d): unit rows when sphere-sampled, raw pixels from IDX.
     """
 
     points: np.ndarray
     targets: np.ndarray
-    distribution_tag: str = "uniform-sphere"
 
     def __post_init__(self):
         if self.targets.shape[0] != self.points.shape[0]:
             raise ValueError("targets length must equal points row count")
-        if self.distribution_tag == "uniform-sphere":
-            norms = np.linalg.norm(self.points, axis=1)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-                raise ValueError("sphere-sampled rows must have unit norm")
 
     @property
     def count(self) -> int:
@@ -148,5 +143,4 @@ def eval_target_many(spec: TargetSpec, points: np.ndarray) -> np.ndarray:
 def sample_dataset(rng_seed, n: int, dim: int, target: TargetSpec) -> Dataset:
     """Uniform sphere sample with targets evaluated from ``target``."""
     points = sample_sphere(rng_seed, dim, n)
-    return Dataset(points=points, targets=eval_target_many(target, points),
-                   distribution_tag="uniform-sphere")
+    return Dataset(points=points, targets=eval_target_many(target, points))

@@ -73,5 +73,4 @@ def load_idx(images_path, labels_path, classes=None, subsample: int | None = Non
     # a gather copies into a plain array, so no view of the mapping is kept
     points = np.asarray(images.reshape(images.shape[0], -1)[rows], dtype=float)
     points /= 255.0
-    return Dataset(points=points, targets=labels[rows].astype(float),
-                   distribution_tag="external")
+    return Dataset(points=points, targets=labels[rows].astype(float))

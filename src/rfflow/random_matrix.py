@@ -4,10 +4,10 @@ The Gram matrix is G = Phi Phi^T / (nm).  Its nonzero eigenvalues coincide
 with those of Phi^T Phi / (nm), so the smallest *nonzero* eigenvalue is
 always read off the smaller of the two companions; at m = n this is the
 plain smallest eigenvalue, which collapses towards zero (the double-descent
-resonance).  The Marchenko-Pastur model predicts that collapse:
-the smallest eigenvalue scales like c * (1 - sqrt(gamma))^2 for gamma <= 1
-and c * (1 - sqrt(1/gamma))^2 above, with a calibration constant c fitted
-from measurements near gamma = 1.
+resonance).  The Marchenko-Pastur model predicts that collapse: with
+gamma = m/n the smallest eigenvalue scales like c * (1 - sqrt(gamma))^2 for
+gamma <= 1 and c * (1 - sqrt(1/gamma))^2 above, with a calibration constant
+c fitted from measurements near m = n.
 
 Memory stays O(n^2) at any m: the Gram matrices are summed over feature
 blocks of at most min(n, _BLOCK) directions and the kernel matrix is
@@ -165,19 +165,12 @@ def mp_shape(gamma) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def predict_smallest(gamma: float, c: float) -> float:
-    """Calibrated smallest-eigenvalue prediction c * shape(gamma)."""
-    if c <= 0:
-        raise ValueError("calibration must be positive")
-    return c * float(mp_shape(gamma))
-
-
 def calibrate_c(measurements: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares calibration of the prediction against measurements.
+    """Least-squares fit of the prediction c * mp_shape(gamma) to measurements.
 
-    ``measurements`` holds (gamma, smallest eigenvalue) pairs; at least one
-    of them must be off resonance (gamma != 1), since the shape vanishes at
-    gamma = 1.  Returns (c, rms residual).
+    ``measurements`` holds (gamma = m/n of the measured count, smallest
+    eigenvalue) pairs; at least one must be off resonance (m != n), where
+    the shape vanishes.  Returns (c, rms residual); c must come out positive.
     """
     gammas = np.array([g for g, _ in measurements], dtype=float)
     vals = np.array([v for _, v in measurements], dtype=float)
@@ -186,5 +179,7 @@ def calibrate_c(measurements: Sequence[tuple[float, float]]) -> tuple[float, flo
     if use.sum() == 0:
         raise ValueError("all measurements sit at gamma = 1; shape is identically zero")
     c = float(vals[use] @ shapes[use] / (shapes[use] @ shapes[use]))
+    if c <= 0:
+        raise ValueError(f"calibration must be positive, got c = {c!r}")
     resid = float(np.sqrt(np.mean((vals - c * shapes) ** 2)))
     return c, resid

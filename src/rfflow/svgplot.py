@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG line charts with log-scale axes.
+"""Minimal deterministic SVG line charts on a log y axis; x is log or linear.
 
 No plotting dependency: a fixed 960x600 viewBox, decade tick marks on log
 axes, one polyline per series, and a text legend.  Identical plot specs
@@ -31,7 +31,6 @@ class PlotSpec:
     title: str
     series: tuple[Series, ...]
     log_x: bool = True
-    log_y: bool = True
     x_label: str = "t"
     y_label: str = ""
 
@@ -40,12 +39,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _finite_mask(s: Series, log_x: bool, log_y: bool) -> np.ndarray:
-    ok = np.isfinite(s.x) & np.isfinite(s.y)
+def _finite_mask(s: Series, log_x: bool) -> np.ndarray:
+    ok = np.isfinite(s.x) & np.isfinite(s.y) & (s.y > 0)
     if log_x:
         ok &= s.x > 0
-    if log_y:
-        ok &= s.y > 0
     return ok
 
 
@@ -62,7 +59,7 @@ def render_svg(spec: PlotSpec) -> str:
     xs, ys = [], []
     masks = []
     for s in spec.series:
-        mask = _finite_mask(s, spec.log_x, spec.log_y)
+        mask = _finite_mask(s, spec.log_x)
         masks.append(mask)
         if mask.any():
             xs.append(s.x[mask])
@@ -70,7 +67,7 @@ def render_svg(spec: PlotSpec) -> str:
     if not xs:
         raise ValueError("nothing to plot: no finite positive points")
     x_lo, x_hi = _axis_range(np.concatenate(xs), spec.log_x)
-    y_lo, y_hi = _axis_range(np.concatenate(ys), spec.log_y)
+    y_lo, y_hi = _axis_range(np.concatenate(ys), True)
 
     px0, px1 = MARGIN["left"], WIDTH - MARGIN["right"]
     py0, py1 = HEIGHT - MARGIN["bottom"], MARGIN["top"]
@@ -97,13 +94,12 @@ def render_svg(spec: PlotSpec) -> str:
                          'stroke="#dddddd"/>')
             parts.append(f'<text x="{_fmt(px)}" y="{py0 + 18}" text-anchor="middle" '
                          f'font-size="11">1e{e}</text>')
-    if spec.log_y:
-        for e in decade_ticks(y_lo, y_hi):
-            py = to_px(10.0 ** e, y_lo, y_hi, py0, py1, True)
-            parts.append(f'<line x1="{px0}" y1="{_fmt(py)}" x2="{px1}" y2="{_fmt(py)}" '
-                         'stroke="#dddddd"/>')
-            parts.append(f'<text x="{px0 - 6}" y="{_fmt(py + 4)}" text-anchor="end" '
-                         f'font-size="11">1e{e}</text>')
+    for e in decade_ticks(y_lo, y_hi):
+        py = to_px(10.0 ** e, y_lo, y_hi, py0, py1, True)
+        parts.append(f'<line x1="{px0}" y1="{_fmt(py)}" x2="{px1}" y2="{_fmt(py)}" '
+                     'stroke="#dddddd"/>')
+        parts.append(f'<text x="{px0 - 6}" y="{_fmt(py + 4)}" text-anchor="end" '
+                     f'font-size="11">1e{e}</text>')
 
     for i, (s, mask) in enumerate(zip(spec.series, masks)):
         if not mask.any():
@@ -111,7 +107,7 @@ def render_svg(spec: PlotSpec) -> str:
         color = COLORS[i % len(COLORS)]
         pts = " ".join(
             f"{_fmt(to_px(xv, x_lo, x_hi, px0, px1, spec.log_x))},"
-            f"{_fmt(to_px(yv, y_lo, y_hi, py0, py1, spec.log_y))}"
+            f"{_fmt(to_px(yv, y_lo, y_hi, py0, py1, True))}"
             for xv, yv in zip(s.x[mask], s.y[mask])
         )
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""

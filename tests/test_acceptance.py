@@ -222,7 +222,7 @@ def test_a08_smallest_eigenvalue_dip_and_mp_fit():
     rel_errs = {}
     for g, v in zip(gammas, means):
         if 0.7 <= g <= 1.5 and g != 1.0:  # prediction is identically 0 at gamma=1
-            rel_errs[g] = abs(rm.predict_smallest(g, c) - v) / v
+            rel_errs[g] = abs(c * rm.mp_shape(g) - v) / v
     elapsed = time.perf_counter() - t0
     ok = dip_at_one and all(r <= 0.5 for r in rel_errs.values()) and elapsed < 600.0
     _report("A08 smallest-eigenvalue dip and MP prediction",

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import struct
@@ -12,6 +13,7 @@ import pytest
 import rfflow
 from rfflow import bounds, features, flow, idx, runner
 from rfflow import kernel_analytic as ka
+from rfflow import random_matrix as rm
 from rfflow.cli import main
 from rfflow.config import ExperimentConfig
 
@@ -65,6 +67,42 @@ def test_run_verb_with_config_file(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
                  "--seed", "2"]) == 0
     assert list(tmp_path.glob("run_*.csv"))
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, os.strerror(errno.ENOENT)),
+    (lambda path: path.mkdir(), os.strerror(errno.EISDIR)),
+    (lambda path: path.write_bytes(b"n = 16\nd = \xff\n"), "can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_config_file_is_a_one_line_usage_error(tmp_path, capsys, make, reason):
+    path = tmp_path / "exp.cfg"
+    make(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfflow run: error: ") and err.count("\n") == 1
+    assert str(path) in err and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "spectra"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_out_through_a_file_is_a_usage_error_before_the_run(tmp_path, capsys, monkeypatch,
+                                                            verb, below):
+    # checked before any cell runs: mkdir alone would fail only after the run
+    def ran(*args, **kwargs):
+        raise AssertionError("the verb ran")
+
+    monkeypatch.setattr(runner, "run_experiment", ran)
+    monkeypatch.setattr(runner, "seed_draw", ran)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / below if below else afile
+    assert main([verb, "--set", "n=20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"rfflow {verb}: error: --out {out}: {afile} "
+                            f"is not a directory\n")
+    assert captured.out == "" and afile.read_text() == "kept\n"
 
 
 def test_sweep_verb(tmp_path):
@@ -347,6 +385,38 @@ def test_mp_verb_needs_a_gamma_off_resonance(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("rfflow mp: error: --gamma-list must hold a gamma other than 1")
     assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,table", [
+    (["mp", "--seeds", "0,1", "--gamma-list", "0.5,{g},2"], "mp_smallest.csv"),
+    (["spectra", "--gamma", "{g}"], "spectra_gamma{g}.csv"),
+], ids=["mp", "spectra"])
+def test_gammas_of_one_count_write_the_same_values(tmp_path, argv, table):
+    # at n = 50 gamma 0.85 and 0.84 both give m = 42: a row is its count's
+    # cell, and gamma only labels it (the sweep's counterpart is
+    # test_gamma_sweep_is_the_count_sweep_relabelled)
+    values = []
+    for g in ("0.85", "0.84"):
+        out = tmp_path / g
+        assert main([*(a.format(g=g) for a in argv), "--set", "n=50", "--set", "d=5",
+                     "--out", str(out)]) == 0
+        lines = (out / table.format(g=g)).read_text().splitlines()
+        values.append([line.split(",")[1:] for line in lines])
+    assert values[0] == values[1]
+
+
+def test_mp_resonance_is_the_count_m_equals_n(tmp_path):
+    # at n = 10 gamma 0.95 rounds to m = n: its row predicts exactly 0, and
+    # c is fitted on the rows off resonance, gamma 0.5 and 2, only
+    assert main(["mp", "--set", "n=10", "--gamma-list", "0.5,0.95,2", "--seeds", "0,1",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "mp_smallest.csv").read_text().splitlines()[1:]
+    (_, mean_lo, _, pred_lo), (_, _, _, pred_at_n), (_, mean_hi, _, pred_hi) = (
+        [float(v) for v in line.split(",")] for line in lines)
+    assert pred_at_n == 0.0
+    c, _ = rm.calibrate_c([(0.5, mean_lo), (2.0, mean_hi)])
+    assert pred_lo == pytest.approx(c * rm.mp_shape(0.5), rel=1e-14)
+    assert pred_hi == pytest.approx(c * rm.mp_shape(2.0), rel=1e-14)
 
 
 def test_mp_verb_matches_a_per_cell_recomputation(tmp_path):

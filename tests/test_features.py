@@ -161,8 +161,7 @@ def test_external_target_lookup_and_missing():
     # labelled data carries its labels row by row in Dataset.targets; a
     # target function has an order and nothing else, so no kind looks them up
     pts = features.sample_sphere(4, 3, 5)
-    data = features.Dataset(points=2 * pts, targets=np.arange(5.0),
-                            distribution_tag="external")
+    data = features.Dataset(points=2 * pts, targets=np.arange(5.0))
     assert data.targets[2] == 2.0
     with pytest.raises(TypeError, match="kind"):
         features.TargetSpec(kind="external-labels")
@@ -174,8 +173,5 @@ def test_dataset_validation():
     pts = features.sample_sphere(0, 3, 4)
     with pytest.raises(ValueError):
         features.Dataset(points=pts, targets=np.zeros(3))
-    with pytest.raises(ValueError):
-        features.Dataset(points=2 * pts, targets=np.zeros(4))
-    # raw vectors are fine when tagged external
-    features.Dataset(points=2 * pts, targets=np.zeros(4),
-                     distribution_tag="external")
+    # raw vectors are fine: nothing downstream assumes unit rows
+    features.Dataset(points=2 * pts, targets=np.zeros(4))

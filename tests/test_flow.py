@@ -375,8 +375,7 @@ def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
     dec = flow.decompose(phi)
     rng = np.random.default_rng(5)
     test = features.Dataset(points=3.0 * rng.random((30, 5)),
-                            targets=rng.standard_normal(30),
-                            distribution_tag="external")
+                            targets=rng.standard_normal(30))
     times = [0.0, 1.0, 100.0, np.inf]
     traj = flow.errors_on_grid(dec, y, feats, test, times)
     phi_test = features.feature_values(feats, test.points)

@@ -104,7 +104,6 @@ def test_load_scales_filters_and_subsamples(tmp_path):
     data = idx.load_idx(img_path, lab_path)
     assert data.points.shape == (20, 9)
     assert data.points.min() >= 0.0 and data.points.max() <= 1.0
-    assert data.distribution_tag == "external"
 
     two_class = idx.load_idx(img_path, lab_path, classes=(0, 1))
     assert set(np.unique(two_class.targets)) <= {0.0, 1.0}

@@ -321,8 +321,7 @@ def _external_data(d=6, n=30, n_test=50):
     """Labelled non-sphere points, as an IDX file gives them."""
     rng = np.random.default_rng(5)
     train, test = (features.Dataset(points=rng.random((k, d)),
-                                    targets=(rng.random(k) < 0.5).astype(float),
-                                    distribution_tag="external")
+                                    targets=(rng.random(k) < 0.5).astype(float))
                    for k in (n, n_test))
     return train, test
 

@@ -316,11 +316,11 @@ def test_mp_total_mass_is_one(gamma):
 
 
 def test_predict_smallest_anchor_values():
-    assert rm.predict_smallest(1.0, 2.0) == 0.0
-    assert rm.predict_smallest(4.0, 1.0) == pytest.approx(0.25)
+    # the calibrated prediction is c * mp_shape(gamma)
+    assert 2.0 * rm.mp_shape(1.0) == 0.0
+    assert 1.0 * rm.mp_shape(4.0) == pytest.approx(0.25)
     for g in (0.3, 0.7, 2.5):
-        assert rm.predict_smallest(g, 1.3) == pytest.approx(
-            rm.predict_smallest(1.0 / g, 1.3), rel=1e-12)
+        assert 1.3 * rm.mp_shape(g) == pytest.approx(1.3 * rm.mp_shape(1.0 / g), rel=1e-12)
 
 
 def test_calibrate_exact_fit():
@@ -339,6 +339,12 @@ def test_calibrate_single_point():
 def test_calibrate_rejects_resonance_only():
     with pytest.raises(ValueError):
         rm.calibrate_c([(1.0, 1e-9), (1.0, 2e-9), (1.0, 3e-9)])
+
+
+def test_calibrate_rejects_a_calibration_that_is_not_positive():
+    # round-off smallest eigenvalues can be negative; so is then their fit
+    with pytest.raises(ValueError, match="calibration must be positive"):
+        rm.calibrate_c([(0.5, -1e-17), (2.0, -2e-17)])
 
 
 def test_smallest_eigenvalue_dip_at_resonance():

@@ -22,8 +22,6 @@ ALLOWED = {
 
 # dataclass fields that nothing in src/ reads: "Class.field" -> reason
 UNREAD_FIELDS = {
-    "Dataset.distribution_tag": "read only by its own validation, which checks unit-norm "
-                                "rows of sphere samples",
     "RunRecord.assumption": "the assumption report; a run sidecar is to write it",
     "AssumptionReport.c_prime": "waits for a run sidecar that writes it",
     "AssumptionReport.discrepancies": "waits for a run sidecar that writes it",
