@@ -236,8 +236,9 @@ def cmd_spectra(args, cfg) -> int:
         ),
         x_label="rank", y_label="eigenvalue",
     ), out / f"spectra_gamma{args.gamma:g}.svg")
-    top_rel_diff = np.abs(gram_ev[:10] - kernel_ev[:10]) / np.abs(kernel_ev[:10])
-    print(f"wrote {path}; top-10 gram vs kernel rel diff: {np.max(top_rel_diff):.4f}")
+    top = min(10, m, n)  # as in the SVG, Gram ranks past m are round-off
+    top_rel_diff = np.abs(gram_ev[:top] - kernel_ev[:top]) / np.abs(kernel_ev[:top])
+    print(f"wrote {path}; top-{top} gram vs kernel rel diff: {np.max(top_rel_diff):.4f}")
     return 0
 
 

@@ -11,9 +11,18 @@ c fitted from measurements near m = n.
 
 Memory stays O(n^2) at any m: the Gram matrices are summed over feature
 blocks of at most min(n, _BLOCK) directions and the kernel matrix is
-filled in row blocks.  A Gram sum holds the running n x n sum, one n x n
-block product and one n x _BLOCK block, and ``eigvalsh`` makes its own
-copy of the matrix it reads.
+filled in row blocks.  ``smallest_gram_eigenvalue`` goes through three
+phases, and at each only these arrays are alive:
+
+* the m < n companions: the n x head block of the first head directions
+  and its head x head companion product, whose leading blocks ``eigvalsh``
+  reads (making its own copy);
+* the Gram sum: the running n x n sum, one n x n block product and one
+  n x _BLOCK block;
+* each m >= n count: the running sum and the panels of its Cholesky factor,
+  about half an n x n array, plus the Lanczos basis of at most _STEPS
+  vectors.  No full spectrum is computed there: the smallest eigenvalue is
+  1/theta for the largest eigenvalue theta of the sum's inverse.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from .kernel_analytic import feature_kernel
 _SYM_TOL = 1e-10
 _KERNEL_ROWS = 128  # rows of the kernel matrix filled per block
 _BLOCK = 256  # feature directions evaluated per block of a Gram sum
+_PANEL = 128  # columns per panel of the Cholesky factor in _smallest_eigenvalue
+_STEPS = 100  # Lanczos steps before _smallest_eigenvalue falls back to eigvalsh
+_LANCZOS_TOL = 1e-14  # relative Ritz residual, or Ritz-value change, that stops Lanczos
 
 
 def _feature_blocks(points: np.ndarray, feats: FeatureSet, stops: Sequence[int], lo: int = 0):
@@ -102,14 +114,102 @@ def kernel_matrix(points, kind: str) -> np.ndarray:
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Descending spectrum of a symmetric matrix."""
+    """Descending spectrum of a symmetric matrix.
+
+    The symmetry test is relative: |a - a^T| may reach _SYM_TOL of a's
+    largest magnitude, whatever a's scale.
+    """
     a = np.asarray(a, dtype=float)
-    scale = max(float(a.max()), -float(a.min()), 1.0)
+    scale = max(float(a.max()), -float(a.min()))
     asym = np.subtract(a, a.T)  # the one temporary: |a - a^T| in place
     if np.abs(asym, out=asym).max() > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     del asym
     return np.linalg.eigvalsh(a)[::-1]
+
+
+def _cholesky_panels(a: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Cholesky factor L of a symmetric positive-definite a, left-looking in
+    column panels of at most _PANEL columns, read from a's lower triangle.
+
+    Returns [(lo, p)] for the panels in order: with w = p.shape[1], p[:w] is
+    the inverse of the diagonal block L[lo:lo+w, lo:lo+w] and p[w:] is
+    L[lo+w:, lo:lo+w], so the panels hold about half an n x n array.  Raises
+    LinAlgError when a diagonal block is not positive definite.
+    """
+    n = a.shape[0]
+    panels = []
+    for lo in range(0, n, _PANEL):
+        w = min(_PANEL, n - lo)
+        panel = a[lo:, lo:lo + w].copy()
+        for plo, prev in panels:
+            rows = prev[lo - plo:]  # L[lo:, plo:plo+pw], below prev's diagonal block
+            panel -= rows @ rows[:w].T
+        inverse = np.tril(np.linalg.inv(np.linalg.cholesky(panel[:w])))
+        panel[w:] = panel[w:] @ inverse.T
+        panel[:w] = inverse
+        panels.append((lo, panel))
+    return panels
+
+
+def _solve(panels: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """a^-1 v by forward (L y = v) and back (L^T x = y) substitution over the
+    panels of ``_cholesky_panels(a)``."""
+    x = v.copy()
+    for lo, p in panels:
+        w = p.shape[1]
+        x[lo:lo + w] = p[:w] @ x[lo:lo + w]
+        x[lo + w:] -= p[w:] @ x[lo:lo + w]
+    for lo, p in reversed(panels):
+        w = p.shape[1]
+        x[lo:lo + w] = p[:w].T @ (x[lo:lo + w] - p[w:].T @ x[lo + w:])
+    return x
+
+
+def _smallest_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric positive-definite matrix, without its
+    spectrum.
+
+    It is 1/theta for the largest eigenvalue theta of a^-1, which Lanczos with
+    full reorthogonalisation finds from a fixed seeded start vector, applying
+    a^-1 through the panels of a's Cholesky factor.  Lanczos stops once the
+    top Ritz value's residual, or its change over one step, is below
+    _LANCZOS_TOL of it.  ``eigvalsh`` answers instead when a diagonal block of
+    the factor is not positive definite, when a^-1 v overflows, or when
+    _STEPS steps do not converge.
+    """
+    n = a.shape[0]
+    try:
+        panels = _cholesky_panels(a)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(a)[0])
+    steps = min(n, _STEPS)
+    basis = np.empty((steps, n))
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    alphas, betas, previous = [], [], -np.inf
+    # a factor with pivots near 0 can overflow a^-1 v; that falls back below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            w = _solve(panels, basis[k])
+            alphas.append(float(basis[k] @ w))
+            for _ in range(2):  # against every basis vector, twice
+                w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+            beta = float(np.linalg.norm(w))
+            if not np.isfinite([alphas[-1], beta]).all():
+                break
+            ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            theta = ritz[-1]
+            if theta <= 0:
+                break
+            if (beta * abs(vectors[-1, -1]) <= _LANCZOS_TOL * theta
+                    or theta - previous <= _LANCZOS_TOL * theta):
+                return float(1.0 / theta)
+            if k + 1 < steps:
+                basis[k + 1] = w / beta
+                betas.append(beta)
+            previous = theta
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.ndarray:
@@ -124,7 +224,8 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     counts are the running Gram sum, which starts from the head block's
     product and adds the following directions in blocks of at most
     min(n, _BLOCK), taken in ascending m.  Each direction is evaluated once.
-    Each value is the smallest eigenvalue of the unscaled product divided by nm.
+    Each value is the smallest eigenvalue of the unscaled product divided by nm:
+    ``eigvalsh``'s for a companion, ``_smallest_eigenvalue``'s for a running sum.
     """
     points = np.asarray(points, dtype=float)
     n, total = points.shape[0], feats.count
@@ -148,7 +249,7 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
             gram = block @ block.T
         del block
     for k, running in _gram_sums(points, feats, above, head, gram):
-        smallest[k] = float(np.linalg.eigvalsh(running)[0]) / (n * k)
+        smallest[k] = _smallest_eigenvalue(running) / (n * k)
     return np.array([smallest[int(k)] for k in counts])
 
 

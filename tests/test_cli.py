@@ -474,6 +474,19 @@ def test_spectra_verb(tmp_path, capsys):
     assert "top-10" in out
 
 
+@pytest.mark.parametrize("gamma,top", [("0.05", 1), ("0.5", 5), ("2", 10)])
+def test_spectra_top_difference_compares_only_ranks_within_m(tmp_path, capsys, gamma, top):
+    # at n = 10, gamma 0.05 gives m = 1: Gram ranks 2..10 are round-off, which
+    # would read as a relative difference of 1 against the kernel matrix
+    assert main(["spectra", "--set", "n=10", "--gamma", gamma, "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / f"spectra_gamma{gamma}.csv", delimiter=",", skiprows=1)
+    gram, kernel = table[:top, 1], table[:top, 2]
+    want = np.max(np.abs(gram - kernel) / kernel)
+    out = capsys.readouterr().out
+    assert f"top-{top} gram vs kernel rel diff: {want:.4f}" in out
+    assert f"{want:.4f}" != "1.0000"
+
+
 def test_spectra_verb_in_high_dimension(tmp_path):
     assert main(["spectra", "--out", str(tmp_path),
                  "--set", "n=50", "--set", "d=90", "--gamma", "2"]) == 0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -159,6 +160,21 @@ def test_symmetric_eigenvalues_rejects_asymmetric():
         rm.symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_symmetric_eigenvalues_symmetry_test_is_relative():
+    # Gram entries are small: at n = 200, m = 400 the largest is about 3.2e-4,
+    # so 5e-11 on one entry is a defect of 1.6e-7 of the matrix
+    n = 200
+    gram = rm.gram_matrix(*_draw(0, n, 2 * n))
+    rm.symmetric_eigenvalues(gram)
+    gram[0, 1] += 5e-11
+    with pytest.raises(ValueError, match="not symmetric"):
+        rm.symmetric_eigenvalues(gram)
+    # the same test at any scale: 1e-12 of the largest entry passes
+    a = np.array([[2.0, 1.0], [1.0 + 2e-12, 3.0]])
+    for scale in (1e-8, 1.0, 1e8):
+        rm.symmetric_eigenvalues(scale * a)
+
+
 def test_companion_spectra_match_on_rectangular():
     points, feats = _draw(1, 10, 6)
     phi = features.feature_values(feats, points)
@@ -244,6 +260,73 @@ def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case, width):
             [one] = rm.smallest_gram_eigenvalue(points, head, [m])
             ev = _companion_eigenvalues(_blockwise_values(points, head, [m]))
             assert abs(one - ev[0]) <= 1e-14 * ev[-1]
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), extra=st.integers(0, 80), d=st.integers(3, 8),
+       panel=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_smallest_eigenvalue_at_m_ge_n_matches_eigvalsh(kind, n, extra, d, panel, seed):
+    # panels of 1..16 columns at n <= 40 run the multi-panel factor and
+    # substitution that n > _PANEL runs at full size
+    rng = np.random.default_rng(seed)
+    points = features.sample_sphere(rng, d, n)
+    feats = features.sample_features(rng, d, n + extra, kind)
+    with mock.patch.object(rm, "_PANEL", panel):
+        [got] = rm.smallest_gram_eigenvalue(points, feats, [n + extra])
+    ev = _companion_eigenvalues(_blockwise_values(points, feats, [n + extra]))
+    assert abs(got - ev[0]) <= 1e-14 * ev[-1]
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_smallest_eigenvalue_at_m_ge_n_needs_no_spectrum(kind, monkeypatch):
+    # six panels of at most 7 columns at n = 40; no eigvalsh call answers
+    n = 40
+    points, feats = _draw(6, n, 3 * n, 6, kind)
+    ms = [n, 2 * n, 3 * n]
+    phi = _blockwise_values(points, feats, ms)
+    want = [_companion_eigenvalues(phi[:, :m]) for m in ms]
+
+    def eigvalsh(a):
+        raise AssertionError(f"eigvalsh of a {a.shape} matrix")
+
+    monkeypatch.setattr(rm, "_PANEL", 7)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    got = rm.smallest_gram_eigenvalue(points, feats, ms)
+    for value, ev in zip(got, want):
+        assert abs(value - ev[0]) <= 1e-14 * ev[-1]
+
+
+def test_singular_gram_falls_back_to_eigvalsh(monkeypatch):
+    # the third point repeats the first: Phi's rows e1, e2, e1 make the third
+    # Cholesky pivot of the Gram sum exactly 1 - 1^2 = 0
+    points = np.eye(3)[[0, 1, 0]]
+    feats = features.FeatureSet(np.eye(3), "relu")
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    [got] = rm.smallest_gram_eigenvalue(points, feats, [3])
+    assert calls == [(3, 3)]
+    gram = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    assert got == eigvalsh(gram)[0] / 9
+
+
+def test_lanczos_step_cap_falls_back_to_eigvalsh(monkeypatch):
+    # one step cannot converge: the value is eigvalsh's, to the last bit
+    n, m = 40, 80
+    points, feats = _draw(5, n, m)
+    [(_, running)] = rm._gram_sums(points, feats, [m])
+    want = float(np.linalg.eigvalsh(running)[0]) / (n * m)
+    monkeypatch.setattr(rm, "_STEPS", 1)
+    [got] = rm.smallest_gram_eigenvalue(points, feats, [m])
+    assert got == want
+
+
+def test_overflowing_inverse_falls_back_to_eigvalsh():
+    # a pivot of 1e-160 passes the factor, but a^-1 v then reaches 1e320
+    a = np.diag([1.0, 1e-320])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rm._smallest_eigenvalue(a) == np.linalg.eigvalsh(a)[0]
 
 
 def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
