@@ -14,15 +14,15 @@ blocks of at most min(n, _BLOCK) directions and the kernel matrix is
 filled in row blocks.  ``smallest_gram_eigenvalue`` goes through three
 phases, and at each only these arrays are alive:
 
-* the m < n companions: the n x head block of the first head directions
-  and its head x head companion product, whose leading blocks ``eigvalsh``
-  reads (making its own copy);
+* each m < n companion: the n x head block of the first head directions and
+  the companion's Cholesky panels, read from the block, about half m x m;
 * the Gram sum: the running n x n sum, one n x n block product and one
   n x _BLOCK block;
-* each m >= n count: the running sum and the panels of its Cholesky factor,
-  about half an n x n array, plus the Lanczos basis of at most _STEPS
-  vectors.  No full spectrum is computed there: the smallest eigenvalue is
-  1/theta for the largest eigenvalue theta of the sum's inverse.
+* each m >= n count: the running sum and its Cholesky panels, about half
+  n x n.
+No companion product and no full spectrum is formed: beside each factor a
+Lanczos basis of at most _STEPS vectors finds the largest eigenvalue theta
+of the product's inverse, and the smallest eigenvalue is 1/theta.
 """
 
 from __future__ import annotations
@@ -128,20 +128,20 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def _cholesky_panels(a: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Cholesky factor L of a symmetric positive-definite a, left-looking in
-    column panels of at most _PANEL columns, read from a's lower triangle.
+def _cholesky_panels(columns, n: int) -> list[tuple[int, np.ndarray]]:
+    """Cholesky factor L of an n x n symmetric positive-definite a, left-looking
+    in column panels of at most _PANEL columns; ``columns(lo, w)`` returns a
+    fresh a[lo:, lo:lo+w], the panel's part of a's lower triangle.
 
     Returns [(lo, p)] for the panels in order: with w = p.shape[1], p[:w] is
     the inverse of the diagonal block L[lo:lo+w, lo:lo+w] and p[w:] is
     L[lo+w:, lo:lo+w], so the panels hold about half an n x n array.  Raises
     LinAlgError when a diagonal block is not positive definite.
     """
-    n = a.shape[0]
     panels = []
     for lo in range(0, n, _PANEL):
         w = min(_PANEL, n - lo)
-        panel = a[lo:, lo:lo + w].copy()
+        panel = columns(lo, w)
         for plo, prev in panels:
             rows = prev[lo - plo:]  # L[lo:, plo:plo+pw], below prev's diagonal block
             panel -= rows @ rows[:w].T
@@ -154,7 +154,7 @@ def _cholesky_panels(a: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 def _solve(panels: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     """a^-1 v by forward (L y = v) and back (L^T x = y) substitution over the
-    panels of ``_cholesky_panels(a)``."""
+    panels of ``_cholesky_panels``."""
     x = v.copy()
     for lo, p in panels:
         w = p.shape[1]
@@ -166,50 +166,51 @@ def _solve(panels: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     return x
 
 
-def _smallest_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric positive-definite matrix, without its
-    spectrum.
+def _smallest_eigenvalue(columns, n: int) -> float:
+    """Smallest eigenvalue of an n x n symmetric positive-definite a, read
+    through ``columns`` as in ``_cholesky_panels``, without its spectrum.
 
     It is 1/theta for the largest eigenvalue theta of a^-1, which Lanczos with
     full reorthogonalisation finds from a fixed seeded start vector, applying
     a^-1 through the panels of a's Cholesky factor.  Lanczos stops once the
     top Ritz value's residual, or its change over one step, is below
-    _LANCZOS_TOL of it.  ``eigvalsh`` answers instead when a diagonal block of
-    the factor is not positive definite, when a^-1 v overflows, or when
-    _STEPS steps do not converge.
+    _LANCZOS_TOL of it.  When a diagonal block of the factor is not positive
+    definite, a^-1 v overflows, or _STEPS steps do not converge, the panels
+    and the basis are freed and ``eigvalsh`` of columns(0, n) answers.
     """
-    n = a.shape[0]
     try:
-        panels = _cholesky_panels(a)
+        panels = _cholesky_panels(columns, n)
     except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(a)[0])
-    steps = min(n, _STEPS)
-    basis = np.empty((steps, n))
-    start = np.random.default_rng(0).standard_normal(n)
-    basis[0] = start / np.linalg.norm(start)
-    alphas, betas, previous = [], [], -np.inf
-    # a factor with pivots near 0 can overflow a^-1 v; that falls back below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            w = _solve(panels, basis[k])
-            alphas.append(float(basis[k] @ w))
-            for _ in range(2):  # against every basis vector, twice
-                w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
-            beta = float(np.linalg.norm(w))
-            if not np.isfinite([alphas[-1], beta]).all():
-                break
-            ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
-            theta = ritz[-1]
-            if theta <= 0:
-                break
-            if (beta * abs(vectors[-1, -1]) <= _LANCZOS_TOL * theta
-                    or theta - previous <= _LANCZOS_TOL * theta):
-                return float(1.0 / theta)
-            if k + 1 < steps:
-                basis[k + 1] = w / beta
-                betas.append(beta)
-            previous = theta
-    return float(np.linalg.eigvalsh(a)[0])
+        panels = None
+    if panels is not None:
+        steps = min(n, _STEPS)
+        basis = np.empty((steps, n))
+        start = np.random.default_rng(0).standard_normal(n)
+        basis[0] = start / np.linalg.norm(start)
+        alphas, betas, previous = [], [], -np.inf
+        # a factor with pivots near 0 can overflow a^-1 v; that falls back below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                w = _solve(panels, basis[k])
+                alphas.append(float(basis[k] @ w))
+                for _ in range(2):  # against every basis vector, twice
+                    w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+                beta = float(np.linalg.norm(w))
+                if not np.isfinite([alphas[-1], beta]).all():
+                    break
+                ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+                theta = ritz[-1]
+                if theta <= 0:
+                    break
+                if (beta * abs(vectors[-1, -1]) <= _LANCZOS_TOL * theta
+                        or theta - previous <= _LANCZOS_TOL * theta):
+                    return float(1.0 / theta)
+                if k + 1 < steps:
+                    basis[k + 1] = w / beta
+                    betas.append(beta)
+                previous = theta
+        del panels, basis
+    return float(np.linalg.eigvalsh(columns(0, n))[0])
 
 
 def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.ndarray:
@@ -219,13 +220,12 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     For m < n the n x n Gram matrix is rank deficient by construction, so the
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
 
-    Phi is never built.  The m < n companions are leading blocks of the
-    product of one head block, the first max(m < n) directions; the m >= n
-    counts are the running Gram sum, which starts from the head block's
-    product and adds the following directions in blocks of at most
-    min(n, _BLOCK), taken in ascending m.  Each direction is evaluated once.
-    Each value is the smallest eigenvalue of the unscaled product divided by nm:
-    ``eigvalsh``'s for a companion, ``_smallest_eigenvalue``'s for a running sum.
+    Phi is never built.  The m < n companions are products of leading columns
+    of one head block, the first max(m < n) directions; the m >= n counts are
+    the running Gram sum, which starts from the head block's product and adds
+    the following directions in blocks of at most min(n, _BLOCK), taken in
+    ascending m.  Each direction is evaluated once.  Each value is
+    ``_smallest_eigenvalue`` of the unscaled product divided by nm.
     """
     points = np.asarray(points, dtype=float)
     n, total = points.shape[0], feats.count
@@ -241,15 +241,15 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     smallest, head, gram = {}, max(below, default=0), None
     if below:
         block = feature_values(FeatureSet(feats.directions[:head], feats.kind), points)
-        comp = block.T @ block
-        for k in below:
-            smallest[k] = float(np.linalg.eigvalsh(comp[:k, :k])[0]) / (n * k)
-        del comp
+        for k in below:  # panels of block[:, :k]^T block[:, :k], never the whole product
+            smallest[k] = _smallest_eigenvalue(
+                lambda lo, w: block[:, lo:k].T @ block[:, lo:lo + w], k) / (n * k)
         if above:
             gram = block @ block.T
         del block
     for k, running in _gram_sums(points, feats, above, head, gram):
-        smallest[k] = _smallest_eigenvalue(running) / (n * k)
+        smallest[k] = _smallest_eigenvalue(
+            lambda lo, w: running[lo:, lo:lo + w].copy(), n) / (n * k)
     return np.array([smallest[int(k)] for k in counts])
 
 

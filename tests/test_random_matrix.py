@@ -106,8 +106,9 @@ def test_gram_sum_of_narrow_blocks_matches_full_product(kind, monkeypatch):
 def test_gram_sums_hold_one_block_product_beside_the_sum():
     # at n = 1,000 > _BLOCK a Gram sum holds the running n x n sum, one n x n
     # block product and one n x _BLOCK block: 2.26 n x n arrays of doubles.
-    # The m < n companions' head block and its product stay below that, and
-    # LAPACK's own copy inside eigvalsh is not traced.
+    # The m < n companions' head block and one companion's Cholesky panels
+    # (about half m x m) stay below that, as do the m >= n counts' panels
+    # beside the sum; no eigvalsh runs, so nothing goes untraced.
     n = 1000
     points, feats = _draw(0, n, 4 * n, 10)
     for run in (lambda: rm.gram_matrix(points, feats),
@@ -264,26 +265,31 @@ def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case, width):
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 40), extra=st.integers(0, 80), d=st.integers(3, 8),
+@given(n=st.integers(2, 40), m=st.integers(1, 120), d=st.integers(3, 8),
        panel=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
-def test_smallest_eigenvalue_at_m_ge_n_matches_eigvalsh(kind, n, extra, d, panel, seed):
-    # panels of 1..16 columns at n <= 40 run the multi-panel factor and
-    # substitution that n > _PANEL runs at full size
+def test_smallest_eigenvalue_at_m_ge_n_matches_eigvalsh(kind, n, m, d, panel, seed):
+    # m on both sides of n: the companion's panels come from the head block,
+    # the running sum's from the sum.  Panels of 1..16 columns at n <= 40 run
+    # the multi-panel factor and substitution that n > _PANEL runs at full size
     rng = np.random.default_rng(seed)
     points = features.sample_sphere(rng, d, n)
-    feats = features.sample_features(rng, d, n + extra, kind)
+    feats = features.sample_features(rng, d, m, kind)
     with mock.patch.object(rm, "_PANEL", panel):
-        [got] = rm.smallest_gram_eigenvalue(points, feats, [n + extra])
-    ev = _companion_eigenvalues(_blockwise_values(points, feats, [n + extra]))
+        [got] = rm.smallest_gram_eigenvalue(points, feats, [m])
+    ev = _companion_eigenvalues(_blockwise_values(points, feats, [m]))
     assert abs(got - ev[0]) <= 1e-14 * ev[-1]
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
 def test_smallest_eigenvalue_at_m_ge_n_needs_no_spectrum(kind, monkeypatch):
-    # six panels of at most 7 columns at n = 40; no eigvalsh call answers
+    # six panels of at most 7 columns at n = 40, three and six for the
+    # companions at m = 20 and 37; no eigvalsh call answers on either side of
+    # n.  At d = 6 a draw can repeat a feature column below m = 37 (seed 6's
+    # indicator features do), and such an exactly singular companion rightly
+    # falls back; seed 7 repeats none for any kind.
     n = 40
-    points, feats = _draw(6, n, 3 * n, 6, kind)
-    ms = [n, 2 * n, 3 * n]
+    points, feats = _draw(7, n, 3 * n, 6, kind)
+    ms = [n // 2, n - 3, n, 2 * n, 3 * n]
     phi = _blockwise_values(points, feats, ms)
     want = [_companion_eigenvalues(phi[:, :m]) for m in ms]
 
@@ -311,14 +317,30 @@ def test_singular_gram_falls_back_to_eigvalsh(monkeypatch):
 
 
 def test_lanczos_step_cap_falls_back_to_eigvalsh(monkeypatch):
-    # one step cannot converge: the value is eigvalsh's, to the last bit
-    n, m = 40, 80
+    # one step cannot converge: the value is eigvalsh's, to the last bit, for
+    # the companion Phi^T Phi at m = 25 and for the running sum at m = 80,
+    # which starts from the 25-direction head block's product
+    n, m, below = 40, 80, 25
     points, feats = _draw(5, n, m)
-    [(_, running)] = rm._gram_sums(points, feats, [m])
-    want = float(np.linalg.eigvalsh(running)[0]) / (n * m)
+    phi = features.feature_values(features.FeatureSet(feats.directions[:below], feats.kind),
+                                  points)
+    [(_, running)] = rm._gram_sums(points, feats, [m], below, phi @ phi.T)
+    want = [float(np.linalg.eigvalsh(a)[0]) / (n * k)
+            for a, k in [(running, m), (phi.T @ phi, below)]]
     monkeypatch.setattr(rm, "_STEPS", 1)
-    [got] = rm.smallest_gram_eigenvalue(points, feats, [m])
-    assert got == want
+    assert list(rm.smallest_gram_eigenvalue(points, feats, [m, below])) == want
+
+
+def test_singular_companion_falls_back_to_eigvalsh(monkeypatch):
+    # points e1, e2, e3 and directions e1, e1: Phi's columns are both e1, so
+    # the companion Phi^T Phi is [[1, 1], [1, 1]] and its second pivot is 0
+    points = np.eye(3)
+    feats = features.FeatureSet(np.eye(3)[[0, 0]], "relu")
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    [got] = rm.smallest_gram_eigenvalue(points, feats, [2])
+    assert calls == [(2, 2)]
+    assert got == eigvalsh(np.ones((2, 2)))[0] / 6
 
 
 def test_overflowing_inverse_falls_back_to_eigvalsh():
@@ -326,7 +348,8 @@ def test_overflowing_inverse_falls_back_to_eigvalsh():
     a = np.diag([1.0, 1e-320])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rm._smallest_eigenvalue(a) == np.linalg.eigvalsh(a)[0]
+        got = rm._smallest_eigenvalue(lambda lo, w: a[lo:, lo:lo + w].copy(), 2)
+        assert got == np.linalg.eigvalsh(a)[0]
 
 
 def test_smallest_gram_eigenvalue_evaluates_each_direction_once(monkeypatch):
