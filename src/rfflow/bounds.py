@@ -10,16 +10,17 @@ capped growth rate
 
     d(t) = min(sqrt(t), lh_{floor(sqrt(n))+1} * t, 1 / lh_n),
 
-where lh_i = s_i / n are the scaled singular values.  ``finer_bound``
-returns the finer bound in its stated form, the ``bound_finer`` column of a
-run's trajectory CSV.
+where lh_i = s_i / n are the scaled singular values of the n-row feature
+matrix, read as zero past the thin SVD's min(n, m) values: at m < n the
+last branch drops and the t = inf row is inf.  ``finer_bound`` returns the
+finer bound in its stated form, the ``bound_finer`` column of a run's
+trajectory CSV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,16 +51,16 @@ def norm_bound_rough(t, n: int, m: int, M: float, delta: float,
     return fac1 * fac2 * np.sqrt(t)
 
 
-def capped_rate(t: float, scaled_values: np.ndarray) -> float:
-    """Three-way capped rate d(t) = min(sqrt(t), lh_k t, 1/lh_last).
+def capped_rate(t: float, scaled_values: np.ndarray, n: int) -> float:
+    """Three-way capped rate d(t) = min(sqrt(t), lh_k t, 1/lh_n) of n samples.
 
-    ``scaled_values`` must be descending; k is floor(sqrt(len)) + 1,
-    1-based.  A zero last value degenerates to the two-way minimum.
+    ``scaled_values`` must be descending and are read as zero past their
+    length (a thin SVD at m < n has m); k is floor(sqrt(n)) + 1, 1-based.
+    A zero lh_n degenerates to the two-way minimum.
     """
-    lh = np.asarray(scaled_values, dtype=float)
-    n = lh.size
-    k = int(math.isqrt(n))  # index floor(sqrt(n)) + 1, 1-based -> k 0-based
-    k = min(k, n - 1)
+    lh = np.zeros(n)
+    lh[: len(scaled_values)] = scaled_values
+    k = min(math.isqrt(n), n - 1)  # index floor(sqrt(n)) + 1, 1-based -> k 0-based
     # a zero scaled value makes its branch identically zero for every t
     middle = float(lh[k]) * t if lh[k] > 0.0 else 0.0
     branches = [math.sqrt(t), middle]
@@ -68,18 +69,19 @@ def capped_rate(t: float, scaled_values: np.ndarray) -> float:
     return float(min(branches))
 
 
-def finer_bound(t: float, C: float, M_kernel: float, lamhat1: float,
+def finer_bound(t: float, C: float, M_kernel: float,
                 scaled_values: np.ndarray, n: int) -> float:
     """Spectral-alignment error bound in its stated form,
 
-        3 exp(-2 lh1^2 t) + (5C + 1 + 2 sqrt(C) M d(t))^2 / sqrt(n).
+        3 exp(-2 lh1^2 t) + (5C + 1 + 2 sqrt(C) M d(t))^2 / sqrt(n),
 
-    Requires the hypothesis C / sqrt(n) < 1.
+    with lh1 the first of ``scaled_values``.  Requires the hypothesis
+    C / sqrt(n) < 1.
     """
     if C / math.sqrt(n) >= 1.0:
         raise HypothesisError("alignment hypothesis violated: C/sqrt(n) >= 1")
-    dt = capped_rate(t, scaled_values)
-    decay = lamhat1 * lamhat1 * t
+    dt = capped_rate(t, scaled_values, n)
+    decay = scaled_values[0] * scaled_values[0] * t
     return 3.0 * math.exp(-2.0 * decay) \
         + (5.0 * C + 1.0 + 2.0 * math.sqrt(C) * M_kernel * dt) ** 2 / math.sqrt(n)
 
@@ -120,7 +122,7 @@ class AssumptionReport:
     m_kernel: float                # sqrt((1/n) E_x ||phi(x;B)||^2)
     discrepancies: tuple[float, float, float, float]
     concentration_index: int       # p with cumulative spectral energy >= 0.99
-    regime_constants: Optional[tuple[float, float]] = None  # (c1, c2)
+    regime_constants: tuple[float, float]  # (c1, c2)
 
 
 def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
@@ -169,9 +171,7 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
     m_kernel = float(np.sqrt(np.einsum("ij,ij->", phi_mc, phi_mc) / mc_points.count / n))
     _, p = spectral_energy_profile(dec, y)
 
-    lamhat1 = float(lh[0])
-    window = regime_window(c_measured, c_prime, m_kernel, lamhat1, n) \
-        if lamhat1 > 0 else None
+    window = regime_window(c_measured, c_prime, m_kernel, float(lh[0]), n)
 
     return AssumptionReport(
         c_measured=c_measured,
@@ -179,5 +179,5 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
         m_kernel=m_kernel,
         discrepancies=(d1, d2, d3, d4),
         concentration_index=p,
-        regime_constants=(window.c1, window.c2) if window else None,
+        regime_constants=(window.c1, window.c2),
     )

@@ -25,6 +25,8 @@ from .features import Dataset, FeatureSet, feature_values
 
 # singular values below this fraction of the largest are treated as zero
 RANK_THRESHOLD = 1e-12
+# share of the target's energy that the spectral energy profile's p reaches
+ENERGY_THRESHOLD = 0.99
 
 
 @dataclass(frozen=True)
@@ -177,18 +179,19 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
                       param_norm=param, model_norm=model_norm)
 
 
-def spectral_energy_profile(dec: SpectralDecomposition, y: np.ndarray,
-                            threshold: float = 0.99) -> tuple[np.ndarray, int]:
-    """Cumulative projections c_p = sum_{i<=p} (u_i.y)^2 / ||y||^2.
+def spectral_energy_profile(dec: SpectralDecomposition,
+                            y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cumulative projections c_p = sum_{i<=p} (u_i.y)^2 / ||y||^2, p <= r.
 
-    Returns the cumulative vector and the smallest p (1-based) with
-    c_p >= threshold; p = r + 1 signals that the span misses the target.
+    Returns the cumulative vector over the r positive modes and the smallest
+    p (1-based) with c_p >= ``ENERGY_THRESHOLD``; p = r + 1 signals that the
+    span misses the target.
     """
     energy = float(y @ y)
     if energy == 0.0:
         raise ValueError("zero target vector")
-    proj = (dec.left_vectors.T @ y) ** 2 / energy
+    proj = (dec.left_vectors[:, :dec.rank].T @ y) ** 2 / energy
     cum = np.cumsum(proj)
-    hits = np.nonzero(cum >= threshold)[0]
+    hits = np.nonzero(cum >= ENERGY_THRESHOLD)[0]
     p = int(hits[0]) + 1 if hits.size else cum.size + 1
     return cum, p

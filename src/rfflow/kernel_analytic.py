@@ -17,11 +17,14 @@ harmonic degree n, with multiplicity N(d, n).  ``analytic_spectrum`` takes
 each eigenvalue by the Funk-Hecke formula, the integral of the feature
 kernel against P_n in ``weighted_cosine_integral``, which evaluates
 Int_{-1}^{1} g(t) (1-t^2)^((d-3)/2) dt.  ``legendre`` gives P_n, the
-degree-n Legendre polynomial in d dimensions: the Gegenbauer polynomial C_n
-of index (d-2)/2 divided by the exact integer C_n(1) = binom(n+d-3, n), so
-that P_n(1) = 1.  The integral substitutes t = cos(theta), which absorbs the
-(1-t^2) weight analytically and removes the endpoint derivative singularities
-of k at d = 3, and then applies one fixed composite Gauss-Legendre rule.
+degree-n Legendre polynomial in d dimensions, by its own recurrence
+
+    (k + d - 3) P_k = (2k + d - 4) t P_{k-1} - (k - 1) P_{k-2},
+
+from P_0 = 1 and P_1 = t, so that P_n(1) = 1 for every n and d.  The
+integral substitutes t = cos(theta), which absorbs the (1-t^2) weight
+analytically and removes the endpoint derivative singularities of k at
+d = 3, and then applies one fixed composite Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -86,38 +89,20 @@ def harmonic_multiplicity(d: int, n: int) -> int:
     return num // n
 
 
-def _gegenbauer_values(d: int, n: int, t: np.ndarray) -> np.ndarray:
-    # three-term recurrence for C_n with generating function (1-2st+s^2)^(-(d-2)/2)
-    c_prev = np.ones_like(t)
-    if n == 0:
-        return c_prev
-    c_cur = (d - 2) * t
-    for k in range(2, n + 1):
-        c_next = ((2 * k + d - 4) * t * c_cur - (k + d - 4) * c_prev) / k
-        c_prev, c_cur = c_cur, c_next
-    return c_cur
-
-
-def legendre_conversion(d: int, n: int) -> int:
-    """C_n(1) = binom(n+d-3, n), the exact integer with C_n = C_n(1) P_n.
-
-    Being an integer, it stays finite for every dimension.
-    """
-    if d < 3:
-        raise ValueError("conversion constant requires d >= 3")
-    return comb(n + d - 3, n)
-
-
 def legendre(d: int, n: int, t):
-    """The degree-n Legendre polynomial in d dimensions, P_n = C_n / C_n(1).
+    """The degree-n Legendre polynomial P_n in d dimensions, P_n(1) = 1.
 
-    Takes cosines ``t`` in [-1, 1] (a scalar gives a float), so P_n(1) = 1.
+    Takes cosines ``t`` in [-1, 1] (a scalar gives a float); |P_n| <= 1 there.
     """
     if d < 3:
         raise ValueError("Legendre polynomials require d >= 3")
     if n < 0:
         raise ValueError("order must be >= 0")
-    vals = _gegenbauer_values(d, n, _cosines(t, "polynomial")) / legendre_conversion(d, n)
+    t = _cosines(t, "polynomial")
+    p_prev, p_cur = np.ones_like(t), t
+    for k in range(2, n + 1):
+        p_prev, p_cur = p_cur, ((2 * k + d - 4) * t * p_cur - (k - 1) * p_prev) / (k + d - 3)
+    vals = p_cur if n else p_prev
     return vals if vals.ndim else float(vals)
 
 

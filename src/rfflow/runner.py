@@ -31,10 +31,6 @@ ITERATION_BUDGETS = (1e4, 1e5, 1e6, 1e8)
 CSV_HEADER = "time,train_error,test_error,param_norm,model_norm,bound_rough,bound_finer"
 
 
-def target_spec_for(cfg: ExperimentConfig) -> feat_mod.TargetSpec:
-    return feat_mod.TargetSpec(order=cfg.target_order)
-
-
 def feature_norm_sq(d: int, kind: str) -> float:
     """Exact E_b ||phi(.;b)||^2 for b and x uniform on their spheres.
 
@@ -97,7 +93,7 @@ def seed_draw(cfg: ExperimentConfig, m: int, train: Optional[feat_mod.Dataset] =
     """
     if train is None:
         train = feat_mod.sample_dataset([cfg.seed, _STREAM_DATA], cfg.n, cfg.d,
-                                        target_spec_for(cfg))
+                                        feat_mod.TargetSpec(order=cfg.target_order))
     if feats is None:
         feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], train.points.shape[1],
                                          m, cfg.feature_kind)
@@ -108,7 +104,7 @@ def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
            mc_points=None) -> tuple:
     """A cell's (train, test, feats, mc_points): those given, the rest drawn
     from the config seed's streams."""
-    target = target_spec_for(cfg)
+    target = feat_mod.TargetSpec(order=cfg.target_order)
     if test is None:
         test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], TEST_COUNT, cfg.d, target)
     if mc_points is None:
@@ -199,7 +195,7 @@ def run_experiment(cfg: ExperimentConfig,
         lh = dec.scaled_values
         for j, t in enumerate(times):
             bound_finer[j] = bounds_mod.finer_bound(
-                t, assumption.c_measured, assumption.m_kernel, float(lh[0]), lh, n)
+                t, assumption.c_measured, assumption.m_kernel, lh, n)
         hypothesis_ok = True
     except bounds_mod.HypothesisError:
         pass  # bounds stay nan, flagged by finer_bound_hypothesis_ok below

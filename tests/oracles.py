@@ -29,9 +29,8 @@ from math import exp, gamma, lgamma, log, pi, sqrt
 import numpy as np
 from scipy.special import rgamma
 
-from rfflow.flow import _check_times
-from rfflow.kernel_analytic import (_gegenbauer_values, feature_kernel, kernel_profile,
-                                    legendre_conversion, weighted_cosine_integral)
+from rfflow.kernel_analytic import (feature_kernel, kernel_profile, legendre,
+                                    weighted_cosine_integral)
 
 # ---------------------------------------------------------------------------
 # flow
@@ -48,9 +47,9 @@ def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
     """
     mat = np.asarray(phi, dtype=float)
     n, m = mat.shape
-    t = float(_check_times(t))
-    if np.isinf(t):
-        raise ValueError("the Euler oracle needs a finite horizon")
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError("the Euler oracle needs a finite horizon t >= 0")
     if step <= 0:
         raise ValueError("step must be positive")
     top = np.linalg.norm(mat, 2)
@@ -179,12 +178,7 @@ def quadrature_eigenvalue(d: int, n: int) -> float:
     """
     if d < 3:
         raise ValueError("quadrature eigenvalues require d >= 3")
-    conv = legendre_conversion(d, n)
-
-    def g(t):
-        return kernel_profile(t) * _gegenbauer_values(d, n, t) / conv
-
-    val = weighted_cosine_integral(d, g)
+    val = weighted_cosine_integral(d, lambda t: kernel_profile(t) * legendre(d, n, t))
     return val / surface_area(d - 1)
 
 

@@ -142,7 +142,7 @@ def test_a05_analytic_spectrum_identities():
                 failures.append(f"odd d={d} n={n}")
         for n in range(0, 9):
             def geg(t, _d=d, _n=n):
-                return ka.legendre_conversion(_d, _n) * np.asarray(ka.legendre(_d, _n, t))
+                return math.comb(_n + _d - 3, _n) * np.asarray(ka.legendre(_d, _n, t))
 
             checks = (
                 (ka.weighted_cosine_integral(d, lambda t: np.sqrt(1 - t * t) * geg(t)),

@@ -109,7 +109,7 @@ def test_rough_bound_delta_validation():
 def test_capped_rate_flat_spectrum():
     lh = np.ones(16)
     for t in (0.01, 0.5, 4.0, 100.0):
-        assert bounds.capped_rate(t, lh) == pytest.approx(min(math.sqrt(t), t, 1.0))
+        assert bounds.capped_rate(t, lh, 16) == pytest.approx(min(math.sqrt(t), t, 1.0))
 
 
 def test_capped_rate_branch_selection():
@@ -117,19 +117,30 @@ def test_capped_rate_branch_selection():
     lh = np.sort(lh)[::-1]
     k = math.isqrt(25)  # 1-based index 6 -> 0-based 5
     tiny = 1e-8
-    assert bounds.capped_rate(tiny, lh) == pytest.approx(lh[k] * tiny)
-    assert bounds.capped_rate(1e12, lh) == pytest.approx(1.0 / lh[-1])
+    assert bounds.capped_rate(tiny, lh, 25) == pytest.approx(lh[k] * tiny)
+    assert bounds.capped_rate(1e12, lh, 25) == pytest.approx(1.0 / lh[-1])
 
 
 def test_capped_rate_degenerate_rank():
     lh = np.array([1.0, 0.5, 0.0])
     # two-way minimum when the last scaled value is zero
-    assert bounds.capped_rate(100.0, lh) == pytest.approx(min(10.0, lh[1] * 100.0))
+    assert bounds.capped_rate(100.0, lh, 3) == pytest.approx(min(10.0, lh[1] * 100.0))
+
+
+def test_capped_rate_reads_a_thin_spectrum_as_zero_past_its_length():
+    # m = 8 < n = 16: lh_5 and lh_16 of the 16-row matrix are 0, not the
+    # thin spectrum's lh_{floor(sqrt 8)+1} = lh_3 and lh_8
+    lh = np.linspace(1.0, 0.3, 8)
+    assert bounds.capped_rate(1e-6, lh, 16) == pytest.approx(lh[4] * 1e-6, rel=1e-12)
+    assert bounds.capped_rate(1e12, lh, 16) == pytest.approx(1e6)
+    lh[4:] = 0.0
+    assert bounds.capped_rate(1e-6, lh, 16) == 0.0
+    assert bounds.capped_rate(np.inf, np.linspace(1.0, 0.3, 8), 16) == np.inf
 
 
 def test_finer_bound_at_zero_with_zero_constant():
     lh = np.ones(16)
-    stated = bounds.finer_bound(0.0, 0.0, 1.0, 1.0, lh, 16)
+    stated = bounds.finer_bound(0.0, 0.0, 1.0, lh, 16)
     assert stated == pytest.approx(3.0 + 1.0 / 4.0, rel=1e-12)  # 3 + n^(-1/2)
 
 
@@ -137,7 +148,7 @@ def test_finer_bound_large_time_dominated_by_tail():
     lh = np.linspace(1.0, 0.001, 16)
     n = 16
     C, M = 0.5, 1.0
-    stated = bounds.finer_bound(1e18, C, M, lh[0], lh, n)
+    stated = bounds.finer_bound(1e18, C, M, lh, n)
     tail = (5 * C + 1 + 2 * math.sqrt(C) * M / lh[-1]) ** 2 / math.sqrt(n)
     assert stated == pytest.approx(tail, rel=1e-9)
 
@@ -145,7 +156,7 @@ def test_finer_bound_large_time_dominated_by_tail():
 def test_finer_bound_hypothesis_check():
     lh = np.ones(4)
     with pytest.raises(ValueError):
-        bounds.finer_bound(1.0, 5.0, 1.0, 1.0, lh, 4)
+        bounds.finer_bound(1.0, 5.0, 1.0, lh, 4)
 
 
 def test_regime_window_arithmetic():
@@ -207,9 +218,9 @@ def test_measure_assumptions_reports_constants():
     assert rep.c_prime > 0
     assert rep.m_kernel > 0
     assert rep.concentration_index >= 1
-    assert rep.regime_constants is not None
-    # C' really dominates the scaled values on the checked range
     lh = dec.scaled_values
+    assert rep.regime_constants[1] == pytest.approx(1.0 / (4.0 * lh[0] ** 2), rel=1e-12)
+    # C' really dominates the scaled values on the checked range
     ks = np.arange(1, math.isqrt(100) + 2)
     assert np.all(lh[: ks.size] <= rep.c_prime / np.sqrt(ks) + 1e-12)
 

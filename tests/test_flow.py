@@ -401,6 +401,18 @@ def test_energy_profile_equal_projections():
     assert p == 3
 
 
+def test_energy_profile_reads_positive_modes_only():
+    # rank 2: the third left vector (s ~ 1e-17) carries all of y, which lies
+    # outside the span, so no positive mode reaches the threshold
+    phi = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    dec = flow.decompose(phi)
+    assert dec.rank == 2
+    cum, p = flow.spectral_energy_profile(dec, np.array([1.0, -1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(cum, 0.0, atol=1e-15)
+    assert cum.size == 2
+    assert p == 3
+
+
 def test_energy_profile_rejects_zero_target():
     dec = flow.decompose(np.eye(2))
     with pytest.raises(ValueError):

@@ -108,7 +108,7 @@ def test_run_experiment_scalar_toy_matches_closed_form():
     cfg = _tiny_config(n=1, m=1, d=3)
     rec = runner.run_experiment(cfg)
     # reproduce the scalar trajectory directly from the decomposition
-    target = runner.target_spec_for(cfg)
+    target = features.TargetSpec(order=cfg.target_order)
     data = features.sample_dataset([cfg.seed, 1], 1, 3, target)
     feats = features.sample_features([cfg.seed, 2], 3, 1, cfg.feature_kind)
     phi = features.build_feature_matrix(data, feats)
@@ -246,7 +246,7 @@ def test_feature_norm_sq_matches_monte_carlo(kind, d):
 def test_target_norm_matches_monte_carlo(order):
     cfg = _tiny_config(d=10, target_order=order)
     pts = features.sample_sphere([43, cfg.d], cfg.d, 400_000)
-    values = features.eval_target_many(runner.target_spec_for(cfg), pts)
+    values = features.eval_target_many(features.TargetSpec(order=cfg.target_order), pts)
     estimate = np.sqrt(np.mean(values ** 2))
     assert runner.target_norm(cfg) == pytest.approx(estimate, rel=0.02)
 
@@ -274,7 +274,24 @@ def test_failed_alignment_hypothesis_leaves_finer_bounds_nan():
     assert rec.metadata["finer_bound_hypothesis_ok"] is False
     with pytest.raises(bounds.HypothesisError):
         bounds.finer_bound(1.0, rec.assumption.c_measured, rec.assumption.m_kernel,
-                           1.0, np.ones(cfg.n), cfg.n)
+                           np.ones(cfg.n), cfg.n)
+
+
+def test_finer_bound_below_n_features_reads_the_n_row_spectrum():
+    # m = 40 < n = 100: d(t) reads lh_11 of the 100-row matrix and lh_100 = 0,
+    # so the late-time cap 1/lh_n drops and the t = inf row is inf
+    cfg = _tiny_config(n=100, m=40, d=5)
+    rec = runner.run_experiment(cfg)
+    assert rec.metadata["finer_bound_hypothesis_ok"] is True
+    train, feats = runner.seed_draw(cfg, cfg.m)
+    lh = flow.decompose(features.build_feature_matrix(train, feats)).scaled_values
+    c, m_kernel = rec.assumption.c_measured, rec.assumption.m_kernel
+    times = rec.trajectory.time[:-1]
+    rate = np.minimum(np.sqrt(times), lh[10] * times)
+    expect = 3.0 * np.exp(-2.0 * lh[0] ** 2 * times) \
+        + (5.0 * c + 1.0 + 2.0 * math.sqrt(c) * m_kernel * rate) ** 2 / math.sqrt(cfg.n)
+    np.testing.assert_allclose(rec.bound_finer[:-1], expect, rtol=1e-12)
+    assert rec.bound_finer[-1] == np.inf
 
 
 def test_too_few_modes_fail_the_hypothesis():

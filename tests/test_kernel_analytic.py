@@ -96,7 +96,7 @@ def test_multiplicity_rejects_low_dim():
 
 def _gegenbauer(d, n, t):
     """C_n(t) = C_n(1) P_n(t)."""
-    return ka.legendre_conversion(d, n) * np.asarray(ka.legendre(d, n, t))
+    return math.comb(n + d - 3, n) * np.asarray(ka.legendre(d, n, t))
 
 
 def test_gegenbauer_degree_zero_and_one():
@@ -121,12 +121,13 @@ def test_legendre_is_normalized_at_one():
             assert ka.legendre(d, n, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_legendre_conversion_is_the_binomial_value_at_one():
+def test_legendre_is_scipys_gegenbauer_over_its_value_at_one():
+    # P_n = C_n / C_n(1) with C_n(1) = binom(n+d-3, n), an independent route
+    t = np.linspace(-1.0, 1.0, 41)
     for d in range(3, 201):
         for n in range(17):
-            conv = ka.legendre_conversion(d, n)
-            assert conv == math.comb(n + d - 3, n)
-            assert conv == pytest.approx(special.eval_gegenbauer(n, (d - 2) / 2, 1.0), rel=1e-12)
+            expect = special.eval_gegenbauer(n, (d - 2) / 2, t) / math.comb(n + d - 3, n)
+            np.testing.assert_allclose(ka.legendre(d, n, t), expect, rtol=0, atol=1e-12)
 
 
 def test_legendre_target_has_unit_norm_in_high_dimension():
@@ -321,7 +322,7 @@ def test_gegenbauer_moment_identities(d, n):
 def test_quadrature_consistent_with_kernel_moment(d, n):
     # quadrature eigenvalue = kernel moment / (conversion * Omega_{d-1})
     expect = oracles.gegenbauer_kernel_moment(d, n) / (
-        ka.legendre_conversion(d, n) * oracles.surface_area(d - 1))
+        math.comb(n + d - 3, n) * oracles.surface_area(d - 1))
     assert oracles.quadrature_eigenvalue(d, n) == pytest.approx(expect, rel=1e-10)
 
 

@@ -1,7 +1,8 @@
 """Everything defined in ``src/rfflow`` is reached from the package itself,
 every dataclass field is read there, and every module uses what it imports.
 
-A function or class that only the tests call belongs in ``tests/oracles.py``.
+A function or class that only the tests call belongs in ``tests/oracles.py``,
+which builds its references from the package's public names only.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import rfflow
 
 SRC = Path(rfflow.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
 
 # kept though nothing in src/ names them: name -> reason
 ALLOWED = {
@@ -112,3 +114,13 @@ def test_every_top_level_import_is_used():
         unused += [f"{path.stem}.{name}" for node in tree.body
                    for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+def test_oracles_import_no_private_rfflow_name():
+    """An oracle built from the helper it checks is no independent reference."""
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "rfflow"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
