@@ -14,8 +14,9 @@ blocks of at most min(n, _BLOCK) directions and the kernel matrix is
 filled in row blocks.  ``smallest_gram_eigenvalue`` goes through three
 phases, and at each only these arrays are alive:
 
-* each m < n companion: the n x head block of the first head directions and
-  the companion's Cholesky panels, read from the block, about half m x m;
+* the m < n companions: the n x head block of the first head directions and
+  the head companion's Cholesky panels, read from the block, about half
+  head x head; every smaller companion's factor is a leading block of them;
 * the Gram sum: the running n x n sum, one n x n block product and one
   n x _BLOCK block;
 * each m >= n count: the running sum and its Cholesky panels, about half
@@ -128,24 +129,32 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def _cholesky_panels(columns, n: int) -> list[tuple[int, np.ndarray]]:
+def _cholesky_panels(columns, n: int, stops: Sequence[int] = ()) -> list[tuple[int, np.ndarray]]:
     """Cholesky factor L of an n x n symmetric positive-definite a, left-looking
-    in column panels of at most _PANEL columns; ``columns(lo, w)`` returns a
-    fresh a[lo:, lo:lo+w], the panel's part of a's lower triangle.
+    in column panels; ``columns(lo, w)`` returns a fresh a[lo:, lo:lo+w], the
+    panel's part of a's lower triangle.
 
-    Returns [(lo, p)] for the panels in order: with w = p.shape[1], p[:w] is
-    the inverse of the diagonal block L[lo:lo+w, lo:lo+w] and p[w:] is
-    L[lo+w:, lo:lo+w], so the panels hold about half an n x n array.  Raises
-    LinAlgError when a diagonal block is not positive definite.
+    A panel starts at every multiple of _PANEL and at every count in ``stops``
+    below n, so for each such k the panels that start before k, cut to rows
+    < k, are the factor of the leading block a[:k, :k].  Returns [(lo, p)]
+    for the panels in order: with w = p.shape[1], p[:w] is the inverse of the
+    diagonal block L[lo:lo+w, lo:lo+w] and p[w:] is L[lo+w:, lo:lo+w], so the
+    panels hold about half an n x n array.  The factor stops at the first
+    diagonal block that is not positive definite: the panels before it are
+    returned, and their widths then sum to less than n.
     """
+    starts = sorted({*range(0, n, _PANEL), *(k for k in stops if k < n)})
     panels = []
-    for lo in range(0, n, _PANEL):
-        w = min(_PANEL, n - lo)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        w = hi - lo
         panel = columns(lo, w)
         for plo, prev in panels:
             rows = prev[lo - plo:]  # L[lo:, plo:plo+pw], below prev's diagonal block
             panel -= rows @ rows[:w].T
-        inverse = np.tril(np.linalg.inv(np.linalg.cholesky(panel[:w])))
+        try:
+            inverse = np.tril(np.linalg.inv(np.linalg.cholesky(panel[:w])))
+        except np.linalg.LinAlgError:
+            break
         panel[w:] = panel[w:] @ inverse.T
         panel[:w] = inverse
         panels.append((lo, panel))
@@ -166,23 +175,24 @@ def _solve(panels: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     return x
 
 
-def _smallest_eigenvalue(columns, n: int) -> float:
+def _smallest_eigenvalue(columns, n: int,
+                         panels: list[tuple[int, np.ndarray]] | None = None) -> float:
     """Smallest eigenvalue of an n x n symmetric positive-definite a, read
     through ``columns`` as in ``_cholesky_panels``, without its spectrum.
 
     It is 1/theta for the largest eigenvalue theta of a^-1, which Lanczos with
     full reorthogonalisation finds from a fixed seeded start vector, applying
-    a^-1 through the panels of a's Cholesky factor.  Lanczos stops once the
-    top Ritz value's residual, or its change over one step, is below
-    _LANCZOS_TOL of it.  When a diagonal block of the factor is not positive
-    definite, a^-1 v overflows, or _STEPS steps do not converge, the panels
-    and the basis are freed and ``eigvalsh`` of columns(0, n) answers.
+    a^-1 through the panels of a's Cholesky factor: ``panels`` if given, else
+    ``_cholesky_panels(columns, n)``.  Lanczos stops once the top Ritz value's
+    residual, or its change over one step, is below _LANCZOS_TOL of it.  When
+    the panels cover fewer than n rows (a diagonal block of the factor is not
+    positive definite), a^-1 v overflows, or _STEPS steps do not converge,
+    the basis and the panels made here are freed and ``eigvalsh`` of
+    columns(0, n) answers.
     """
-    try:
+    if panels is None:
         panels = _cholesky_panels(columns, n)
-    except np.linalg.LinAlgError:
-        panels = None
-    if panels is not None:
+    if sum(p.shape[1] for _, p in panels) == n:
         steps = min(n, _STEPS)
         basis = np.empty((steps, n))
         start = np.random.default_rng(0).standard_normal(n)
@@ -209,7 +219,8 @@ def _smallest_eigenvalue(columns, n: int) -> float:
                     basis[k + 1] = w / beta
                     betas.append(beta)
                 previous = theta
-        del panels, basis
+        del basis
+    del panels
     return float(np.linalg.eigvalsh(columns(0, n))[0])
 
 
@@ -221,11 +232,14 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     meaningful smallest value lives on the m x m companion Phi^T Phi / (nm).
 
     Phi is never built.  The m < n companions are products of leading columns
-    of one head block, the first max(m < n) directions; the m >= n counts are
-    the running Gram sum, which starts from the head block's product and adds
-    the following directions in blocks of at most min(n, _BLOCK), taken in
-    ascending m.  Each direction is evaluated once.  Each value is
-    ``_smallest_eigenvalue`` of the unscaled product divided by nm.
+    of one head block, the first max(m < n) directions, and one Cholesky
+    factor of the head companion serves them all: each m < n is a panel
+    start, so companion m's factor is the panels that start before m, cut to
+    rows < m.  The m >= n counts are the running Gram sum, which starts from
+    the head block's product and adds the following directions in blocks of
+    at most min(n, _BLOCK), taken in ascending m.  Each direction is
+    evaluated once.  Each value is ``_smallest_eigenvalue`` of the unscaled
+    product divided by nm.
     """
     points = np.asarray(points, dtype=float)
     n, total = points.shape[0], feats.count
@@ -241,9 +255,16 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     smallest, head, gram = {}, max(below, default=0), None
     if below:
         block = feature_values(FeatureSet(feats.directions[:head], feats.kind), points)
-        for k in below:  # panels of block[:, :k]^T block[:, :k], never the whole product
+        # panels of block^T block, never the whole product; companion k's are
+        # views of the panels before k.  A factor that stops early serves the
+        # counts it covers, and eigvalsh of its own product answers the rest.
+        panels = _cholesky_panels(lambda lo, w: block[:, lo:].T @ block[:, lo:lo + w],
+                                  head, below)
+        for k in below:
             smallest[k] = _smallest_eigenvalue(
-                lambda lo, w: block[:, lo:k].T @ block[:, lo:lo + w], k) / (n * k)
+                lambda lo, w: block[:, lo:k].T @ block[:, lo:lo + w], k,
+                [(lo, p[:k - lo]) for lo, p in panels if lo < k]) / (n * k)
+        del panels  # before the head block's product is made beside the block
         if above:
             gram = block @ block.T
         del block

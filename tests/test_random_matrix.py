@@ -106,9 +106,10 @@ def test_gram_sum_of_narrow_blocks_matches_full_product(kind, monkeypatch):
 def test_gram_sums_hold_one_block_product_beside_the_sum():
     # at n = 1,000 > _BLOCK a Gram sum holds the running n x n sum, one n x n
     # block product and one n x _BLOCK block: 2.26 n x n arrays of doubles.
-    # The m < n companions' head block and one companion's Cholesky panels
-    # (about half m x m) stay below that, as do the m >= n counts' panels
-    # beside the sum; no eigvalsh runs, so nothing goes untraced.
+    # The m < n companions' head block and the head companion's Cholesky
+    # panels (about half head x head) stay below that, as do the m >= n
+    # counts' panels beside the sum; no eigvalsh runs, so nothing goes
+    # untraced.
     n = 1000
     points, feats = _draw(0, n, 4 * n, 10)
     for run in (lambda: rm.gram_matrix(points, feats),
@@ -120,6 +121,25 @@ def test_gram_sums_hold_one_block_product_beside_the_sum():
         finally:
             tracemalloc.stop()
         assert peak <= 2.3 * 8 * n * n
+
+
+def test_companions_free_their_shared_factor_before_the_head_product():
+    # at n = 1,000 the companions m = 500 and 999 hold the n x 999 head block
+    # and the head companion's panels, 1.67 n x n arrays of doubles; m = 500
+    # reads views of those panels.  The panels and every view of them are
+    # freed before the head block's product starts the sum for m = n, so that
+    # phase holds the block and its product, 2.00 n x n; a view kept alive
+    # through it would hold the panels too, 2.56 n x n.
+    n = 1000
+    points, feats = _draw(0, n, n, 10)
+    for ms, bound in (([n // 2, n - 1], 1.7), ([n // 2, n - 1, n], 2.05)):
+        tracemalloc.start()
+        try:
+            rm.smallest_gram_eigenvalue(points, feats, ms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n * n
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
@@ -245,12 +265,14 @@ def _affine_pair_case(seed=1484):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_multi_m_cases(), width=st.integers(1, 30))
-@example(case=_affine_pair_case(), width=rm._BLOCK)
-def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case, width):
-    # blocks of any width up to and beyond n, as _BLOCK gives for n > _BLOCK
+@given(case=_multi_m_cases(), width=st.integers(1, 30), panel=st.integers(1, 16))
+@example(case=_affine_pair_case(), width=rm._BLOCK, panel=rm._PANEL)
+def test_smallest_gram_eigenvalue_serves_many_m_from_one_matrix(case, width, panel):
+    # blocks of any width up to and beyond n, as _BLOCK gives for n > _BLOCK;
+    # panels of 1..16 columns, so the head companion's factor is cut both at
+    # the m < n counts and at multiples of _PANEL, as at full size
     points, feats, ms = case
-    with mock.patch.object(rm, "_BLOCK", width):
+    with mock.patch.object(rm, "_BLOCK", width), mock.patch.object(rm, "_PANEL", panel):
         got = rm.smallest_gram_eigenvalue(points, feats, ms)
         assert isinstance(got, np.ndarray) and got.shape == (len(ms),)
         phi = _blockwise_values(points, feats, ms)
@@ -280,13 +302,27 @@ def test_smallest_eigenvalue_at_m_ge_n_matches_eigvalsh(kind, n, m, d, panel, se
     assert abs(got - ev[0]) <= 1e-14 * ev[-1]
 
 
+def _spy_factor_sizes(monkeypatch):
+    """Sizes of the matrices that ``_cholesky_panels`` factors, in call order."""
+    cholesky, sizes = rm._cholesky_panels, []
+
+    def spy(columns, n, *stops):
+        sizes.append(n)
+        return cholesky(columns, n, *stops)
+
+    monkeypatch.setattr(rm, "_cholesky_panels", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
 def test_smallest_eigenvalue_at_m_ge_n_needs_no_spectrum(kind, monkeypatch):
-    # six panels of at most 7 columns at n = 40, three and six for the
-    # companions at m = 20 and 37; no eigvalsh call answers on either side of
-    # n.  At d = 6 a draw can repeat a feature column below m = 37 (seed 6's
-    # indicator features do), and such an exactly singular companion rightly
-    # falls back; seed 7 repeats none for any kind.
+    # six panels of at most 7 columns at n = 40, and one factor for both
+    # companions: seven panels of the m = 37 product, which start at the
+    # multiples of 7 and at 20, so the first four serve m = 20.  No eigvalsh
+    # call answers on either side of n.  At d = 6 a draw can repeat a feature
+    # column below m = 37 (seed 6's indicator features do), and such an
+    # exactly singular companion rightly falls back; seed 7 repeats none for
+    # any kind.
     n = 40
     points, feats = _draw(7, n, 3 * n, 6, kind)
     ms = [n // 2, n - 3, n, 2 * n, 3 * n]
@@ -298,9 +334,29 @@ def test_smallest_eigenvalue_at_m_ge_n_needs_no_spectrum(kind, monkeypatch):
 
     monkeypatch.setattr(rm, "_PANEL", 7)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    sizes = _spy_factor_sizes(monkeypatch)
     got = rm.smallest_gram_eigenvalue(points, feats, ms)
+    assert sizes == [n - 3, n, n, n]
     for value, ev in zip(got, want):
         assert abs(value - ev[0]) <= 1e-14 * ev[-1]
+
+
+def test_singular_head_companion_keeps_the_counts_its_factor_covers(monkeypatch):
+    # points e1..e4 and directions e1, e2, e1: the head companion at m = 3 is
+    # [[1, 0, 1], [0, 1, 0], [1, 0, 1]], whose third pivot is 0.  Its factor
+    # stops there, after the panel of m = 2's identity companion: m = 2 keeps
+    # that factor, and m = 3 alone falls back to eigvalsh, with no new factor
+    points = np.eye(4)
+    feats = features.FeatureSet(np.eye(4)[[0, 1, 0]], "relu")
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    sizes = _spy_factor_sizes(monkeypatch)
+    at_2, at_3 = rm.smallest_gram_eigenvalue(points, feats, [2, 3])
+    assert sizes == [3]
+    assert calls == [(3, 3)]
+    assert at_2 == pytest.approx(1 / 8, rel=1e-15, abs=0)
+    head = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    assert at_3 == eigvalsh(head)[0] / 12
 
 
 def test_singular_gram_falls_back_to_eigvalsh(monkeypatch):
