@@ -17,8 +17,8 @@ phases, and at each only these arrays are alive:
 * the m < n companions: the n x head block of the first head directions and
   the head companion's Cholesky panels, read from the block, about half
   head x head; every smaller companion's factor is a leading block of them;
-* the Gram sum: the running n x n sum, one n x n block product and one
-  n x _BLOCK block;
+* the Gram sum: the running n x n sum, one n x _BLOCK block and one
+  _PANEL x n product, added into the sum's lower part row panel by row panel;
 * each m >= n count: the running sum and its Cholesky panels, about half
   n x n.
 No companion product and no full spectrum is formed: beside each factor a
@@ -57,25 +57,43 @@ def _feature_blocks(points: np.ndarray, feats: FeatureSet, stops: Sequence[int],
             lo = hi
 
 
+def _add_product(gram: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """Adds block block^T into the lower part of ``gram``, row panel by row
+    panel: with hi = lo + _PANEL, rows lo..hi gain block[lo:hi] block[:hi]^T,
+    so the only temporary is one _PANEL x n product.
+
+    A ``gram`` of None starts a zeroed n x n sum, into which each panel's
+    product is written directly.  Returns the sum.  Only the entries on and
+    below the diagonal, and every whole diagonal _PANEL x _PANEL block, hold
+    the sum; the rest of the upper part is stale.
+    """
+    start = gram is None
+    if start:
+        gram = np.zeros((block.shape[0],) * 2)
+    for lo in range(0, block.shape[0], _PANEL):
+        hi = lo + _PANEL
+        if start:
+            np.matmul(block[lo:hi], block[:hi].T, out=gram[lo:hi, :hi])
+        else:
+            gram[lo:hi, :hi] += block[lo:hi] @ block[:hi].T
+    return gram
+
+
 def _gram_sums(points: np.ndarray, feats: FeatureSet, stops: Sequence[int],
                lo: int = 0, gram: np.ndarray | None = None):
     """Yields (k, Phi[:, :k] Phi[:, :k]^T), unscaled, at every count k in the
-    ascending ``stops``.
+    ascending ``stops``; only its lower part, as ``_add_product`` leaves it.
 
     Phi_b Phi_b^T is added into one running sum over the blocks of
-    ``_feature_blocks``, so besides the sum only one block and its product
-    are alive.  ``gram``, if given, is the sum over the first ``lo``
-    directions.  The yielded array is the running sum itself: the next
-    block is added into it in place.
+    ``_feature_blocks`` by ``_add_product``, so besides the sum only one
+    n x _BLOCK block and one _PANEL x n product are alive.  ``gram``, if
+    given, is the sum over the first ``lo`` directions.  The yielded array is
+    the running sum itself: the next block is added into it in place.  Its
+    readers stay on or below the diagonal, or in whole diagonal blocks.
     """
     for hi, block in _feature_blocks(points, feats, stops, lo):
-        product = block @ block.T
+        gram = _add_product(gram, block)
         del block  # freed before the next block is evaluated
-        if gram is None:
-            gram = product
-        else:
-            gram += product
-        del product  # or the next block's product would be made beside it
         if hi in stops:
             yield hi, gram
 
@@ -84,8 +102,9 @@ def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
     """G = Phi Phi^T / (nm) of the m features at the n points, without Phi.
 
     Phi_b Phi_b^T is summed over blocks of at most min(n, _BLOCK) feature
-    directions and divided once at the end, so memory stays O(n^2) however
-    large m is.
+    directions into the lower part of one n x n array, which is mirrored into
+    the upper part once, in row panels, and divided once at the end, so
+    memory stays O(n^2) however large m is.
     """
     points = np.asarray(points, dtype=float)
     n, m = points.shape[0], feats.count
@@ -94,6 +113,10 @@ def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
     if m == 0:
         raise ValueError("empty feature set")
     [(_, gram)] = _gram_sums(points, feats, [m])
+    for lo in range(0, n, _PANEL):  # row panel lo above the diagonal from its mirror below
+        cols = np.arange(lo, n)
+        np.copyto(gram[lo:lo + _PANEL, lo:], gram[lo:, lo:lo + _PANEL].T,
+                  where=cols > cols[:_PANEL, None])
     gram /= n * m
     return gram
 
@@ -264,9 +287,9 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
             smallest[k] = _smallest_eigenvalue(
                 lambda lo, w: block[:, lo:k].T @ block[:, lo:lo + w], k,
                 [(lo, p[:k - lo]) for lo, p in panels if lo < k]) / (n * k)
-        del panels  # before the head block's product is made beside the block
+        del panels  # before the head block's product starts the sum beside the block
         if above:
-            gram = block @ block.T
+            gram = _add_product(None, block)
         del block
     for k, running in _gram_sums(points, feats, above, head, gram):
         smallest[k] = _smallest_eigenvalue(

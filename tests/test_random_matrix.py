@@ -93,34 +93,55 @@ def test_gram_block_sum_matches_full_product(kind, m):
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
 def test_gram_sum_of_narrow_blocks_matches_full_product(kind, monkeypatch):
-    # blocks of 7 directions, narrower than n = 40, the last one short
+    # blocks of 7 directions, narrower than n = 40, the last one short, added
+    # in row panels of 7, the last one short too: the mirrored upper part
+    # never reads a stale entry above the diagonal
     monkeypatch.setattr(rm, "_BLOCK", 7)
+    monkeypatch.setattr(rm, "_PANEL", 7)
     n, m = 40, 100
     points, feats = _draw(4, n, m, 6, kind)
     phi = features.feature_values(feats, points)
     full = phi @ phi.T / (n * m)
     gram = rm.gram_matrix(points, feats)
+    assert np.array_equal(gram, gram.T)
     assert np.max(np.abs(gram - full)) <= 1e-14 * np.linalg.eigvalsh(full)[-1]
 
 
-def test_gram_sums_hold_one_block_product_beside_the_sum():
-    # at n = 1,000 > _BLOCK a Gram sum holds the running n x n sum, one n x n
-    # block product and one n x _BLOCK block: 2.26 n x n arrays of doubles.
-    # The m < n companions' head block and the head companion's Cholesky
-    # panels (about half head x head) stay below that, as do the m >= n
-    # counts' panels beside the sum; no eigvalsh runs, so nothing goes
-    # untraced.
+def test_gram_sum_fallback_reads_only_the_lower_part(monkeypatch):
+    # one Lanczos step cannot converge, so the m >= n count falls back to
+    # eigvalsh of a running sum added in row panels of 7 from blocks of 8,
+    # whose upper part beyond the diagonal blocks is stale
+    monkeypatch.setattr(rm, "_PANEL", 7)
+    monkeypatch.setattr(rm, "_BLOCK", 8)
+    monkeypatch.setattr(rm, "_STEPS", 1)
+    n, m = 40, 80
+    points, feats = _draw(5, n, m)
+    phi = features.feature_values(feats, points)
+    spectrum = np.linalg.eigvalsh(phi @ phi.T) / (n * m)
+    [got] = rm.smallest_gram_eigenvalue(points, feats, [m])
+    assert abs(got - spectrum[0]) <= 1e-14 * spectrum[-1]
+
+
+def test_gram_sums_form_no_n_by_n_product():
+    # at n = 1,000 > _BLOCK a Gram sum holds the running n x n sum, one
+    # n x _BLOCK block and one _PANEL x n product: 1.38 n x n arrays of
+    # doubles, against 2.26 when each block's n x n product was formed.  mp's
+    # default counts add the 850-direction head block (0.85 n x n) beside its
+    # sum; the m >= n counts' Cholesky panels (about half n x n) beside the
+    # sum stay below that.  No eigvalsh runs, so nothing goes untraced.
     n = 1000
     points, feats = _draw(0, n, 4 * n, 10)
-    for run in (lambda: rm.gram_matrix(points, feats),
-                lambda: rm.smallest_gram_eigenvalue(points, feats, [n // 2, n - 1, n, 2 * n, 4 * n])):
+    mp_counts = [500, 700, 850, 1000, 1200, 1500, 2000]
+    for run, bound in ((lambda: rm.gram_matrix(points, feats), 1.45),
+                       (lambda: rm.smallest_gram_eigenvalue(points, feats, mp_counts), 1.9),
+                       (lambda: rm.smallest_gram_eigenvalue(points, feats, [n, 2 * n, 4 * n]), 1.75)):
         tracemalloc.start()
         try:
             run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * 8 * n * n
+        assert peak <= bound * 8 * n * n
 
 
 def test_companions_free_their_shared_factor_before_the_head_product():
@@ -128,8 +149,8 @@ def test_companions_free_their_shared_factor_before_the_head_product():
     # and the head companion's panels, 1.67 n x n arrays of doubles; m = 500
     # reads views of those panels.  The panels and every view of them are
     # freed before the head block's product starts the sum for m = n, so that
-    # phase holds the block and its product, 2.00 n x n; a view kept alive
-    # through it would hold the panels too, 2.56 n x n.
+    # phase holds the block and the sum it starts, 2.00 n x n; a view kept
+    # alive through it would hold the panels too, 2.56 n x n.
     n = 1000
     points, feats = _draw(0, n, n, 10)
     for ms, bound in (([n // 2, n - 1], 1.7), ([n // 2, n - 1, n], 2.05)):
