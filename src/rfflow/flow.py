@@ -16,6 +16,7 @@ least-squares solution.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +28,13 @@ from .features import Dataset, FeatureSet, feature_values
 RANK_THRESHOLD = 1e-12
 # share of the target's energy that the spectral energy profile's p reaches
 ENERGY_THRESHOLD = 0.99
+
+# glibc's malloc_trim, or None where the C library has none (macOS, musl) or
+# there is no process handle to look it up in (Windows)
+try:
+    _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,10 @@ def decompose(phi) -> SpectralDecomposition:
 
     A wide matrix (m > n) is factored through its transpose, Phi^T = V S U^T:
     LAPACK's tall path (QR first) is faster than its wide one (LQ first).
+    The SVD's LAPACK buffers (about 36 MiB at 500 x 2500) come from the heap
+    once earlier frees have raised glibc's mmap threshold, and glibc keeps
+    them resident after they are freed; trimming hands them back, so the
+    caller's next large array does not land on top of them.
     """
     mat = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(mat)):
@@ -70,6 +82,8 @@ def decompose(phi) -> SpectralDecomposition:
         u, vt = ut.T, v.T
     else:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     return SpectralDecomposition(
         left_vectors=u,
         singular_values=s,

@@ -54,7 +54,8 @@ def load_idx(images_path, labels_path, classes=None, subsample: int | None = Non
     Pixel values are scaled to [0, 1] by /255; vectors are left raw (not
     re-normalized).  ``classes`` filters by label, ``subsample`` draws that
     many rows without replacement using the seed.  Rows are selected on the
-    labels, so only the kept images are read and converted to float.
+    labels, so only the kept images are read and converted to float.  A
+    ``classes`` filter that keeps no row is a ``ValueError``.
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -63,7 +64,10 @@ def load_idx(images_path, labels_path, classes=None, subsample: int | None = Non
                          f"{images_path}, {labels.shape[0]} labels in {labels_path}")
     rows = np.arange(labels.shape[0])
     if classes is not None:
-        rows = np.flatnonzero(np.isin(labels, list(classes)))
+        wanted = list(classes)
+        rows = np.flatnonzero(np.isin(labels, wanted))
+        if rows.size == 0:
+            raise ValueError(f"{labels_path}: no label in classes {wanted}")
     if subsample is not None:
         if subsample > rows.shape[0]:
             raise ValueError(f"subsample n = {subsample} is larger than the "

@@ -750,6 +750,8 @@ def test_mnist_tables_equal_the_full_grid_cell(tmp_path):
     ("labels as images", "bad IDX magic 2049, expected 2051"),
     ("count mismatch", "image/label count mismatch: 120 images in "),
     ("missing file", "No such file or directory: "),
+    # a test set with only the label 7 keeps no row of classes 0 and 1
+    ("no test class", "no label in classes [0, 1]"),
 ])
 def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch,
                                                        case, message):
@@ -761,8 +763,11 @@ def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeyp
         paths[1] = paths[3]
     elif case == "count mismatch":  # the test set's 40 labels for the 120 training images
         paths[3] = paths[7]
-    else:
+    elif case == "missing file":
         paths[5] = str(tmp_path / "no-such-images-idx3-ubyte")
+    else:
+        labels = Path(paths[7])
+        labels.write_bytes(labels.read_bytes()[:8] + bytes([7]) * 40)
 
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran")
@@ -776,6 +781,8 @@ def test_mnist_bad_idx_input_is_a_one_line_usage_error(tmp_path, capsys, monkeyp
         assert paths[1] in err and paths[3] in err
     if case == "missing file":
         assert paths[5] in err
+    if case == "no test class":
+        assert paths[7] in err
 
 
 # small cells of the verbs that read only some keys, and one new value per key

@@ -1,9 +1,17 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import rfflow
 from rfflow import features, flow
 
 
@@ -82,6 +90,48 @@ def test_decompose_is_a_thin_svd_in_every_orientation(mat):
 def test_decompose_rejects_nonfinite():
     with pytest.raises(ValueError):
         flow.decompose(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="reads VmRSS and glibc's mmap threshold")
+def test_decompose_hands_the_svd_workspace_back():
+    # Freeing a 30 MiB mapped array raises glibc's mmap threshold, so the
+    # SVD's buffers come from the heap; untrimmed they stay resident after
+    # the SVD (about 43 MiB of growth), trimmed only the result remains.
+    code = textwrap.dedent("""
+        import numpy as np
+        from rfflow import features, flow
+
+        def rss():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) * 1024
+                            for line in fh if line.startswith("VmRSS:"))
+
+        big = np.ones(30 * 2**20 // 8)
+        del big
+        points = features.sample_sphere([0, 1], 10, 500)
+        phi = features.feature_values(features.sample_features([0, 2], 10, 2500), points)
+        before = rss()
+        dec = flow.decompose(phi)
+        grown = rss() - before
+        held = sum(a.nbytes for a in (dec.left_vectors, dec.singular_values,
+                                      dec.right_vectors))
+        assert grown <= held + 8 * 2**20, (grown / 2**20, held / 2**20)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(rfflow.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("shape", [(40, 90), (90, 40)])
+def test_decompose_without_malloc_trim_is_identical(shape, monkeypatch):
+    phi = np.random.default_rng(5).standard_normal(shape)
+    trimmed = flow.decompose(phi)
+    monkeypatch.setattr(flow, "_MALLOC_TRIM", None)
+    plain = flow.decompose(phi)
+    for name in ("left_vectors", "singular_values", "right_vectors"):
+        assert getattr(plain, name).tobytes() == getattr(trimmed, name).tobytes()
 
 
 def test_coefficients_zero_at_time_zero():

@@ -116,6 +116,9 @@ def test_load_scales_filters_and_subsamples(tmp_path):
 
     with pytest.raises(ValueError, match="subsample"):
         idx.load_idx(img_path, lab_path, classes=(2,), subsample=10)
+    with pytest.raises(ValueError, match=r"no label in classes \[3, 7\]") as exc:
+        idx.load_idx(img_path, lab_path, classes=(3, 7))
+    assert str(lab_path) in str(exc.value)
 
 
 def _convert_then_filter(images, labels, classes, subsample, seed):
@@ -147,6 +150,10 @@ def test_load_idx_matches_convert_then_filter(tmp_path, data):
     subsample = data.draw(st.none() | st.integers(0, available), label="subsample")
     seed = data.draw(st.integers(0, 1000), label="seed")
     img_path, lab_path = _write_pair(tmp_path, images, labels)
+    if available == 0:  # the filter keeps no row: an error, not an empty dataset
+        with pytest.raises(ValueError, match="no label in classes"):
+            idx.load_idx(img_path, lab_path, classes=classes, subsample=subsample, seed=seed)
+        return
 
     got = idx.load_idx(img_path, lab_path, classes=classes, subsample=subsample, seed=seed)
     points, values = _convert_then_filter(images, labels, classes, subsample, seed)
