@@ -37,6 +37,13 @@ except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
 
+def trim_heap() -> None:
+    """Hands the heap's freed pages back to the OS; a no-op without glibc's
+    malloc_trim, or once ``_MALLOC_TRIM`` is set to None."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Thin SVD of the feature matrix with the scaled values s_i / n."""
@@ -82,8 +89,7 @@ def decompose(phi) -> SpectralDecomposition:
         u, vt = ut.T, v.T
     else:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    trim_heap()
     return SpectralDecomposition(
         left_vectors=u,
         singular_values=s,

@@ -12,6 +12,11 @@ way, kept out of ``rfflow`` because no CLI verb runs it:
 - ``surface_area`` (A06) and ``kernel_mc``, a Monte-Carlo kernel estimate (A10);
 - ``mp_edges`` and ``mp_density``: the Marchenko-Pastur support and density (A09).
 
+Beside them sit the helpers of the tests that run code in a fresh
+interpreter, ``fresh_interpreter``, and of those that read resident memory
+there: ``rss`` and the ``glibc_only`` skip, since glibc alone keeps freed
+heap resident in the way those tests measure.
+
 The MP density carries the 1/gamma mass factor,
 
     v_gamma(x) = sqrt((x_+ - x)(x - x_-)) / (2 pi gamma x),
@@ -24,11 +29,19 @@ exactly one for every aspect ratio.
 from __future__ import annotations
 
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from math import exp, gamma, lgamma, log, pi, sqrt
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import rgamma
 
+import rfflow
 from rfflow.kernel_analytic import (feature_kernel, kernel_profile, legendre,
                                     weighted_cosine_integral)
 
@@ -244,3 +257,28 @@ def mp_density(gamma: float, lam) -> np.ndarray | float:
     lx = lam_arr[inside]
     out[inside] = np.sqrt((hi - lx) * (lx - lo)) / (2.0 * np.pi * gamma * lx)
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters and resident memory
+# ---------------------------------------------------------------------------
+
+glibc_only = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                                reason="reads VmRSS and glibc's heap behaviour")
+
+
+def rss() -> int:
+    """Resident memory of this process in bytes, VmRSS of /proc/self/status."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+
+def fresh_interpreter(code: str, timeout: float = 120) -> None:
+    """Runs ``code`` (dedented) in a new interpreter that imports rfflow and
+    this module, and fails with its stderr unless it exits cleanly."""
+    path = os.pathsep.join(str(p) for p in (Path(rfflow.__file__).resolve().parents[1],
+                                           Path(__file__).resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr

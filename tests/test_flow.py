@@ -1,17 +1,9 @@
-import os
-import platform
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import rfflow
 from rfflow import features, flow
 
 
@@ -92,20 +84,15 @@ def test_decompose_rejects_nonfinite():
         flow.decompose(np.array([[1.0, np.nan]]))
 
 
-@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="reads VmRSS and glibc's mmap threshold")
+@oracles.glibc_only
 def test_decompose_hands_the_svd_workspace_back():
     # Freeing a 30 MiB mapped array raises glibc's mmap threshold, so the
     # SVD's buffers come from the heap; untrimmed they stay resident after
     # the SVD (about 43 MiB of growth), trimmed only the result remains.
-    code = textwrap.dedent("""
+    oracles.fresh_interpreter("""
         import numpy as np
+        from oracles import rss
         from rfflow import features, flow
-
-        def rss():
-            with open("/proc/self/status") as fh:
-                return next(int(line.split()[1]) * 1024
-                            for line in fh if line.startswith("VmRSS:"))
 
         big = np.ones(30 * 2**20 // 8)
         del big
@@ -118,10 +105,6 @@ def test_decompose_hands_the_svd_workspace_back():
                                       dec.right_vectors))
         assert grown <= held + 8 * 2**20, (grown / 2**20, held / 2**20)
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(rfflow.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("shape", [(40, 90), (90, 40)])

@@ -1,10 +1,5 @@
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 import oracles
-import rfflow
-from rfflow import features
+from rfflow import features, flow
 from rfflow import kernel_analytic as ka
 from rfflow import random_matrix as rm
 from rfflow.flow import decompose
@@ -58,7 +52,7 @@ def test_zero_points_are_rejected_before_any_block():
     # blocks of min(n, _BLOCK) directions are empty at n = 0, so a call that
     # reached them would never return: it runs in a subprocess whose timeout
     # turns such a hang into a failure
-    code = textwrap.dedent("""
+    oracles.fresh_interpreter("""
         import numpy as np
         from rfflow import random_matrix as rm
         from rfflow.features import FeatureSet
@@ -71,11 +65,7 @@ def test_zero_points_are_rejected_before_any_block():
                 assert "points of shape (0, 3)" in str(exc), exc
             else:
                 raise AssertionError("no ValueError for zero points")
-    """)
-    env = dict(os.environ, PYTHONPATH=str(Path(rfflow.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    """, timeout=60)
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
@@ -217,6 +207,44 @@ def test_symmetric_eigenvalues_symmetry_test_is_relative():
         rm.symmetric_eigenvalues(scale * a)
 
 
+@oracles.glibc_only
+def test_symmetric_eigenvalues_hands_freed_heap_back_first():
+    # Freeing a 30 MiB mapped array raises glibc's mmap threshold, so the
+    # 2 MiB blocks freed next stay resident in the heap, as a Gram sum's
+    # feature blocks do.  Trimmed on entry, the call leaves resident only
+    # the n x n that the asymmetry array and then eigvalsh's copy took (0.45
+    # n x n arrays of growth at n = 1,000); untrimmed, the freed blocks stay
+    # too (3.5 n x n).
+    oracles.fresh_interpreter("""
+        import numpy as np
+        from oracles import rss
+        from rfflow import random_matrix as rm
+
+        n = 1000
+        big = np.ones(30 * 2**20 // 8)
+        del big
+        a = np.random.default_rng(0).standard_normal((n, n))
+        a += a.T
+        before = rss()
+        blocks = [np.ones((n, 256)) for _ in range(16)]
+        kept = np.ones((n, 256))  # above the freed blocks, as the next block would be
+        del blocks
+        rm.symmetric_eigenvalues(a)
+        grown = rss() - before
+        assert grown <= 2 * a.nbytes + 4 * 2**20, grown / a.nbytes
+    """)
+
+
+def test_symmetric_eigenvalues_trim_goes_through_flow_and_changes_no_bit(monkeypatch):
+    a = rm.gram_matrix(*_draw(3, 150, 300))
+    calls = []
+    monkeypatch.setattr(flow, "_MALLOC_TRIM", lambda pad: calls.append(pad))
+    traced = rm.symmetric_eigenvalues(a)
+    assert calls == [0]
+    monkeypatch.setattr(flow, "_MALLOC_TRIM", None)
+    assert rm.symmetric_eigenvalues(a).tobytes() == traced.tobytes()
+
+
 def test_companion_spectra_match_on_rectangular():
     points, feats = _draw(1, 10, 6)
     phi = features.feature_values(feats, points)
@@ -321,6 +349,54 @@ def test_smallest_eigenvalue_at_m_ge_n_matches_eigvalsh(kind, n, m, d, panel, se
         [got] = rm.smallest_gram_eigenvalue(points, feats, [m])
     ev = _companion_eigenvalues(_blockwise_values(points, feats, [m]))
     assert abs(got - ev[0]) <= 1e-14 * ev[-1]
+
+
+@st.composite
+def _lower_factors(draw):
+    """Lower-triangular matrices of widths 1-160, weighted to the halving
+    cuts 32, 64 and 128, with condition numbers 1 to 1e8 and any scale: the
+    transposed R of a QR of U diag(s) V^T has s for its singular values."""
+    width = draw(st.one_of(st.sampled_from([31, 32, 33, 63, 64, 65, 127, 128, 129]),
+                           st.integers(1, 160)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    u, v = (np.linalg.qr(rng.standard_normal((width, width)))[0] for _ in range(2))
+    s = np.logspace(0, -draw(st.floats(0, 8)), width)
+    return np.linalg.qr((u * s) @ v.T).R.T * 10.0 ** draw(st.integers(-100, 100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(low=_lower_factors())
+def test_lower_inverse_is_exactly_lower_and_inverts(low):
+    # measured over 3,000 draws: |X L - I| reached 2.2 kappa eps and
+    # |X - tril(inv(L))| 0.45 kappa eps of |X|
+    width = low.shape[0]
+    bound = 16 * np.linalg.cond(low) * np.finfo(float).eps
+    inverse = rm._lower_inverse(low)
+    assert not np.triu(inverse, 1).any()
+    assert np.max(np.abs(inverse @ low - np.eye(width))) <= bound
+    plain = np.tril(np.linalg.inv(low))
+    assert np.max(np.abs(inverse - plain)) <= bound * np.max(np.abs(plain))
+
+
+def test_cholesky_panels_hold_diagonal_inverses_at_a_companion_stop():
+    # the head companion of m = 200 and 300 at n = 400 points: panels start
+    # at 0 and 128, at the stop 200, and at 256.  Each p[:w] is the exact
+    # lower-triangular inverse of L's diagonal block, p[w:] is L below it.
+    points, feats = _draw(2, 400, 300)
+    block = features.feature_values(feats, points)
+    product = block.T @ block
+    panels = rm._cholesky_panels(lambda lo, w: block[:, lo:].T @ block[:, lo:lo + w],
+                                 300, [200, 300])
+    assert [(lo, p.shape[1]) for lo, p in panels] == [(0, 128), (128, 72), (200, 56),
+                                                      (256, 44)]
+    factor = np.linalg.cholesky(product)
+    for lo, p in panels:
+        w = p.shape[1]
+        diagonal = factor[lo:lo + w, lo:lo + w]
+        assert not np.triu(p[:w], 1).any()
+        np.testing.assert_allclose(p[:w] @ diagonal, np.eye(w), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(p[w:], factor[lo + w:, lo:lo + w], rtol=0,
+                                   atol=1e-11 * np.abs(factor).max())
 
 
 def _spy_factor_sizes(monkeypatch):
