@@ -47,12 +47,24 @@ class ExperimentConfig:
         need(self.target_order == 0 or self.d >= 3, "d", "must be >= 3 for a target of order >= 1")
         need(-math.inf < self.t_log_start <= self.t_log_stop < math.inf, "t_log_start",
              f"must be finite and <= t_log_stop = {self.t_log_stop!r}")
+        # the grid rises from 10^t_log_start to 10^(its last exponent), which the
+        # rounded point count may put past t_log_stop: both ends must be doubles
+        need(_power_of_ten(self.t_log_start) > 0, "t_log_start",
+             "must be at least about -323.6, so that 10^t_log_start is a positive double")
+        need(_power_of_ten(self.t_log_stop) < math.inf
+             and _power_of_ten(self._exponent(self._count() - 1)) < math.inf, "t_log_stop",
+             "must keep 10^t_log_stop and the grid's last time, 10^(t_log_start + k / "
+             "t_per_decade) with k = round((t_log_stop - t_log_start) * t_per_decade), "
+             "below the largest double, about 10^308.25")
+
+    def _count(self) -> int:
+        return int(round((self.t_log_stop - self.t_log_start) * self.t_per_decade)) + 1
+
+    def _exponent(self, i: int) -> float:
+        return self.t_log_start + i / self.t_per_decade
 
     def time_grid(self) -> list[float]:
-        decades = self.t_log_stop - self.t_log_start
-        count = int(round(decades * self.t_per_decade)) + 1
-        return [10.0 ** (self.t_log_start + i / self.t_per_decade)
-                for i in range(count)] + [math.inf]
+        return [10.0 ** self._exponent(i) for i in range(self._count())] + [math.inf]
 
     def to_text(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
@@ -61,6 +73,14 @@ class ExperimentConfig:
     def digest(self) -> str:
         """Hash of the text form; every field determines results."""
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+
+
+def _power_of_ten(exponent: float) -> float:
+    """10.0 ** exponent, inf where the double overflows (0 where it underflows)."""
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def split_key_value(text: str, where: str) -> tuple[str, str]:

@@ -9,10 +9,11 @@ gamma = m/n the smallest eigenvalue scales like c * (1 - sqrt(gamma))^2 for
 gamma <= 1 and c * (1 - sqrt(1/gamma))^2 above, with a calibration constant
 c fitted from measurements near m = n.
 
-Memory stays O(n^2) at any m: the Gram matrices are summed over feature
-blocks of at most min(n, _BLOCK) directions and the kernel matrix is
-filled in row blocks.  ``smallest_gram_eigenvalue`` goes through three
-phases, and at each only these arrays are alive:
+Memory stays O(n^2) at any m: one generator, ``_gram_sums``, evaluates
+the features in blocks of at most min(n, _BLOCK) directions and adds each
+into a running Gram sum, and the kernel matrix is filled in _PANEL-row
+blocks.  ``smallest_gram_eigenvalue`` goes through three phases, and at
+each only these arrays are alive:
 
 * the m < n companions: the n x head block of the first head directions and
   the head companion's Cholesky panels, read from the block, about half
@@ -21,9 +22,10 @@ phases, and at each only these arrays are alive:
   _PANEL x n product, added into the sum's lower part row panel by row panel;
 * each m >= n count: the running sum and its Cholesky panels, about half
   n x n.
-No companion product and no full spectrum is formed: beside each factor a
-Lanczos basis of at most _STEPS vectors finds the largest eigenvalue theta
-of the product's inverse, and the smallest eigenvalue is 1/theta.
+No companion product and no full spectrum is formed: the caller builds each
+factor and hands it to ``_smallest_eigenvalue``, where a Lanczos basis of at
+most _STEPS vectors finds the largest eigenvalue theta of the product's
+inverse, and the smallest eigenvalue is 1/theta.
 """
 
 from __future__ import annotations
@@ -37,25 +39,10 @@ from .flow import trim_heap
 from .kernel_analytic import feature_kernel
 
 _SYM_TOL = 1e-10
-_KERNEL_ROWS = 128  # rows of the kernel matrix filled per block
 _BLOCK = 256  # feature directions evaluated per block of a Gram sum
-_PANEL = 128  # columns per panel of the Cholesky factor in _smallest_eigenvalue
+_PANEL = 128  # columns per Cholesky panel, rows per Gram-sum or kernel-matrix panel
 _STEPS = 100  # Lanczos steps before _smallest_eigenvalue falls back to eigvalsh
 _LANCZOS_TOL = 1e-14  # relative Ritz residual, or Ritz-value change, that stops Lanczos
-
-
-def _feature_blocks(points: np.ndarray, feats: FeatureSet, stops: Sequence[int], lo: int = 0):
-    """Feature values at the points in blocks of at most min(n, _BLOCK) directions.
-
-    Yields (hi, Phi[:, lo:hi]); the blocks tile directions lo..max(stops) in
-    order, and one ends at every count in the ascending ``stops``.
-    """
-    width = min(points.shape[0], _BLOCK)
-    for stop in stops:
-        while lo < stop:
-            hi = min(lo + width, stop)
-            yield hi, feature_values(FeatureSet(feats.directions[lo:hi], feats.kind), points)
-            lo = hi
 
 
 def _add_product(gram: np.ndarray | None, block: np.ndarray) -> np.ndarray:
@@ -85,18 +72,22 @@ def _gram_sums(points: np.ndarray, feats: FeatureSet, stops: Sequence[int],
     """Yields (k, Phi[:, :k] Phi[:, :k]^T), unscaled, at every count k in the
     ascending ``stops``; only its lower part, as ``_add_product`` leaves it.
 
-    Phi_b Phi_b^T is added into one running sum over the blocks of
-    ``_feature_blocks`` by ``_add_product``, so besides the sum only one
-    n x _BLOCK block and one _PANEL x n product are alive.  ``gram``, if
-    given, is the sum over the first ``lo`` directions.  The yielded array is
-    the running sum itself: the next block is added into it in place.  Its
-    readers stay on or below the diagonal, or in whole diagonal blocks.
+    Directions lo..max(stops) are evaluated in blocks of at most min(n, _BLOCK),
+    one ending at every stop; ``_add_product`` adds each block into one running
+    sum, and the block is freed, so besides the sum only one n x _BLOCK block
+    and one _PANEL x n product are alive.  ``gram``, if given, is the sum over
+    the first ``lo`` directions.  The yielded array is the running sum itself,
+    which the next block is added into in place; its readers stay on or below
+    the diagonal, or in whole diagonal blocks.
     """
-    for hi, block in _feature_blocks(points, feats, stops, lo):
-        gram = _add_product(gram, block)
-        del block  # freed before the next block is evaluated
-        if hi in stops:
-            yield hi, gram
+    width = min(points.shape[0], _BLOCK)
+    for stop in stops:
+        while lo < stop:
+            hi = min(lo + width, stop)
+            gram = _add_product(gram, feature_values(FeatureSet(feats.directions[lo:hi],
+                                                                feats.kind), points))
+            lo = hi
+        yield stop, gram
 
 
 def gram_matrix(points, feats: FeatureSet) -> np.ndarray:
@@ -126,14 +117,14 @@ def kernel_matrix(points, kind: str) -> np.ndarray:
     """K = feature_kernel(x_i . x_j, d, kind) / n of the n points, in row blocks.
 
     Besides the n x n result only one block of cosines and its kernel
-    temporaries is alive, a few 128 x n arrays.
+    temporaries is alive, a few _PANEL x n arrays.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     kmat = np.empty((n, n))
-    for lo in range(0, n, _KERNEL_ROWS):
-        rows = kmat[lo:lo + _KERNEL_ROWS]
-        rows[...] = feature_kernel(points[lo:lo + _KERNEL_ROWS] @ points.T, d, kind)
+    for lo in range(0, n, _PANEL):
+        rows = kmat[lo:lo + _PANEL]
+        rows[...] = feature_kernel(points[lo:lo + _PANEL] @ points.T, d, kind)
         rows /= n
     return kmat
 
@@ -225,23 +216,20 @@ def _solve(panels: list[tuple[int, np.ndarray]], v: np.ndarray) -> np.ndarray:
     return x
 
 
-def _smallest_eigenvalue(columns, n: int,
-                         panels: list[tuple[int, np.ndarray]] | None = None) -> float:
+def _smallest_eigenvalue(columns, n: int, panels: list[tuple[int, np.ndarray]]) -> float:
     """Smallest eigenvalue of an n x n symmetric positive-definite a, read
     through ``columns`` as in ``_cholesky_panels``, without its spectrum.
 
     It is 1/theta for the largest eigenvalue theta of a^-1, which Lanczos with
     full reorthogonalisation finds from a fixed seeded start vector, applying
-    a^-1 through the panels of a's Cholesky factor: ``panels`` if given, else
-    ``_cholesky_panels(columns, n)``.  Lanczos stops once the top Ritz value's
-    residual, or its change over one step, is below _LANCZOS_TOL of it.  When
-    the panels cover fewer than n rows (a diagonal block of the factor is not
-    positive definite), a^-1 v overflows, or _STEPS steps do not converge,
-    the basis and the panels made here are freed and ``eigvalsh`` of
-    columns(0, n) answers.
+    a^-1 through ``panels``: a's Cholesky factor, which the caller builds with
+    ``_cholesky_panels`` and hands in, keeping no reference of its own.  Lanczos
+    stops once the top Ritz value's residual, or its change over one step, is
+    below _LANCZOS_TOL of it.  When the panels cover fewer than n rows (a
+    diagonal block of the factor is not positive definite), a^-1 v overflows,
+    or _STEPS steps do not converge, the basis and the panels are freed before
+    ``eigvalsh`` of columns(0, n) answers.
     """
-    if panels is None:
-        panels = _cholesky_panels(columns, n)
     if sum(p.shape[1] for _, p in panels) == n:
         steps = min(n, _STEPS)
         basis = np.empty((steps, n))
@@ -319,8 +307,9 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
             gram = _add_product(None, block)
         del block
     for k, running in _gram_sums(points, feats, above, head, gram):
-        smallest[k] = _smallest_eigenvalue(
-            lambda lo, w: running[lo:, lo:lo + w].copy(), n) / (n * k)
+        def columns(lo, w):
+            return running[lo:, lo:lo + w].copy()
+        smallest[k] = _smallest_eigenvalue(columns, n, _cholesky_panels(columns, n)) / (n * k)
     return np.array([smallest[int(k)] for k in counts])
 
 

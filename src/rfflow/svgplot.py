@@ -129,5 +129,7 @@ def render_svg(spec: PlotSpec) -> str:
 
 
 def emit_svg(spec: PlotSpec, path) -> None:
+    """Writes the rendered spec to ``path``; a render that raises leaves no file."""
+    text = render_svg(spec)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(spec))
+        fh.write(text)

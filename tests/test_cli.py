@@ -16,6 +16,7 @@ from rfflow import kernel_analytic as ka
 from rfflow import random_matrix as rm
 from rfflow.cli import main
 from rfflow.config import ExperimentConfig
+from reference import regenerate
 
 
 def _overrides(tmp_path, verb="run"):
@@ -169,6 +170,23 @@ def test_bad_config_value_is_a_one_line_usage_error(tmp_path, capsys, override, 
     err = capsys.readouterr().err
     assert err.startswith("rfflow run: error: ") and err.count("\n") == 1
     assert key in err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("overrides,key", [
+    (["t_log_stop=400"], "t_log_stop"),                        # 10^400 overflows a double
+    (["t_log_start=-400", "t_log_stop=-390"], "t_log_start"),  # every time underflows to 0
+    # both ends fit, but the rounded point count puts the last time at 10^308.3
+    (["t_log_start=0.3", "t_log_stop=308", "t_per_decade=1"], "t_log_stop"),
+])
+def test_time_grid_beyond_a_double_is_a_one_line_usage_error(tmp_path, capsys, verb,
+                                                              overrides, key):
+    out = tmp_path / "out"
+    argv = [verb, "--out", str(out), *[arg for o in overrides for arg in ("--set", o)]]
+    assert main(argv + (["--m-list", "5"] if verb == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rfflow {verb}: error: {key} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -459,6 +477,26 @@ def test_mp_verb_memory_is_bounded_in_gamma(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+# spectra's eigenvalue columns are compared within 1e-13 of their largest
+# entry: eigvalsh and the products before it may round in another order (at
+# n = 200 the columns read the same at 1 and 2 BLAS threads), and that moves a
+# small eigenvalue by far more than 1e-12 of itself.  Every other cell is
+# compared within 1e-12 of itself; mp's values moved by 7.3e-14 between 1 and
+# 2 BLAS threads.
+_SPECTRUM_COLUMNS = ("gram", "kernel_matrix")
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.RUNS))
+def test_verb_matches_its_reference_csv(tmp_path, capsys, name):
+    got = np.genfromtxt(regenerate.write(name, tmp_path), delimiter=",", names=True)
+    want = np.genfromtxt(regenerate.HERE / name, delimiter=",", names=True)
+    assert got.dtype.names == want.dtype.names and got.shape == want.shape
+    for column in want.dtype.names:
+        scale = np.max(np.abs(want[column])) if column in _SPECTRUM_COLUMNS else np.abs(want[column])
+        tol = (1e-13 if column in _SPECTRUM_COLUMNS else 1e-12) * scale
+        assert np.all(np.abs(got[column] - want[column]) <= tol), column
 
 
 def test_spectra_verb(tmp_path, capsys):

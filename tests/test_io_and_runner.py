@@ -28,7 +28,9 @@ def _tiny_config(**kw):
 # config
 # ---------------------------------------------------------------------------
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+# exponents whose grid times are all positive finite doubles at any
+# t_per_decade: the rounded last exponent exceeds t_log_stop by at most 1/2
+_finite = st.floats(-323.0, 307.5)
 _count = st.integers(1, 10**6)
 
 
@@ -196,6 +198,13 @@ def test_grid_without_finite_times_fails():
     assert runner.run_experiment(cfg).trajectory.time.tolist() == [10.0, math.inf]
 
 
+def test_grid_spanning_the_doubles_is_valid():
+    # 10^-323 is a subnormal double and 10^308 the last time below the largest
+    cfg = _tiny_config(t_log_start=-323.0, t_log_stop=308.0, t_per_decade=1)
+    grid = cfg.time_grid()
+    assert len(grid) == 633 and grid[0] > 0 and grid[-2] == 1e308 and grid[-1] == math.inf
+
+
 @pytest.mark.parametrize("key,overrides", [
     ("t_per_decade", dict(t_per_decade=0)),
     ("t_log_start", dict(t_log_start=2.0, t_log_stop=1.0)),
@@ -209,6 +218,13 @@ def test_grid_without_finite_times_fails():
     ("t_log_start", dict(t_log_start=-math.inf)),
     ("t_log_start", dict(t_log_stop=math.inf)),
     ("seed", dict(seed=-1)),              # numpy's seeding rejects it only inside the run
+    ("t_log_stop", dict(t_log_stop=400.0)),                    # 10^400 overflows
+    ("t_log_stop", dict(t_log_start=308.3, t_log_stop=308.3)),
+    ("t_log_stop", dict(t_log_stop=1e308)),
+    ("t_log_start", dict(t_log_start=-400.0, t_log_stop=-390.0)),  # every time 0.0
+    ("t_log_start", dict(t_log_start=-1e308)),
+    # both ends fit, but the rounded point count puts the last time at 10^308.3
+    ("t_log_stop", dict(t_log_start=0.3, t_log_stop=308.0, t_per_decade=1)),
 ])
 def test_invalid_config_fails_at_construction(key, overrides):
     with pytest.raises(ValueError, match=key):
@@ -557,6 +573,16 @@ def test_svg_drops_nonpositive_on_log_axes():
         svgplot.Series("s", t, np.zeros(3)),))
     with pytest.raises(ValueError):
         svgplot.render_svg(bad)
+
+
+def test_failed_render_leaves_no_svg_file(tmp_path):
+    # the file is opened only once the render has succeeded
+    t = np.array([1.0, 10.0, 100.0])
+    bad = svgplot.PlotSpec(title="x", series=(svgplot.Series("s", t, np.zeros(3)),))
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match="nothing to plot"):
+        svgplot.emit_svg(bad, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

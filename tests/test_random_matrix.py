@@ -153,6 +153,25 @@ def test_companions_free_their_shared_factor_before_the_head_product():
         assert peak <= bound * 8 * n * n
 
 
+def test_handed_factor_is_freed_before_the_fallback(monkeypatch):
+    # at n = 1,000 and m = 2n one Lanczos step cannot converge, so eigvalsh of
+    # a copy of the running sum answers.  The Cholesky panels that the caller
+    # built and handed in (about half n x n) are freed before that copy is
+    # taken: the traced peak is the sum and its copy, 2.00 n x n arrays of
+    # doubles; panels still referenced by the caller would add theirs, 2.57.
+    # eigvalsh's own workspace is not traced.
+    monkeypatch.setattr(rm, "_STEPS", 1)
+    n = 1000
+    points, feats = _draw(0, n, 2 * n, 10)
+    tracemalloc.start()
+    try:
+        rm.smallest_gram_eigenvalue(points, feats, [2 * n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n * n
+
+
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
 def test_kernel_matrix_matches_the_full_product(kind):
     # 300 rows: two full row blocks of 128 and a short one of 44
@@ -287,15 +306,17 @@ def _multi_m_cases(draw):
 
 def _blockwise_values(points, feats, ms):
     """The first max(ms) feature columns exactly as ``smallest_gram_eigenvalue``
-    evaluates them: by its own blocks with its own stops.  A fresh m-direction
-    evaluation can differ from a column slice in the last bits, which an
-    affine pre-activation near 0 amplifies far beyond 1 ulp."""
-    n = points.shape[0]
-    head = max([k for k in ms if k < n], default=0)
-    blocks = [features.feature_values(features.FeatureSet(feats.directions[:head], feats.kind),
-                                      points)]
-    stops = sorted({k for k in ms if k >= n})
-    return np.hstack(blocks + [block for _, block in rm._feature_blocks(points, feats, stops, head)])
+    evaluates them: one head block of the largest count below n, then blocks
+    of at most min(n, _BLOCK) directions, one ending at every count >= n.  A
+    fresh m-direction evaluation can differ from a column slice in the last
+    bits, which an affine pre-activation near 0 amplifies far beyond 1 ulp."""
+    n, width = points.shape[0], min(points.shape[0], rm._BLOCK)
+    cuts = [0, max([k for k in ms if k < n], default=0)]
+    for stop in sorted({k for k in ms if k >= n}):
+        cuts += [*range(cuts[-1] + width, stop, width), stop]
+    return np.hstack([features.feature_values(
+        features.FeatureSet(feats.directions[lo:hi], feats.kind), points)
+        for lo, hi in zip(cuts, cuts[1:])])
 
 
 def _companion_eigenvalues(phi):
@@ -499,9 +520,13 @@ def test_singular_companion_falls_back_to_eigvalsh(monkeypatch):
 def test_overflowing_inverse_falls_back_to_eigvalsh():
     # a pivot of 1e-160 passes the factor, but a^-1 v then reaches 1e320
     a = np.diag([1.0, 1e-320])
+
+    def columns(lo, w):
+        return a[lo:, lo:lo + w].copy()
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = rm._smallest_eigenvalue(lambda lo, w: a[lo:, lo:lo + w].copy(), 2)
+        got = rm._smallest_eigenvalue(columns, 2, rm._cholesky_panels(columns, 2))
         assert got == np.linalg.eigvalsh(a)[0]
 
 
