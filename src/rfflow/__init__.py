@@ -15,6 +15,7 @@ from .flow import (
     coefficients_at,
     decompose,
     errors_on_grid,
+    right_product,
     spectral_energy_profile,
 )
 from .runner import (
@@ -41,6 +42,7 @@ __all__ = [
     "coefficients_at",
     "decompose",
     "errors_on_grid",
+    "right_product",
     "run_experiment",
     "run_sweep",
     "sample_features",

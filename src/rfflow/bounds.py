@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import Dataset, FeatureSet, feature_values
-from .flow import SpectralDecomposition, spectral_energy_profile
+from .flow import SpectralDecomposition, right_product, spectral_energy_profile
 
 
 class HypothesisError(ValueError):
@@ -150,7 +150,7 @@ def measure_assumptions(dec: SpectralDecomposition, y: np.ndarray, feats: Featur
     uy = uy * signs
 
     phi_mc = feature_values(feats, mc_points.points)      # (N, m)
-    g_vals = (phi_mc @ dec.right_vectors[:, :k]) * (signs[:k] * np.sqrt(n) / dec.singular_values[:k])
+    g_vals = phi_mc @ right_product(dec, np.diag(signs[:k] * np.sqrt(n) / dec.singular_values[:k]))
     psi1 = mc_points.targets
 
     d1 = abs(float(y @ y) / n - 1.0)

@@ -8,6 +8,10 @@ from dataclasses import dataclass, fields, replace
 
 from .features import FEATURE_KINDS
 
+# most finite times a grid may hold: a cell's grid call keeps two
+# (test points, times) arrays, about 320 MB at 2,000 points and this count
+MAX_GRID_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -15,13 +19,13 @@ class ExperimentConfig:
     determines results, so the text form and its hash identify the result.
 
     The time grid is logarithmic between 10^t_log_start and 10^t_log_stop with
-    ``t_per_decade`` points per decade, followed by the t = inf (min-norm)
-    snapshot.  The target is the order-``target_order`` zonal harmonic of
-    ``features.TargetSpec``.  The test-set size, the Monte-Carlo size of the
-    assumption report and the rough bound's confidence delta are the
-    constants ``runner.TEST_COUNT``, ``runner.ASSUMPTION_POINTS`` and
-    ``runner.DELTA``, not keys.  An invalid value raises ValueError at
-    construction, naming its key.
+    ``t_per_decade`` points per decade, at most ``MAX_GRID_POINTS`` of them,
+    followed by the t = inf (min-norm) snapshot.  The target is the
+    order-``target_order`` zonal harmonic of ``features.TargetSpec``.  The
+    test-set size, the Monte-Carlo size of the assumption report and the
+    rough bound's confidence delta are the constants ``runner.TEST_COUNT``,
+    ``runner.ASSUMPTION_POINTS`` and ``runner.DELTA``, not keys.  An invalid
+    value raises ValueError at construction, naming its key.
     """
 
     seed: int = 0
@@ -56,6 +60,9 @@ class ExperimentConfig:
              "must keep 10^t_log_stop and the grid's last time, 10^(t_log_start + k / "
              "t_per_decade) with k = round((t_log_stop - t_log_start) * t_per_decade), "
              "below the largest double, about 10^308.25")
+        need(self._count() <= MAX_GRID_POINTS, "t_per_decade",
+             "must keep the grid's round((t_log_stop - t_log_start) * t_per_decade) + 1 "
+             f"finite times at {MAX_GRID_POINTS} or fewer (here {self._count()})")
 
     def _count(self) -> int:
         return int(round((self.t_log_stop - self.t_log_start) * self.t_per_decade)) + 1

@@ -12,6 +12,12 @@ Every trajectory quantity (training error, parameter norm, predictions at
 arbitrary points) follows from the decomposition without time stepping.
 ``t = inf`` is an explicit sentinel yielding the exact minimum-norm
 least-squares solution.
+
+The right vectors enter only through products V_k c, which ``right_product``
+forms.  A matrix with m >= ``WIDE_RATIO`` n columns is decomposed through the
+R of its transpose's QR, with no V formed; there V_k c = Phi^T U_k (c / s_k),
+since v_i = Phi^T u_i / s_i.  That product loses about eps kappa, so narrower
+matrices, whose kappa can be large near m = n, keep the SVD's V.
 """
 
 from __future__ import annotations
@@ -28,6 +34,15 @@ from .features import Dataset, FeatureSet, feature_values
 RANK_THRESHOLD = 1e-12
 # share of the target's energy that the spectral energy profile's p reaches
 ENERGY_THRESHOLD = 0.99
+# a matrix with at least this many columns per row forms no right vectors.
+# Phi^T u_i / s_i loses about eps kappa.  Against 60-digit mpmath min-norm
+# coefficients (n = 40, d = 5, ReLU, seeds 0-5; error over the largest
+# coefficient) it erred by up to 2.8e-13 at m = 41-42 (kappa up to 2.3e3),
+# where the SVD's V erred by 3.1e-14, and by at most 3.4e-14 at m = 80, 100
+# and 200 (kappa at most 251; V 1.4e-14).  At n = 500, d = 10 and one BLAS
+# thread it is faster from about m = 600 (101 -> 96 ms; 205 -> 114 ms at
+# m = 2,500, best of 5).
+WIDE_RATIO = 2
 
 # glibc's malloc_trim, or None where the C library has none (macOS, musl) or
 # there is no process handle to look it up in (Windows)
@@ -48,11 +63,18 @@ def trim_heap() -> None:
 class SpectralDecomposition:
     """Thin SVD of the feature matrix with the scaled values s_i / n."""
 
-    left_vectors: np.ndarray      # (n, r)
-    singular_values: np.ndarray   # (r,), descending
-    right_vectors: np.ndarray     # (m, r)
-    n_rows: int
-    n_cols: int
+    left_vectors: np.ndarray                # (n, r)
+    singular_values: np.ndarray             # (r,), descending
+    right_vectors: Optional[np.ndarray]     # (m, r); None where m >= WIDE_RATIO n
+    phi: np.ndarray                         # the (n, m) matrix itself, not a copy
+
+    @property
+    def n_rows(self) -> int:
+        return self.phi.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.phi.shape[1]
 
     @property
     def scaled_values(self) -> np.ndarray:
@@ -73,30 +95,42 @@ class SpectralDecomposition:
 def decompose(phi) -> SpectralDecomposition:
     """Thin SVD; rejects non-finite matrices.
 
-    A wide matrix (m > n) is factored through its transpose, Phi^T = V S U^T:
-    LAPACK's tall path (QR first) is faster than its wide one (LQ first).
-    The SVD's LAPACK buffers (about 36 MiB at 500 x 2500) come from the heap
-    once earlier frees have raised glibc's mmap threshold, and glibc keeps
-    them resident after they are freed; trimming hands them back, so the
-    caller's next large array does not land on top of them.
+    A matrix with m >= ``WIDE_RATIO`` n columns is decomposed as
+    svd(R^T) = U S W^T with R = qr(Phi^T, mode="r"), which forms neither
+    QR's Q nor the right vectors; ``right_product`` applies them through
+    Phi^T.  A narrower wide matrix (n < m < 2n) is factored through its
+    transpose, Phi^T = V S U^T: LAPACK's tall path (QR first) is faster
+    than its wide one (LQ first).  The LAPACK buffers (about 36 MiB for the
+    SVD at 500 x 2500) come from the heap once earlier frees have raised
+    glibc's mmap threshold, and glibc keeps them resident after they are
+    freed; trimming hands them back, so the caller's next large array does
+    not land on top of them.
     """
     mat = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("feature matrix has non-finite entries")
     n, m = mat.shape
-    if m > n:
+    v = None
+    if m >= WIDE_RATIO * n:
+        u, s, _ = np.linalg.svd(np.linalg.qr(mat.T, mode="r").T)
+    elif m > n:
         v, s, ut = np.linalg.svd(mat.T, full_matrices=False)
-        u, vt = ut.T, v.T
+        u = ut.T
     else:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        v = vt.T
     trim_heap()
-    return SpectralDecomposition(
-        left_vectors=u,
-        singular_values=s,
-        right_vectors=vt.T,
-        n_rows=n,
-        n_cols=m,
-    )
+    return SpectralDecomposition(left_vectors=u, singular_values=s, right_vectors=v, phi=mat)
+
+
+def right_product(dec: SpectralDecomposition, c: np.ndarray) -> np.ndarray:
+    """V_k c for c of shape (k,) or (k, T), k at most the rank: the stored
+    right vectors, or Phi^T (U_k (c / s_k)) where ``decompose`` formed none."""
+    k = c.shape[0]
+    if dec.right_vectors is not None:
+        return dec.right_vectors[:, :k] @ c
+    s = dec.singular_values[:k]
+    return dec.phi.T @ (dec.left_vectors[:, :k] @ (c / (s if c.ndim == 1 else s[:, None])))
 
 
 def _exponents(s: np.ndarray, times: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -131,7 +165,7 @@ def coefficients_at(dec: SpectralDecomposition, y: np.ndarray, t) -> np.ndarray:
     r = dec.rank
     uy = dec.left_vectors[:, :r].T @ y
     damp = _damping(dec.singular_values[:r], t, dec.n_rows, dec.n_cols)
-    return dec.right_vectors[:, :r] @ (damp * (uy if t.ndim == 0 else uy[:, None]))
+    return right_product(dec, damp * (uy if t.ndim == 0 else uy[:, None]))
 
 
 @dataclass(frozen=True)
@@ -181,7 +215,7 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
                          f"expected {(test_points.count, m)}")
 
     coeff_basis = _damping(s, grid, n, m) * uy[:, None]   # (r+, T)
-    preds = test_features @ (dec.right_vectors[:, :r] @ coeff_basis)
+    preds = test_features @ right_product(dec, coeff_basis)
     del test_features
 
     # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2, zero at t = inf

@@ -4,6 +4,8 @@ Each is an independent route to a quantity the package computes another
 way, kept out of ``rfflow`` because no CLI verb runs it:
 
 - ``ode_oracle``: explicit-Euler integration of the flow (A01, test_flow);
+- ``min_norm_mp``: the minimum-norm least-squares solution in 60-digit
+  mpmath arithmetic (test_flow);
 - ``population_mse``: the exact population error of a flow model (A16);
 - ``analytic_eigenvalue`` with ``_log_lambda_zero`` and ``_eigenvalue_ratio``:
   the paper's closed-form ReLU eigenvalue family in log space (A05, A06);
@@ -80,6 +82,22 @@ def ode_oracle(phi, y: np.ndarray, t: float, step: float) -> np.ndarray:
     if rem > 0.0:
         a += rem * (rhs - hmat @ a)
     return a
+
+
+def min_norm_mp(phi, y: np.ndarray, digits: int = 60) -> np.ndarray:
+    """The minimum-norm solution Phi^T (Phi Phi^T)^-1 y of a full-row-rank
+    Phi, in ``digits``-digit mpmath arithmetic from the doubles' exact
+    values, rounded to doubles; skips the test where mpmath is missing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        rows = [[mpmath.mpf(v) for v in row] for row in np.asarray(phi, dtype=float).tolist()]
+        n = len(rows)
+        gram = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(i + 1):
+                gram[i, j] = gram[j, i] = mpmath.fdot(rows[i], rows[j])
+        z = mpmath.lu_solve(gram, mpmath.matrix([float(v) for v in y]))
+        return np.array([float(mpmath.fdot(col, z)) for col in zip(*rows)])
 
 
 def population_mse(coefficients, feats) -> np.ndarray:

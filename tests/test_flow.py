@@ -39,14 +39,18 @@ def test_decompose_identity():
 
 
 def test_decompose_reconstruction_and_orthogonality():
-    mat = np.random.default_rng(0).standard_normal((5, 7))
-    dec = flow.decompose(mat)
-    u, s, v = dec.left_vectors, dec.singular_values, dec.right_vectors
-    np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-10)
-    np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-10)
-    recon = u @ np.diag(s) @ v.T
-    assert np.linalg.norm(mat - recon) <= 1e-10 * np.linalg.norm(mat)
-    assert np.all(np.diff(s) <= 0)
+    # 5 x 7 keeps the SVD's V; at 5 x 12 (m >= 2n) right_product applies V
+    # through Phi^T
+    for m in (7, 12):
+        mat = np.random.default_rng(0).standard_normal((5, m))
+        dec = flow.decompose(mat)
+        assert (dec.right_vectors is None) == (m >= flow.WIDE_RATIO * 5)
+        u, s, v = dec.left_vectors, dec.singular_values, flow.right_product(dec, np.eye(5))
+        np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-10)
+        recon = u @ np.diag(s) @ v.T
+        assert np.linalg.norm(mat - recon) <= 1e-10 * np.linalg.norm(mat)
+        assert np.all(np.diff(s) <= 0)
 
 
 @st.composite
@@ -65,18 +69,38 @@ def test_decompose_is_a_thin_svd_in_every_orientation(mat):
     n, m = mat.shape
     r = min(n, m)
     dec = flow.decompose(mat)
-    u, s, v = dec.left_vectors, dec.singular_values, dec.right_vectors
-    assert u.shape == (n, r) and s.shape == (r,) and v.shape == (m, r)
+    u, s = dec.left_vectors, dec.singular_values
+    assert u.shape == (n, r) and s.shape == (r,)
+    if m >= flow.WIDE_RATIO * n:
+        assert dec.right_vectors is None
+    else:
+        assert dec.right_vectors.shape == (m, r)
     assert (dec.n_rows, dec.n_cols) == (n, m)
     top = s[0]
-    assert np.max(np.abs(u * s @ v.T - mat)) <= 1e-12 * top
     np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(v.T @ v, np.eye(r), rtol=0, atol=1e-12)
     # singular values to 1e-13 of the largest: below that they are round-off
     expect = np.linalg.svd(mat, compute_uv=False)
     assert np.max(np.abs(s - expect)) <= 1e-13 * top
     assert dec.rank == np.count_nonzero(dec.positive)
     assert np.all(dec.positive[:dec.rank]) and not np.any(dec.positive[dec.rank:])
+    k = dec.rank
+    if k == 0:
+        return
+    # over the positive modes right_product gives svd's V up to sign.  The
+    # stored V is orthonormal to 1e-12; Phi^T u_i / s_i loses about eps
+    # kappa.  A singular vector is fixed only to about eps s_max over its
+    # gap to the other singular values (zero among them), so two routes'
+    # vectors may differ by that much
+    eps = np.finfo(float).eps
+    v = flow.right_product(dec, np.eye(k))
+    assert np.max(np.abs(u[:, :k] * s[:k] @ v.T - mat)) <= 1e-12 * top
+    np.testing.assert_allclose(v.T @ v, np.eye(k), rtol=0,
+                               atol=1e-12 if dec.right_vectors is not None
+                               else max(1e-12, 10 * eps * top / s[k - 1]))
+    gap = min(s[k - 1], np.min(-np.diff(s[:k]), initial=np.inf))
+    want = np.linalg.svd(mat, full_matrices=False)[2][:k].T
+    want *= np.sign(np.sum(want * v, axis=0))
+    assert np.max(np.abs(v - want)) <= max(1e-12, 10 * eps * top / gap)
 
 
 def test_decompose_rejects_nonfinite():
@@ -87,8 +111,8 @@ def test_decompose_rejects_nonfinite():
 @oracles.glibc_only
 def test_decompose_hands_the_svd_workspace_back():
     # Freeing a 30 MiB mapped array raises glibc's mmap threshold, so the
-    # SVD's buffers come from the heap; untrimmed they stay resident after
-    # the SVD (about 43 MiB of growth), trimmed only the result remains.
+    # QR's and SVD's buffers come from the heap; untrimmed they stay resident
+    # after the call, trimmed only the result, U and s, remains.
     oracles.fresh_interpreter("""
         import numpy as np
         from oracles import rss
@@ -101,20 +125,34 @@ def test_decompose_hands_the_svd_workspace_back():
         before = rss()
         dec = flow.decompose(phi)
         grown = rss() - before
-        held = sum(a.nbytes for a in (dec.left_vectors, dec.singular_values,
-                                      dec.right_vectors))
+        assert dec.right_vectors is None  # m >= 2n: QR's R, then its SVD
+        held = dec.left_vectors.nbytes + dec.singular_values.nbytes
         assert grown <= held + 8 * 2**20, (grown / 2**20, held / 2**20)
     """)
 
 
-@pytest.mark.parametrize("shape", [(40, 90), (90, 40)])
+@pytest.mark.parametrize("shape", [(40, 90), (90, 40), (40, 60)])
 def test_decompose_without_malloc_trim_is_identical(shape, monkeypatch):
     phi = np.random.default_rng(5).standard_normal(shape)
     trimmed = flow.decompose(phi)
     monkeypatch.setattr(flow, "_MALLOC_TRIM", None)
     plain = flow.decompose(phi)
     for name in ("left_vectors", "singular_values", "right_vectors"):
-        assert getattr(plain, name).tobytes() == getattr(trimmed, name).tobytes()
+        got, want = getattr(plain, name), getattr(trimmed, name)
+        assert (got is None) == (want is None)   # None on the QR route, 40 x 90
+        assert got is None or got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [80, 100, 200])
+def test_wide_min_norm_coefficients_match_a_60_digit_solve(m):
+    # at m >= 2n the coefficients come through Phi^T u_i / s_i, which loses
+    # about eps kappa; at n = 40 and these m, kappa is 100-125
+    phi, y, _, _ = _random_instance(0, 40, m)
+    dec = flow.decompose(phi)
+    assert dec.right_vectors is None
+    want = oracles.min_norm_mp(phi, y)
+    got = flow.coefficients_at(dec, y, np.inf)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_coefficients_zero_at_time_zero():

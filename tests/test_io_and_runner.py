@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import rfflow
 from rfflow import bounds, features, flow, random_matrix, runner, svgplot
-from rfflow.config import ExperimentConfig, apply_overrides, load_config, parse_config_text
+from rfflow.config import (MAX_GRID_POINTS, ExperimentConfig, apply_overrides, load_config,
+                           parse_config_text)
 
 
 def _tiny_config(**kw):
@@ -30,20 +31,24 @@ def _tiny_config(**kw):
 
 # exponents whose grid times are all positive finite doubles at any
 # t_per_decade: the rounded last exponent exceeds t_log_stop by at most 1/2
-_finite = st.floats(-323.0, 307.5)
+_LOWEST, _HIGHEST = -323.0, 307.5
 _count = st.integers(1, 10**6)
 
 
 @st.composite
 def _configs(draw):
-    lo, hi = sorted(draw(st.lists(_finite, min_size=2, max_size=2)))
+    # t_log_stop lies within (MAX_GRID_POINTS - 1) / t_per_decade decades of
+    # t_log_start, so the grid holds at most MAX_GRID_POINTS finite times
+    per_decade = draw(st.integers(1, MAX_GRID_POINTS))
+    lo = draw(st.floats(_LOWEST, _HIGHEST))
+    hi = draw(st.floats(lo, min(_HIGHEST, lo + (MAX_GRID_POINTS - 1) / per_decade)))
     return ExperimentConfig(
         seed=draw(st.integers(0, 2**63)), n=draw(_count),
         m=draw(_count),
         d=draw(st.integers(3, 10**4)),
         feature_kind=draw(st.sampled_from(features.FEATURE_KINDS)),
         target_order=draw(st.integers(0, 50)), t_log_start=lo, t_log_stop=hi,
-        t_per_decade=draw(_count),
+        t_per_decade=per_decade,
     )
 
 
@@ -198,6 +203,11 @@ def test_grid_without_finite_times_fails():
     assert runner.run_experiment(cfg).trajectory.time.tolist() == [10.0, math.inf]
 
 
+def test_grid_of_max_grid_points_is_valid():
+    cfg = _tiny_config(t_log_start=0.0, t_log_stop=1.0, t_per_decade=MAX_GRID_POINTS - 1)
+    assert len(cfg.time_grid()) == MAX_GRID_POINTS + 1   # and t = inf
+
+
 def test_grid_spanning_the_doubles_is_valid():
     # 10^-323 is a subnormal double and 10^308 the last time below the largest
     cfg = _tiny_config(t_log_start=-323.0, t_log_stop=308.0, t_per_decade=1)
@@ -225,6 +235,9 @@ def test_grid_spanning_the_doubles_is_valid():
     ("t_log_start", dict(t_log_start=-1e308)),
     # both ends fit, but the rounded point count puts the last time at 10^308.3
     ("t_log_stop", dict(t_log_start=0.3, t_log_stop=308.0, t_per_decade=1)),
+    # 1.2e9 finite times, and one past MAX_GRID_POINTS
+    ("t_per_decade", dict(t_per_decade=100_000_000)),
+    ("t_per_decade", dict(t_log_start=0.0, t_log_stop=1.0, t_per_decade=MAX_GRID_POINTS)),
 ])
 def test_invalid_config_fails_at_construction(key, overrides):
     with pytest.raises(ValueError, match=key):
