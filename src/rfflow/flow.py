@@ -204,9 +204,11 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     s = dec.singular_values[:r]
     uy = (dec.left_vectors.T @ y)[:r]
     # energy the flow can never fit, outside the span of the positive modes;
-    # y.y - uy.uy would cancel to about -1e-16 when y lies in that span
+    # y.y - uy.uy would cancel to about -1e-16 when y lies in that span.  At
+    # rank n that span is all of R^n and the residual is rounding alone
+    # (1e-31 to 1e-30, different on each decompose route), so the energy is 0
     outside = y - dec.left_vectors[:, :r] @ uy
-    perp = float(outside @ outside)
+    perp = float(outside @ outside) if r < n else 0.0
 
     if test_features is None:
         test_features = feature_values(feats, test_points.points)

@@ -85,32 +85,28 @@ def m_for_gamma(gamma: float, n: int) -> int:
     return max(1, int(round(gamma * n)))
 
 
-def seed_draw(cfg: ExperimentConfig, m: int, train: Optional[feat_mod.Dataset] = None,
-              feats: Optional[feat_mod.FeatureSet] = None) -> tuple:
-    """The config seed's n training points and m feature directions, each
-    drawn from its stream unless given.  The m-direction draw is the first
+def seed_draw(cfg: ExperimentConfig, m: int,
+              train: Optional[feat_mod.Dataset] = None) -> tuple:
+    """The config seed's n training points, drawn from their stream unless
+    given, and its m feature directions.  The m-direction draw is the first
     m rows of any larger draw, so one draw at a seed's largest m serves all.
     """
     if train is None:
         train = feat_mod.sample_dataset([cfg.seed, _STREAM_DATA], cfg.n, cfg.d,
                                         feat_mod.TargetSpec(order=cfg.target_order))
-    if feats is None:
-        feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], train.points.shape[1],
-                                         m, cfg.feature_kind)
+    feats = feat_mod.sample_features([cfg.seed, _STREAM_FEATS], train.points.shape[1],
+                                     m, cfg.feature_kind)
     return train, feats
 
 
-def _draws(cfg: ExperimentConfig, m: int, train=None, test=None, feats=None,
-           mc_points=None) -> tuple:
-    """A cell's (train, test, feats, mc_points): those given, the rest drawn
-    from the config seed's streams."""
+def _draws(cfg: ExperimentConfig, m: int) -> tuple:
+    """A cell's (train, test, feats, mc_points), each drawn from its stream
+    of the config seed, with m feature directions."""
     target = feat_mod.TargetSpec(order=cfg.target_order)
-    if test is None:
-        test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], TEST_COUNT, cfg.d, target)
-    if mc_points is None:
-        mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC], ASSUMPTION_POINTS,
-                                            cfg.d, target)
-    train, feats = seed_draw(cfg, m, train, feats)
+    test = feat_mod.sample_dataset([cfg.seed, _STREAM_TEST], TEST_COUNT, cfg.d, target)
+    mc_points = feat_mod.sample_dataset([cfg.seed, _STREAM_MC], ASSUMPTION_POINTS,
+                                        cfg.d, target)
+    train, feats = seed_draw(cfg, m)
     return train, test, feats, mc_points
 
 
@@ -153,18 +149,17 @@ def _budget_times(eta: float, iteration_budgets: Sequence[float]) -> tuple[list,
 
 def run_experiment(cfg: ExperimentConfig,
                    iteration_budgets: Sequence[float] = (),
-                   train: Optional[feat_mod.Dataset] = None,
-                   test: Optional[feat_mod.Dataset] = None,
-                   feats: Optional[feat_mod.FeatureSet] = None,
-                   mc_points: Optional[feat_mod.Dataset] = None) -> RunRecord:
+                   draws: Optional[tuple] = None) -> RunRecord:
     """Build, decompose, and evaluate one experiment cell on the sphere.
 
-    A sweep passes one seed's draws to each of its cells: ``feats`` may then
-    hold more than m directions, and its first m rows are exactly the m-row
-    draw of the same stream.
+    ``draws`` is the cell's (train, test, feats, mc_points), drawn here by
+    ``_draws(cfg, cfg.m)`` unless given.  A sweep passes each of its cells
+    one seed's draws at its largest m: ``feats`` then holds more than m
+    directions, and its first m rows are exactly the m-row draw of the same
+    stream.
     """
     m = cfg.m
-    train, test, feats, mc_points = _draws(cfg, m, train, test, feats, mc_points)
+    train, test, feats, mc_points = _draws(cfg, m) if draws is None else draws
     feats, dec, eta, smallest_gram = _fit(cfg, train, feats)
     n = train.count
     y = train.targets
@@ -249,7 +244,7 @@ def run_sweep(base: ExperimentConfig, seeds: Sequence[int], m_values: Sequence[i
         for m in values:
             try:
                 records[(m, seed)] = run_experiment(replace(base, seed=seed, m=m),
-                                                    ITERATION_BUDGETS, *draws)
+                                                    ITERATION_BUDGETS, draws)
             except Exception as exc:
                 raise RuntimeError(f"sweep cell m={m} seed={seed} failed: {exc}") from exc
         del draws   # free this seed's draws before the next seed's are made

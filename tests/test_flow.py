@@ -332,6 +332,16 @@ def test_errors_on_grid_interpolation_at_inf():
     assert traj.train_error[-1] <= 1e-12 * traj.train_error[0]
 
 
+@pytest.mark.parametrize("m", [40, 60, 100])
+def test_full_rank_train_error_is_exactly_zero_at_inf(m):
+    # at rank n the positive modes span R^n: y - U U^T y is rounding alone
+    # (3e-31 to 1e-30 here), so the energy outside the span is set to 0 on
+    # the stored-V route (m < 2n) and on the QR route (m = 100) alike
+    traj, _, dec = _trajectory(5, 40, m, [1.0, np.inf])
+    assert dec.rank == 40 and (dec.right_vectors is None) == (m >= flow.WIDE_RATIO * 40)
+    assert traj.train_error[-1] == 0.0 < traj.train_error[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(times=_finite_times, **_instance)
 def test_errors_on_grid_train_error_non_increasing(seed, n, m, d, times):

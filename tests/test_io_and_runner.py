@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -282,9 +283,11 @@ def test_target_norm_matches_monte_carlo(order):
 
 def test_unexpected_errors_in_the_bounds_propagate(monkeypatch):
     # an empty measurement set is an error, not a cell with NaN bounds
+    cfg = _tiny_config()
+    train, test, feats, _ = runner._draws(cfg, cfg.m)
     empty = features.Dataset(points=np.empty((0, 4)), targets=np.empty(0))
     with pytest.raises(ValueError, match="mc_points must be nonempty"):
-        runner.run_experiment(_tiny_config(), mc_points=empty)
+        runner.run_experiment(cfg, draws=(train, test, feats, empty))
     # only a failed hypothesis is caught
     def broken(*args, **kwargs):
         raise ValueError("not a hypothesis failure")
@@ -430,9 +433,9 @@ def test_shared_draw_sweep_matches_independent_runs(tmp_path, axis, values, exte
 
 
 def test_a_feature_set_shorter_than_m_is_rejected():
-    feats = features.sample_features([0, 2], 4, 10)
+    cfg = _tiny_config()
     with pytest.raises(ValueError, match="10 feature directions given for m = 15"):
-        runner.run_experiment(_tiny_config(), feats=feats)
+        runner.run_experiment(cfg, draws=runner._draws(cfg, 10))
 
 
 def test_fit_takes_the_training_features_of_every_given_direction():
@@ -586,6 +589,15 @@ def test_svg_drops_nonpositive_on_log_axes():
         svgplot.Series("s", t, np.zeros(3)),))
     with pytest.raises(ValueError):
         svgplot.render_svg(bad)
+
+
+def test_svg_polyline_runs_in_ascending_x():
+    # `mp --gamma-list 2,0.5,1.2` hands its points in list order
+    spec = svgplot.PlotSpec(title="x", log_x=False, series=(
+        svgplot.Series("s", np.array([3.0, 1.0, 2.0]), np.array([30.0, 10.0, 20.0])),))
+    points = re.search(r'<polyline points="([^"]*)"', svgplot.render_svg(spec)).group(1)
+    px, py = np.array([pair.split(",") for pair in points.split()], dtype=float).T
+    assert np.all(np.diff(px) > 0) and np.all(np.diff(py) < 0)  # y rises with x
 
 
 def test_failed_render_leaves_no_svg_file(tmp_path):
