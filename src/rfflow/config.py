@@ -8,8 +8,9 @@ from dataclasses import dataclass, fields, replace
 
 from .features import FEATURE_KINDS
 
-# most finite times a grid may hold: a cell's grid call keeps two
-# (test points, times) arrays, about 320 MB at 2,000 points and this count
+# most finite times a grid may hold.  A grid call walks its grid in blocks, so
+# its memory does not grow with it; its run time (N_test x m multiply-adds per
+# time) and the rows that `run` writes do
 MAX_GRID_POINTS = 10_000
 
 

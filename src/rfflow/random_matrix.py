@@ -278,6 +278,12 @@ def smallest_gram_eigenvalue(points, feats: FeatureSet, m: Sequence[int]) -> np.
     at most min(n, _BLOCK), taken in ascending m.  Each direction is
     evaluated once.  Each value is ``_smallest_eigenvalue`` of the unscaled
     product divided by nm.
+
+    A singular spectrum (rank below min(n, m), as with a repeated point) has
+    a Gram whose smallest eigenvalue carries only the absolute accuracy of
+    the product, about eps times the largest, and either sign.  This route
+    reads no rank, so it returns that rounding; ``runner._fit``, which holds
+    the SVD and its rank, writes exactly 0 for such a cell.
     """
     points = np.asarray(points, dtype=float)
     n, total = points.shape[0], feats.count

@@ -63,7 +63,8 @@ class CellSummary:
     """What a sweep table holds of one cell."""
 
     min_norm_test_error: float
-    # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries
+    # the Gram eigenvalues are s_i^2/(nm); s has min(n, m) entries, and below
+    # rank min(n, m) the smallest is exactly 0
     smallest_gram_eigenvalue: float
     budget_errors: dict              # T -> (flow time, test error), ascending T
 
@@ -115,10 +116,13 @@ def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.Feature
     """The prologue of every cell: its m directions (the first m rows of the
     seed's draw ``feats``), the decomposed training features, the learning
     rate eta = 1/(largest Gram eigenvalue) and the smallest Gram eigenvalue,
-    as (feats, dec, eta, smallest).  ``train_features``, the values of all of
-    ``feats`` at the training points, is evaluated here unless given; a
-    sweep passes one evaluation at its largest m, of which the cell
-    decomposes the first m columns."""
+    as (feats, dec, eta, smallest).  The smallest is s_min^2/(nm), or exactly
+    0 when the rank is below min(n, m): s_min is then a zero singular value's
+    rounding (1e-39 to 1e-33 on small MNIST cells), not data; the smallest
+    *positive* value s[rank - 1]^2/(nm) is another quantity.
+    ``train_features``, the values of all of ``feats`` at the training
+    points, is evaluated here unless given; a sweep passes one evaluation at
+    its largest m, of which the cell decomposes the first m columns."""
     m, n = cfg.m, train.count
     if feats.count < m:
         raise ValueError(f"{feats.count} feature directions given for m = {m}")
@@ -138,7 +142,8 @@ def _fit(cfg: ExperimentConfig, train: feat_mod.Dataset, feats: feat_mod.Feature
     # under the flow's 1/(mn) rate convention one discrete step at learning
     # rate eta advances flow time by eta
     eta = 1.0 / float(s[0] ** 2 / (n * m))
-    return feats, dec, eta, float(s[-1] ** 2 / (n * m))
+    smallest = float(s[-1] ** 2 / (n * m)) if dec.rank == s.size else 0.0
+    return feats, dec, eta, smallest
 
 
 def _budget_times(eta: float, iteration_budgets: Sequence[float]) -> tuple[list, list]:

@@ -2,7 +2,13 @@
 ``run`` and ``mnist`` beside this file; ``test_cli.py`` reruns the same
 arguments and compares.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/reference/regenerate.py
+    PYTHONPATH=src python tests/reference/regenerate.py
+
+Run as a script, it pins OpenBLAS to one thread and to the ``KERNEL`` core
+type in its own process, before numpy loads the library, which reads both
+once; the outside environment then moves no digit, and the script's first
+output line names the kernel that ran.  Importing the module, as
+``test_cli.py`` does, leaves the environment alone.
 
 n = 200 puts ``mp``'s factors across one Cholesky panel boundary, and m = 100
 puts a companion stop inside the head factor.  gamma = 1 is left out: its
@@ -15,16 +21,26 @@ a biased form.  ``mnist`` reads the seeded IDX files of
 script lists the cells that moved.
 """
 
+import ctypes
+import ctypes.util
+import os
 import shutil
 import struct
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# the OpenBLAS core type of the references; its kernels need AVX-512, and
+# OpenBLAS ignores a name it does not know (on other architectures)
+KERNEL = "SkylakeX"
 
-from rfflow import idx
-from rfflow.cli import main
+if __name__ == "__main__":
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE=KERNEL)
+
+import numpy as np  # noqa: E402  (after the pin)
+
+from rfflow import idx  # noqa: E402
+from rfflow.cli import main  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 
@@ -47,6 +63,23 @@ RUNS = {
     "mnist_minnorm.csv": (_MNIST, "mnist_minnorm.csv"),
     "mnist_budgets.csv": (_MNIST, "mnist_budgets.csv"),
 }
+
+
+def blas_kernel() -> str:
+    """The core type of the OpenBLAS that numpy loaded: a wheel's bundled
+    library or the system's; "unknown" for any other BLAS."""
+    here = Path(np.__file__).parent
+    libs = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*"),
+            ctypes.util.find_library("openblas")]
+    for lib in filter(None, libs):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unknown"
 
 
 def write_synthetic_idx(root: Path) -> list:
@@ -80,6 +113,10 @@ def write(name: str, out: Path) -> Path:
 
 
 if __name__ == "__main__":
+    kernel = blas_kernel()
+    print(f"BLAS kernel: {kernel} (pinned {KERNEL}, one thread)", file=sys.stderr)
+    if kernel not in (KERNEL, "unknown"):
+        sys.exit(f"OpenBLAS runs {kernel}, not {KERNEL}: its rounding would move the references")
     with tempfile.TemporaryDirectory() as tmp:
         for name in RUNS:
             shutil.copyfile(write(name, Path(tmp) / name), HERE / name)

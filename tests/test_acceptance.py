@@ -333,7 +333,9 @@ def test_a12_determinism_and_worker_independence(tmp_path):
 @functools.lru_cache(maxsize=None)
 def _stopping_cell(gamma: float, seed: int):
     """One n = 300 cell: (times, test error, validation error) over the finite
-    grid, then the min-norm test error and lambda_min = s_r^2/(nm).
+    grid, then the min-norm test error and lambda_min = s_r^2/(nm), the
+    smallest *positive* Gram eigenvalue (r = rank; the sweep tables' smallest
+    eigenvalue is 0 below rank min(n, m)).
 
     The validation curve is the cell's error on its own Monte-Carlo draw,
     drawn independently of train and test, so stopping on it never reads the

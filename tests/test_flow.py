@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,42 @@ def test_errors_on_grid_sub_grid_gives_the_same_columns(seed, n, m, d, times, in
     for col in _COLUMNS:
         np.testing.assert_allclose(getattr(sub, col), getattr(full, col)[keep],
                                    rtol=1e-12, atol=0.0, err_msg=col)
+
+
+@pytest.mark.parametrize("m", [8, 30])
+def test_errors_on_grid_blocks_give_the_columns_of_separate_sub_grids(m):
+    # three full blocks and seven times more, with t = inf last, against
+    # sub-grids cut across the block boundaries; m = 8 keeps V, m = 30 = 3n
+    # takes the QR route
+    grid = np.logspace(-2, 10, 3 * flow._TIME_BLOCK + 6).tolist() + [np.inf]
+    full, _, _ = _trajectory(5, 10, m, grid)
+    cuts = [0, 1, 100, flow._TIME_BLOCK + 1, 300, len(grid)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sub, _, _ = _trajectory(5, 10, m, grid[lo:hi])
+        for col in _COLUMNS:
+            np.testing.assert_allclose(getattr(sub, col), getattr(full, col)[lo:hi],
+                                       rtol=1e-12, atol=0.0, err_msg=f"{col} [{lo}:{hi}]")
+
+
+def test_errors_on_grid_memory_does_not_grow_with_the_grid():
+    # with the test block held by the caller, a call keeps a few
+    # (N_test + m + r) x _TIME_BLOCK arrays and its length-T columns; an
+    # (N_test + m) x T allocation would take 540 x 3,001 doubles here
+    n, m, count = 30, 40, 500
+    phi, y, feats, _ = _random_instance(21, n, m)
+    dec = flow.decompose(phi)
+    test = features.sample_dataset([21, 9], count, 5, features.TargetSpec())
+    values = features.feature_values(feats, test.points)
+    times = np.logspace(-2, 10, 3000).tolist() + [np.inf]
+    tracemalloc.start()
+    try:
+        flow.errors_on_grid(dec, y, feats, test, times, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = (count + m + dec.rank) * flow._TIME_BLOCK * 8
+    columns = 6 * len(times) * 8   # the grid and the Trajectory's four others, plus one
+    assert peak < 4 * block + columns, (peak, block)
 
 
 def test_errors_on_grid_validation():

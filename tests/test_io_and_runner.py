@@ -455,6 +455,23 @@ def test_fit_takes_the_training_features_of_every_given_direction():
         assert f"{bad.shape}" in str(info.value) and "(20, 40)" in str(info.value)
 
 
+@pytest.mark.parametrize("n,m", [(10, 20), (12, 12)])
+def test_a_rank_deficient_cell_has_smallest_gram_eigenvalue_exactly_zero(n, m):
+    # a repeated training point drops the rank below min(n, m): s_min is then
+    # rounding (about 1e-36 here), and the Gram route, which reads no rank,
+    # returns rounding of about eps times the largest eigenvalue, either sign
+    cfg = _tiny_config(n=n, m=m, d=5)
+    train, feats = runner.seed_draw(cfg, m)
+    points = train.points.copy()
+    points[1] = points[0]
+    train = features.Dataset(points=points, targets=train.targets)
+    _, dec, eta, smallest = runner._fit(cfg, train, feats)
+    assert dec.rank < min(n, m) and dec.singular_values[-1] > 0.0
+    assert smallest == 0.0
+    (gram_route,) = random_matrix.smallest_gram_eigenvalue(points, feats, [m])
+    assert abs(gram_route) <= 1e3 * np.finfo(float).eps / eta
+
+
 def test_all_zero_feature_matrix_names_the_cause():
     # `rfflow run --set n=1 --set m=1 --seed 0`: the one direction points
     # away from the one training point, so no ReLU is active
