@@ -58,14 +58,14 @@ def capped_rate(t: float, scaled_values: np.ndarray, n: int) -> float:
     length (a thin SVD at m < n has m); k is floor(sqrt(n)) + 1, 1-based.
     A zero lh_n degenerates to the two-way minimum.
     """
-    lh = np.zeros(n)
-    lh[: len(scaled_values)] = scaled_values
     k = min(math.isqrt(n), n - 1)  # index floor(sqrt(n)) + 1, 1-based -> k 0-based
+    lh_k = float(scaled_values[k]) if k < len(scaled_values) else 0.0
+    lh_n = float(scaled_values[n - 1]) if n <= len(scaled_values) else 0.0
     # a zero scaled value makes its branch identically zero for every t
-    middle = float(lh[k]) * t if lh[k] > 0.0 else 0.0
+    middle = lh_k * t if lh_k > 0.0 else 0.0
     branches = [math.sqrt(t), middle]
-    if lh[-1] > 0.0:
-        branches.append(1.0 / lh[-1])
+    if lh_n > 0.0:
+        branches.append(1.0 / lh_n)
     return float(min(branches))
 
 

@@ -43,13 +43,16 @@ ENERGY_THRESHOLD = 0.99
 # thread it is faster from about m = 600 (101 -> 96 ms; 205 -> 114 ms at
 # m = 2,500, best of 5).
 WIDE_RATIO = 2
-# times per block of a grid call.  A block holds its (r, B) coefficients, its
-# (m, B) right product and two (N_test, B) prediction arrays, so no array but
-# the (N_test, m) test block grows with the grid.  Each block's GEMM re-packs
-# the whole test block: a 2,000 x 2,500 test block times 9,602 columns took
-# 1.8 s as one GEMM, 2.7-3.0 s in blocks of 128 and 3.4-3.8 s in blocks of 64
-# (one BLAS thread).
+# times per block of a grid call.  A block holds its (r, B) coefficients, then
+# its (m, B) right product and one (_ROW_BLOCK, B) prediction block, so no
+# array but the (N_test, m) test block grows with the grid.  Each block re-packs
+# the whole test block for its GEMMs: a 2,000 x 2,500 test block times 9,602
+# columns took 1.8 s as one GEMM, 2.7-3.0 s in blocks of 128 and 3.4-3.8 s in
+# blocks of 64 (one BLAS thread).
 _TIME_BLOCK = 128
+# test rows per prediction block of a grid call's time block; the test error
+# and model norm accumulate their sums of squares over the row blocks
+_ROW_BLOCK = 256
 
 # glibc's malloc_trim, or None where the C library has none (macOS, musl) or
 # there is no process handle to look it up in (Windows)
@@ -198,12 +201,13 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     test points, is evaluated here unless given; a sweep passes a column
     block of one evaluation at its largest m.
 
-    The grid is walked in consecutive blocks of ``_TIME_BLOCK`` times, so
-    beyond the test block the call holds about (r + m + 2 N_test) x 128
-    doubles whatever the grid's length; a grid of at most 128 times is one
-    block, with the arithmetic of a whole-grid call.  At m = 2,500 and
-    N_test = 2,000, ``rfflow run`` on 9,602 grid times peaked at 97.9 MiB
-    where one whole-grid block took 462.4 MiB, and ran about a third longer.
+    The grid is walked in consecutive blocks of ``_TIME_BLOCK`` times and
+    each block's predictions in blocks of ``_ROW_BLOCK`` test rows, so beyond
+    the test block the call holds at most about (r + n + m + 256) x 128
+    doubles, whatever the lengths of the grid and the test set.  At m = 2,500
+    and N_test = 2,000, ``rfflow run`` on 9,602 grid times peaked at 94.2-94.5
+    MiB, where (N_test x 128) prediction blocks took 97.9-98.0 MiB and one
+    whole-grid block 462.4 MiB (one BLAS thread).
     """
     grid = _check_times(list(times))
     if np.any(np.isinf(grid[:-1])):
@@ -232,24 +236,28 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     targets = test_points.targets[:, None]
 
     train, test_err, param, model_norm = (np.empty(grid.size) for _ in range(4))
-    # one (N_test, B) scratch array: squared predictions, then squared errors
-    scratch = np.empty((test_points.count, min(grid.size, _TIME_BLOCK)))
     for lo in range(0, grid.size, _TIME_BLOCK):
         block = grid[lo:lo + _TIME_BLOCK]
         cols = slice(lo, lo + block.size)
+        # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2, zero at t = inf;
+        # no name holds its (r, B) terms, so they are freed before the (m, B)
+        # right product is made
+        train[cols] = ((np.exp(-_exponents(s, block, n, m)) ** 2 * uy[:, None] ** 2).sum(axis=0)
+                       + perp) / (2 * n)
         coeff_basis = _damping(s, block, n, m) * uy[:, None]   # (r+, B)
-        preds = test_features @ right_product(dec, coeff_basis)
-
-        # residual energy per mode: exp(-s^2 t/(mn))^2 (u.y)^2, zero at t = inf
-        expo = np.exp(-_exponents(s, block, n, m))
-        train[cols] = ((expo ** 2 * uy[:, None] ** 2).sum(axis=0) + perp) / (2 * n)
-
         param[cols] = np.sqrt((coeff_basis ** 2).sum(axis=0))
-        sq = np.square(preds, out=scratch[:, :block.size])
-        model_norm[cols] = np.sqrt(np.mean(sq, axis=0))
-        np.subtract(preds, targets, out=preds)
-        test_err[cols] = np.sqrt(np.mean(np.square(preds, out=sq), axis=0))
-        del preds   # before the next block's are made beside them
+
+        coeff = right_product(dec, coeff_basis)   # (m, B)
+        pred_sq, err_sq = np.zeros(block.size), np.zeros(block.size)
+        for row in range(0, test_points.count, _ROW_BLOCK):
+            rows = slice(row, row + _ROW_BLOCK)
+            preds = test_features[rows] @ coeff
+            pred_sq += np.einsum("ij,ij->j", preds, preds)
+            preds -= targets[rows]
+            err_sq += np.einsum("ij,ij->j", preds, preds)
+        model_norm[cols] = np.sqrt(pred_sq / test_points.count)
+        test_err[cols] = np.sqrt(err_sq / test_points.count)
+        del coeff   # before the next block's is made beside it
 
     return Trajectory(time=grid, train_error=train, test_error=test_err,
                       param_norm=param, model_norm=model_norm)

@@ -548,6 +548,29 @@ def test_verb_matches_its_reference_csv(tmp_path, capsys, name):
         assert not moved, f"{column} moved at (row, got, want): {moved}"
 
 
+def test_the_pinned_script_writes_every_reference_byte_for_byte(tmp_path):
+    # the committed references are what regenerate.py writes: a subprocess pins
+    # OpenBLAS as the script does, before numpy loads, and writes each one into
+    # tmp_path.  Another kernel (a CPU without AVX-512, another BLAS) rounds
+    # differently, so there the check does not apply
+    paths = [Path(rfflow.__file__).resolve().parents[1], regenerate.HERE.parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)),
+               OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE=regenerate.KERNEL)
+    code = ("import sys; from pathlib import Path; from reference import regenerate\n"
+            "kernel = regenerate.blas_kernel(); print(kernel, flush=True)\n"
+            "if kernel == regenerate.KERNEL:\n"
+            "    for name in regenerate.RUNS: regenerate.write(name, Path(sys.argv[1]) / name)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    kernel = proc.stdout.splitlines()[0]
+    if kernel != regenerate.KERNEL:
+        pytest.skip(f"OpenBLAS runs {kernel}, not the references' {regenerate.KERNEL}")
+    for name, (_, written) in regenerate.RUNS.items():
+        (path,) = (tmp_path / name).glob(written)
+        assert path.read_bytes() == (regenerate.HERE / name).read_bytes(), name
+
+
 def test_spectra_verb(tmp_path, capsys):
     assert main(["spectra", "--out", str(tmp_path),
                  "--set", "n=50", "--set", "d=5", "--gamma", "2.0",

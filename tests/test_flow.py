@@ -400,9 +400,10 @@ def test_errors_on_grid_blocks_give_the_columns_of_separate_sub_grids(m):
 
 def test_errors_on_grid_memory_does_not_grow_with_the_grid():
     # with the test block held by the caller, a call keeps a few
-    # (N_test + m + r) x _TIME_BLOCK arrays and its length-T columns; an
-    # (N_test + m) x T allocation would take 540 x 3,001 doubles here
-    n, m, count = 30, 40, 500
+    # (m + r + _ROW_BLOCK) x _TIME_BLOCK arrays and its length-T columns,
+    # whatever T and N_test (here far above m); an (N_test + m) x T allocation
+    # would take 4,040 x 3,001 doubles, and two (N_test, _TIME_BLOCK) arrays 8 MB
+    n, m, count = 30, 40, 4000
     phi, y, feats, _ = _random_instance(21, n, m)
     dec = flow.decompose(phi)
     test = features.sample_dataset([21, 9], count, 5, features.TargetSpec())
@@ -414,7 +415,7 @@ def test_errors_on_grid_memory_does_not_grow_with_the_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = (count + m + dec.rank) * flow._TIME_BLOCK * 8
+    block = (m + dec.rank + flow._ROW_BLOCK) * flow._TIME_BLOCK * 8
     columns = 6 * len(times) * 8   # the grid and the Trajectory's four others, plus one
     assert peak < 4 * block + columns, (peak, block)
 
@@ -489,18 +490,29 @@ def test_a_column_prefix_of_more_features_has_the_fresh_singular_values(kind, ex
 
 
 def test_errors_on_grid_test_error_is_rms_against_dataset_targets():
-    # raw (non-sphere) points with arbitrary labels, as an IDX dataset has
-    phi, y, feats, _ = _random_instance(17, 8, 6)
+    # raw (non-sphere) points with arbitrary labels, as an IDX dataset has;
+    # every column against whole (N_test, T) arrays, and 2 x _ROW_BLOCK + 7
+    # test points end in a partial row block.  At n = 8 > m = 6 the residual
+    # keeps a fixed share of ||y||, so Phi a - y gives the train error to rounding
+    n, m = 8, 6
+    phi, y, feats, _ = _random_instance(17, n, m)
     dec = flow.decompose(phi)
+    times = np.array([0.0, 0.5, 1.0, 100.0, 1e4, np.inf])
+    coeffs = flow.coefficients_at(dec, y, times)   # (m, T)
     rng = np.random.default_rng(5)
-    test = features.Dataset(points=3.0 * rng.random((30, 5)),
-                            targets=rng.standard_normal(30))
-    times = [0.0, 1.0, 100.0, np.inf]
-    traj = flow.errors_on_grid(dec, y, feats, test, times)
-    phi_test = features.feature_values(feats, test.points)
-    for err, t in zip(traj.test_error, times):
-        resid = phi_test @ flow.coefficients_at(dec, y, t) - test.targets
-        assert err == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=1e-10)
+    for count in (30, 2 * flow._ROW_BLOCK + 7):
+        test = features.Dataset(points=3.0 * rng.random((count, 5)),
+                                targets=rng.standard_normal(count))
+        traj = flow.errors_on_grid(dec, y, feats, test, times)
+        preds = features.feature_values(feats, test.points) @ coeffs
+        dense = {"time": times,
+                 "train_error": np.sum((phi @ coeffs - y[:, None]) ** 2, axis=0) / (2 * n),
+                 "test_error": np.sqrt(np.mean((preds - test.targets[:, None]) ** 2, axis=0)),
+                 "param_norm": np.linalg.norm(coeffs, axis=0),
+                 "model_norm": np.sqrt(np.mean(preds ** 2, axis=0))}
+        for col, want in dense.items():
+            np.testing.assert_allclose(getattr(traj, col), want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{col}, N_test = {count}")
 
 
 def test_energy_profile_single_mode():
