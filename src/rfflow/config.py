@@ -56,11 +56,11 @@ class ExperimentConfig:
         # rounded point count may put past t_log_stop: both ends must be doubles
         need(_power_of_ten(self.t_log_start) > 0, "t_log_start",
              "must be at least about -323.6, so that 10^t_log_start is a positive double")
-        need(_power_of_ten(self.t_log_stop) < math.inf
+        need(math.isfinite((self.t_log_stop - self.t_log_start) * self.t_per_decade)
              and _power_of_ten(self._exponent(self._count() - 1)) < math.inf, "t_log_stop",
-             "must keep 10^t_log_stop and the grid's last time, 10^(t_log_start + k / "
-             "t_per_decade) with k = round((t_log_stop - t_log_start) * t_per_decade), "
-             "below the largest double, about 10^308.25")
+             "must keep the grid's last time, 10^(t_log_start + k / t_per_decade) with "
+             "k = round((t_log_stop - t_log_start) * t_per_decade), below the largest "
+             "double, about 10^308.25")
         need(self._count() <= MAX_GRID_POINTS, "t_per_decade",
              "must keep the grid's round((t_log_stop - t_log_start) * t_per_decade) + 1 "
              f"finite times at {MAX_GRID_POINTS} or fewer (here {self._count()})")

@@ -110,11 +110,11 @@ def decompose(phi) -> SpectralDecomposition:
     QR's Q nor the right vectors; ``right_product`` applies them through
     Phi^T.  A narrower wide matrix (n < m < 2n) is factored through its
     transpose, Phi^T = V S U^T: LAPACK's tall path (QR first) is faster
-    than its wide one (LQ first).  The LAPACK buffers (about 36 MiB for the
-    SVD at 500 x 2500) come from the heap once earlier frees have raised
-    glibc's mmap threshold, and glibc keeps them resident after they are
-    freed; trimming hands them back, so the caller's next large array does
-    not land on top of them.
+    than its wide one (LQ first).  The LAPACK buffers come from the heap
+    once earlier frees have raised glibc's mmap threshold, and glibc keeps
+    them resident after they are freed; trimming hands them back (about
+    20 MiB at 500 x 2500 on the QR route, 12 MiB at 500 x 600 on the SVD
+    route), so the caller's next large array does not land on top of them.
     """
     mat = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(mat)):

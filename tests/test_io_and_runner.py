@@ -210,10 +210,16 @@ def test_grid_of_max_grid_points_is_valid():
 
 
 def test_grid_spanning_the_doubles_is_valid():
-    # 10^-323 is a subnormal double and 10^308 the last time below the largest
-    cfg = _tiny_config(t_log_start=-323.0, t_log_stop=308.0, t_per_decade=1)
-    grid = cfg.time_grid()
-    assert len(grid) == 633 and grid[0] > 0 and grid[-2] == 1e308 and grid[-1] == math.inf
+    for start, stop, per_decade, size, last in [
+        # 10^-323 is a subnormal double and 10^308 the last time below the largest
+        (-323.0, 308.0, 1, 633, 1e308),
+        # 10^t_log_stop overflows, but only the grid's own times must be doubles
+        (0.0, 308.4, 1, 310, 1e308),
+        (0.0, 308.26, 4, 1235, 10.0 ** 308.25),
+    ]:
+        cfg = _tiny_config(t_log_start=start, t_log_stop=stop, t_per_decade=per_decade)
+        grid = cfg.time_grid()
+        assert len(grid) == size and grid[0] > 0 and grid[-2] == last and grid[-1] == math.inf
 
 
 @pytest.mark.parametrize("key,overrides", [
@@ -337,11 +343,15 @@ def test_too_few_modes_fail_the_hypothesis():
 
 def test_cli_import_does_not_load_scipy(tmp_path):
     # scipy is a test dependency only: with it blocked, every module imports
-    # and the two verbs that use kernel_analytic and random_matrix still run
+    # and the two verbs that use kernel_analytic and random_matrix still run.
+    # The package itself loads no submodule: each caller imports its modules
     code = textwrap.dedent(f"""
         import importlib, pkgutil, sys
         sys.modules["scipy"] = None
-        import rfflow, rfflow.cli
+        import rfflow
+        loaded = sorted(name for name in sys.modules if name.startswith("rfflow."))
+        assert loaded == [], loaded
+        import rfflow.cli
         for mod in pkgutil.iter_modules(rfflow.__path__):
             importlib.import_module("rfflow." + mod.name)
         out = {str(tmp_path)!r}

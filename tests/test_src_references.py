@@ -1,5 +1,6 @@
-"""Everything defined in ``src/rfflow`` is reached from the package itself,
-every dataclass field is read there, and every module uses what it imports.
+"""Everything defined in ``src/rfflow`` is reached from another ``src/``
+module, every dataclass field is read there, and every module uses what it
+imports.
 
 A function or class that only the tests call belongs in ``tests/oracles.py``,
 which builds its references from the package's public names only.
@@ -19,6 +20,8 @@ ALLOWED = {
                          "fails on a missing name; it goes once TRACED drops it",
     "spectrum_feature_scale": "perfbench/spans.TRACED wraps it by name, and Tracer.install "
                               "fails on a missing name; it goes once TRACED drops it",
+    "coefficients_at": "A01 checks this closed-form a(t) against the Euler oracle, so it "
+                       "stays in src/ and does not move to tests/oracles.py",
 }
 
 
@@ -56,7 +59,7 @@ def test_every_src_definition_is_named_in_src_exported_or_allowed():
             named = any(_name(sub) == node.name
                         for other in trees for sub in ast.walk(other)
                         if id(sub) not in own)
-            if not named and node.name not in rfflow.__all__:
+            if not named:
                 unreferenced.append(node.name)
     # a name beyond the allowlist moves to tests/oracles.py; an entry whose
     # reason has gone (a caller appeared) leaves the allowlist
@@ -109,8 +112,6 @@ def test_every_top_level_import_is_used():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
-        if path.name == "__init__.py":
-            used |= set(rfflow.__all__)
         unused += [f"{path.stem}.{name}" for node in tree.body
                    for name in _bound_names(node) if name not in used]
     assert unused == []
