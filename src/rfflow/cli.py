@@ -6,8 +6,6 @@ Verbs: run, sweep, spectra, mp, mnist.  Every verb accepts --config PATH
 (sweep and mp take --seeds).  --set may name only the keys the verb reads;
 the keys of a --config file are not checked, as one file may serve several
 verbs.  Cells run one after another.
-MNIST IDX files are looked up in $RFFLOW_DATA_DIR unless all four paths
-are given.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
-
-DATA_DIR_ENV = "RFFLOW_DATA_DIR"
 
 
 def _build_config(args):
@@ -84,9 +80,10 @@ LIST_FLAGS = {
 
 
 def _parse_flags(args, cfg) -> None:
-    """Replace the list flags by lists of numbers and check the verb's flags.
+    """Replace the list flags by lists of numbers and check the flags' values.
 
-    Runs before the output directory is made; a ValueError names the flag.
+    argparse has already checked which flags the verb requires.  Runs before
+    the output directory is made; a ValueError names the flag.
     """
     from .runner import m_for_gamma
 
@@ -101,10 +98,6 @@ def _parse_flags(args, cfg) -> None:
         if not (values and ok(values)):
             raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, got {text!r}")
         setattr(args, dest, values)
-    if args.verb == "sweep" and not (args.m_list or args.gamma_list):
-        raise ValueError("sweep needs --m-list or --gamma-list")
-    if args.verb == "sweep" and args.m_list and args.gamma_list:
-        raise ValueError("sweep takes --m-list or --gamma-list, not both")
     # below d = 3 there are no Gegenbauer weights (1-t^2)^((d-3)/2) or
     # multiplicities N(d, n) for spectra, and every smallest Gram eigenvalue
     # mp measures is round-off, so its calibration fails
@@ -113,10 +106,6 @@ def _parse_flags(args, cfg) -> None:
     if args.verb == "mp" and all(m_for_gamma(g, cfg.n) == cfg.n for g in args.gamma_list):
         raise ValueError(f"--gamma-list must hold a gamma other than 1: every gamma gives "
                          f"m = n = {cfg.n}, where the calibration shape vanishes")
-    if args.verb == "mnist":
-        missing = [f"--{flag.replace('_', '-')}" for flag in MNIST_FLAGS if not getattr(args, flag)]
-        if 0 < len(missing) < len(MNIST_FLAGS):
-            raise ValueError(f"give all four IDX paths or none; missing {', '.join(missing)}")
     if getattr(args, "gamma", None) is not None and not 0.0 < args.gamma < math.inf:
         raise ValueError(f"--gamma must be a positive number, got {args.gamma!r}")
     # a file at --out or at one of its parents would fail mkdir after the run
@@ -287,32 +276,15 @@ def cmd_mp(args, cfg) -> int:
     return 0
 
 
-MNIST_FLAGS = ("images", "labels", "test_images", "test_labels")
-
-
-def _mnist_paths(args):
-    """The four IDX paths: all given on the command line, or all from $RFFLOW_DATA_DIR."""
-    paths = [getattr(args, flag) for flag in MNIST_FLAGS]
-    if all(paths):
-        return paths
-    base = os.environ.get(DATA_DIR_ENV)
-    if not base:
-        raise FileNotFoundError(
-            f"set {DATA_DIR_ENV} or pass --images, --labels, --test-images and --test-labels")
-    root = Path(base)
-    return (root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte",
-            root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
-
-
 def cmd_mnist(args, cfg) -> int:
     from .idx import load_idx
     from .runner import emit_budget_csv, emit_sweep_csv, m_for_gamma, sweep_tables
     from .svgplot import PlotSpec, Series, emit_svg
 
     try:
-        img, lab, timg, tlab = _mnist_paths(args)
-        train = load_idx(img, lab, classes=(0, 1), subsample=cfg.n, seed=cfg.seed)
-        test = load_idx(timg, tlab, classes=(0, 1))
+        train = load_idx(args.images, args.labels, classes=(0, 1), subsample=cfg.n,
+                         seed=cfg.seed)
+        test = load_idx(args.test_images, args.test_labels, classes=(0, 1))
     except (OSError, ValueError) as exc:  # missing, unreadable or too small inputs
         return _usage_error(args, str(exc))
 
@@ -363,8 +335,9 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="sweep feature counts or gamma values")
     common(p_sweep, seed=False)
-    p_sweep.add_argument("--m-list", help="comma-separated feature counts")
-    p_sweep.add_argument("--gamma-list", help="comma-separated m/n ratios")
+    axis = p_sweep.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--m-list", help="comma-separated feature counts")
+    axis.add_argument("--gamma-list", help="comma-separated m/n ratios")
     p_sweep.add_argument("--seeds", default="0,1,2,3,4")
     p_sweep.add_argument("--translate", action="store_true",
                          help="shift curves to a common minimum in the plot")
@@ -384,17 +357,15 @@ def main(argv=None) -> int:
 
     p_mn = sub.add_parser("mnist", help="two-class MNIST double-descent pipeline")
     common(p_mn)
-    p_mn.add_argument("--images")
-    p_mn.add_argument("--labels")
-    p_mn.add_argument("--test-images")
-    p_mn.add_argument("--test-labels")
+    for flag in ("--images", "--labels", "--test-images", "--test-labels"):
+        p_mn.add_argument(flag, required=True)
     p_mn.add_argument("--m-list")
     p_mn.add_argument("--seeds", default="0")
     p_mn.set_defaults(func=cmd_mnist, keys=("seed", "n", "feature_kind"))
 
     try:
         args, unknown = parser.parse_known_args(argv)
-    except _ParserError as exc:  # a malformed flag value or a missing verb
+    except _ParserError as exc:  # a malformed or missing flag, or a missing verb
         prog, message = exc.args
         print(f"{prog}: error: {message}", file=sys.stderr)
         return 2

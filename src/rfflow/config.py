@@ -50,8 +50,10 @@ class ExperimentConfig:
         need(self.feature_kind in FEATURE_KINDS, "feature_kind", f"must be one of {FEATURE_KINDS}")
         need(self.target_order >= 0, "target_order", "must be >= 0")
         need(self.target_order == 0 or self.d >= 3, "d", "must be >= 3 for a target of order >= 1")
-        need(-math.inf < self.t_log_start <= self.t_log_stop < math.inf, "t_log_start",
-             f"must be finite and <= t_log_stop = {self.t_log_stop!r}")
+        need(math.isfinite(self.t_log_start), "t_log_start", "must be finite")
+        need(math.isfinite(self.t_log_stop), "t_log_stop", "must be finite")
+        need(self.t_log_start <= self.t_log_stop, "t_log_start",
+             f"must be <= t_log_stop = {self.t_log_stop!r}")
         # the grid rises from 10^t_log_start to 10^(its last exponent), which the
         # rounded point count may put past t_log_stop: both ends must be doubles
         need(_power_of_ten(self.t_log_start) > 0, "t_log_start",

@@ -229,6 +229,8 @@ def run_experiment(cfg: ExperimentConfig,
 def _check_grid(values: list, seeds: Sequence[int]) -> None:
     if not values:
         raise ValueError("empty sweep axis")
+    if not seeds:
+        raise ValueError("empty seed list")
     if len(set(values)) < len(values) or len(set(seeds)) < len(seeds):
         raise ValueError("sweep axis values and seeds must be distinct")
 

@@ -29,6 +29,12 @@ def _overrides(tmp_path, verb="run"):
     return args
 
 
+# the flags a verb requires, for cases rejected before any file is opened
+_REQUIRED = {"sweep": ["--m-list", "10"],
+             "mnist": ["--images", "i", "--labels", "l",
+                       "--test-images", "ti", "--test-labels", "tl"]}
+
+
 def test_run_verb(tmp_path, capsys):
     assert main(["run", *_overrides(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -153,7 +159,8 @@ def test_gamma_sweep_is_the_count_sweep_relabelled(tmp_path, monkeypatch):
 
 def test_sweep_requires_axis(tmp_path, capsys):
     assert main(["sweep", *_overrides(tmp_path, "sweep")]) == 2
-    assert capsys.readouterr().err == "rfflow sweep: error: sweep needs --m-list or --gamma-list\n"
+    assert capsys.readouterr().err == ("rfflow sweep: error: one of the arguments "
+                                       "--m-list --gamma-list is required\n")
     assert main(["sweep", "--out", str(tmp_path / "new")]) == 2
     assert not (tmp_path / "new").exists()  # a usage error makes no output directory
 
@@ -195,9 +202,9 @@ def test_time_grid_beyond_a_double_is_a_one_line_usage_error(tmp_path, capsys, v
     (["sweep", "--gamma-list", "0.5,nan"], "--gamma-list"),
     (["mp", "--seeds", "0.9"], "--seeds"),
     (["mp", "--gamma-list", "-1"], "--gamma-list"),
-    (["mnist", "--seeds", "-1"], "--seeds"),
+    (["mnist", *_REQUIRED["mnist"], "--seeds", "-1"], "--seeds"),
     (["spectra", "--gamma", "0"], "--gamma"),
-    (["mnist", "--m-list", "20,x"], "--m-list"),
+    (["mnist", *_REQUIRED["mnist"], "--m-list", "20,x"], "--m-list"),
     (["sweep", "--m-list", "100,100"], "--m-list"),     # a cell would run twice
     (["sweep", "--m-list", "10", "--seeds", "0,0"], "--seeds"),
     (["sweep", "--gamma-list", "0.5,0.50"], "--gamma-list"),
@@ -218,7 +225,7 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["frob"], "rfflow: error: argument verb: invalid choice: 'frob'"),
     (["mp", "--gamma", "2"], "rfflow mp: error: unrecognized arguments: --gamma 2"),  # no prefixes
     (["sweep", "--m-list", "10", "--gamma-list", "2"],
-     "rfflow sweep: error: sweep takes --m-list or --gamma-list, not both"),
+     "rfflow sweep: error: argument --gamma-list: not allowed with argument --m-list"),
     (["spectra", "--set", "d=2"], "rfflow spectra: error: d must be >= 3 for spectra, got 2"),
     (["mp", "--set", "d=2"], "rfflow mp: error: d must be >= 3 for mp, got 2"),
     # labelled data is read by the mnist verb itself; the target has an order, no kind
@@ -238,9 +245,12 @@ def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     (["run", "--set", "target_order=1", "--set", "d=2"],
      "rfflow run: error: d must be >= 3 for a target of order >= 1, got 2"),
     # the test-set size, the Monte-Carlo size and delta are runner constants
-    *[([verb, "--set", f"{key}=1"], f"rfflow {verb}: error: unknown config key {key!r}")
+    *[([verb, *_REQUIRED.get(verb, []), "--set", f"{key}=1"],
+       f"rfflow {verb}: error: unknown config key {key!r}")
       for key in ("test_count", "assumption_points", "delta")
       for verb in ("run", "sweep", "spectra", "mp", "mnist")],
+    (["mnist"], "rfflow mnist: error: the following arguments are required: "
+                "--images, --labels, --test-images, --test-labels"),
 ])
 def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -248,13 +258,6 @@ def test_malformed_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not list(tmp_path.iterdir())  # nothing ran
-
-
-def _status(argv) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse rejects an unknown flag by exiting
-        return exc.code
 
 
 @pytest.mark.parametrize("extra", [
@@ -265,7 +268,7 @@ def _status(argv) -> int:
     ["--set", "time_map=obj-n"],
 ])
 def test_removed_execution_keys_are_usage_errors(tmp_path, extra):
-    assert _status(["run", *_overrides(tmp_path), *extra]) == 2
+    assert main(["run", *_overrides(tmp_path), *extra]) == 2
     assert not list(tmp_path.glob("run_*.csv"))
 
 
@@ -299,8 +302,8 @@ _READS = {
     (["sweep", "--m-list", "10", "--set", "seed=3"], "seed"),
     (["spectra", "--set", "n=50", "--set", "target_order=2"], "target_order"),
     (["mp", "--set", "n=50", "--set", "seed=3"], "seed"),
-    (["mnist", "--set", "t_per_decade=3"], "t_per_decade"),
-    (["mnist", "--set", "d=3"], "d"),
+    (["mnist", *_REQUIRED["mnist"], "--set", "t_per_decade=3"], "t_per_decade"),
+    (["mnist", *_REQUIRED["mnist"], "--set", "d=3"], "d"),
     # the key is reported before its value is parsed or checked
     (["mp", "--set", "m=abc"], "m"),
     (["mp", "--set", "m=0"], "m"),
@@ -676,29 +679,16 @@ def test_mnist_verb_on_synthetic_idx(tmp_path):
 
 def test_mnist_verb_takes_all_four_paths_or_none(tmp_path, monkeypatch, capsys):
     paths = regenerate.write_synthetic_idx(tmp_path)
-    # with no path flags the files come from RFFLOW_DATA_DIR
+    # the CLI reads no data directory: valid IDX files under MNIST's names in
+    # RFFLOW_DATA_DIR do not stand in for the path flags
     monkeypatch.setenv("RFFLOW_DATA_DIR", str(tmp_path))
-    assert main(["mnist", "--out", str(tmp_path / "env"), *_MNIST_ARGS]) == 0
-    flags = tmp_path / "flags"
-    assert main(["mnist", "--out", str(flags), *paths, *_MNIST_ARGS]) == 0
-    assert (flags / "mnist_minnorm.csv").read_bytes() == \
-        (tmp_path / "env" / "mnist_minnorm.csv").read_bytes()
-    # some but not all: a usage error naming the missing flags, even with the variable set
-    capsys.readouterr()
-    assert main(["mnist", "--out", str(tmp_path / "part"), *paths[:4], *_MNIST_ARGS]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("rfflow mnist: error: ") and err.count("\n") == 1
-    assert err.endswith("missing --test-images, --test-labels\n")
-    assert not (tmp_path / "part").exists()
-
-
-def test_mnist_verb_requires_paths(tmp_path, monkeypatch, capsys):
-    # no path flags and no data directory: a usage error naming the variable
-    monkeypatch.delenv("RFFLOW_DATA_DIR", raising=False)
-    assert main(["mnist", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("rfflow mnist: error: ") and err.count("\n") == 1
-    assert "RFFLOW_DATA_DIR" in err
+    for given, missing in (([], "--images, --labels, --test-images, --test-labels"),
+                           (paths[:4], "--test-images, --test-labels")):
+        out = tmp_path / "out"
+        assert main(["mnist", "--out", str(out), *given, *_MNIST_ARGS]) == 2
+        assert capsys.readouterr().err == ("rfflow mnist: error: the following arguments "
+                                           f"are required: {missing}\n")
+        assert not out.exists()
 
 
 def test_mnist_verb_leaves_no_out_directory_when_an_input_is_missing(tmp_path, capsys):

@@ -233,7 +233,7 @@ def test_grid_spanning_the_doubles_is_valid():
     ("d", dict(target_order=2, d=2)),
     ("feature_kind", dict(feature_kind="tanh")),
     ("t_log_start", dict(t_log_start=-math.inf)),
-    ("t_log_start", dict(t_log_stop=math.inf)),
+    ("t_log_stop", dict(t_log_stop=math.inf)),
     ("seed", dict(seed=-1)),              # numpy's seeding rejects it only inside the run
     ("t_log_stop", dict(t_log_stop=400.0)),                    # 10^400 overflows
     ("t_log_stop", dict(t_log_start=308.3, t_log_stop=308.3)),
@@ -245,9 +245,13 @@ def test_grid_spanning_the_doubles_is_valid():
     # 1.2e9 finite times, and one past MAX_GRID_POINTS
     ("t_per_decade", dict(t_per_decade=100_000_000)),
     ("t_per_decade", dict(t_log_start=0.0, t_log_stop=1.0, t_per_decade=MAX_GRID_POINTS)),
+    ("t_log_stop", dict(t_log_stop=-math.inf)),
+    ("t_log_stop", dict(t_log_stop=math.nan)),
+    ("t_log_start", dict(t_log_start=math.nan)),
 ])
 def test_invalid_config_fails_at_construction(key, overrides):
-    with pytest.raises(ValueError, match=key):
+    # the message starts with the key at fault, not merely mentions it
+    with pytest.raises(ValueError, match=rf"^{key} "):
         _tiny_config(**overrides)
 
 
@@ -497,6 +501,11 @@ def test_sweep_validation():
     cfg = _tiny_config()
     with pytest.raises(ValueError):
         runner.run_sweep(cfg, [0], m_values=[])
+    with pytest.raises(ValueError, match="empty"):
+        runner.run_sweep(cfg, [], m_values=[5])
+    data = features.Dataset(points=np.random.default_rng(0).random((20, 4)), targets=np.ones(20))
+    with pytest.raises(ValueError, match="empty"):
+        runner.sweep_tables(cfg, data, data, [5], [])
     with pytest.raises(ValueError, match="distinct"):
         runner.run_sweep(cfg, [0], m_values=[5, 5])
     with pytest.raises(ValueError, match="distinct"):
