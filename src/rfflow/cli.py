@@ -19,6 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+# Each verb imports the rfflow modules it uses when it runs: tests patch
+# runner.run_experiment, runner.seed_draw and runner.sweep_tables, which a
+# verb must look up at call time, and loading random_matrix, kernel_analytic
+# and idx for every verb would add 6-12 ms (python -X importtime) to each start-up.
+
 
 def _build_config(args):
     from .config import ExperimentConfig, apply_overrides, load_config, split_key_value
@@ -64,54 +69,26 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserError(self.prog, message)
 
 
-def _distinct(vs) -> bool:
-    return len(set(vs)) == len(vs)
-
-
-# list flag -> (type of each value, test of the whole list, the rule in words)
-LIST_FLAGS = {
-    "m_list": (int, lambda vs: _distinct(vs) and all(v >= 1 for v in vs),
-               "distinct comma-separated integers >= 1"),
-    "gamma_list": (float, lambda vs: _distinct(vs) and all(0.0 < v < math.inf for v in vs),
-                   "distinct comma-separated positive numbers"),
-    "seeds": (int, lambda vs: _distinct(vs) and all(v >= 0 for v in vs),
-              "distinct comma-separated integers >= 0"),
-}
-
-
-def _parse_flags(args, cfg) -> None:
-    """Replace the list flags by lists of numbers and check the flags' values.
-
-    argparse has already checked which flags the verb requires.  Runs before
-    the output directory is made; a ValueError names the flag.
-    """
-    from .runner import m_for_gamma
-
-    for dest, (cast, ok, rule) in LIST_FLAGS.items():
-        text = getattr(args, dest, None)
-        if text is None:
-            continue
+def _numbers(cast, each, rule, many=True):
+    """An argparse type: distinct comma-separated values, or one value if not
+    `many`, each cast and passing `each`; argparse reports any other text as
+    'argument FLAG: must be RULE, got TEXT'.  String defaults pass through it too."""
+    def parse(text):
         try:
-            values = [cast(tok) for tok in text.split(",")]
+            values = [cast(tok) for tok in (text.split(",") if many else [text])]
         except ValueError:
             values = []
-        if not (values and ok(values)):
-            raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, got {text!r}")
-        setattr(args, dest, values)
-    # below d = 3 there are no Gegenbauer weights (1-t^2)^((d-3)/2) or
-    # multiplicities N(d, n) for spectra, and every smallest Gram eigenvalue
-    # mp measures is round-off, so its calibration fails
-    if args.verb in ("spectra", "mp") and cfg.d < 3:
-        raise ValueError(f"d must be >= 3 for {args.verb}, got {cfg.d}")
-    if args.verb == "mp" and all(m_for_gamma(g, cfg.n) == cfg.n for g in args.gamma_list):
-        raise ValueError(f"--gamma-list must hold a gamma other than 1: every gamma gives "
-                         f"m = n = {cfg.n}, where the calibration shape vanishes")
-    if getattr(args, "gamma", None) is not None and not 0.0 < args.gamma < math.inf:
-        raise ValueError(f"--gamma must be a positive number, got {args.gamma!r}")
-    # a file at --out or at one of its parents would fail mkdir after the run
-    existing = next(p for p in (Path(args.out), *Path(args.out).parents) if os.path.lexists(p))
-    if not existing.is_dir():
-        raise ValueError(f"--out {args.out}: {existing} is not a directory")
+        if not (values and len(set(values)) == len(values) and all(map(each, values))):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return values if many else values[0]
+    return parse
+
+
+M_LIST = _numbers(int, lambda v: v >= 1, "distinct comma-separated integers >= 1")
+GAMMA_LIST = _numbers(float, lambda v: 0.0 < v < math.inf,
+                      "distinct comma-separated positive numbers")
+SEEDS = _numbers(int, lambda v: v >= 0, "distinct comma-separated integers >= 0")
+GAMMA = _numbers(float, lambda v: 0.0 < v < math.inf, "a positive number", many=False)
 
 
 def _out_dir(args) -> Path:
@@ -203,6 +180,8 @@ def cmd_spectra(args, cfg) -> int:
     from .runner import m_for_gamma, seed_draw, write_csv
     from .svgplot import PlotSpec, Series, emit_svg
 
+    if cfg.d < 3:  # no Gegenbauer weights (1-t^2)^((d-3)/2) or multiplicities N(d, n)
+        return _usage_error(args, f"d must be >= 3 for spectra, got {cfg.d}")
     n, d, m = cfg.n, cfg.d, m_for_gamma(args.gamma, cfg.n)
     data, feats = seed_draw(cfg, m)
 
@@ -242,7 +221,12 @@ def cmd_mp(args, cfg) -> int:
     from .svgplot import PlotSpec, Series, emit_svg
 
     n, d = cfg.n, cfg.d
+    if d < 3:  # every smallest Gram eigenvalue is round-off: the calibration fails
+        return _usage_error(args, f"d must be >= 3 for mp, got {d}")
     m_values = [m_for_gamma(g, n) for g in args.gamma_list]
+    if all(m == n for m in m_values):
+        return _usage_error(args, f"--gamma-list must hold a gamma other than 1: every gamma "
+                                  f"gives m = n = {n}, where the calibration shape vanishes")
 
     # one pass per seed: its draw at the largest m serves every gamma
     per_seed = []
@@ -336,9 +320,9 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="sweep feature counts or gamma values")
     common(p_sweep, seed=False)
     axis = p_sweep.add_mutually_exclusive_group(required=True)
-    axis.add_argument("--m-list", help="comma-separated feature counts")
-    axis.add_argument("--gamma-list", help="comma-separated m/n ratios")
-    p_sweep.add_argument("--seeds", default="0,1,2,3,4")
+    axis.add_argument("--m-list", type=M_LIST, help="comma-separated feature counts")
+    axis.add_argument("--gamma-list", type=GAMMA_LIST, help="comma-separated m/n ratios")
+    p_sweep.add_argument("--seeds", type=SEEDS, default="0,1,2,3,4")
     p_sweep.add_argument("--translate", action="store_true",
                          help="shift curves to a common minimum in the plot")
     p_sweep.set_defaults(func=cmd_sweep,
@@ -346,21 +330,21 @@ def main(argv=None) -> int:
 
     p_spec = sub.add_parser("spectra", help="gram vs kernel-matrix vs analytic spectra")
     common(p_spec)
-    p_spec.add_argument("--gamma", type=float, default=1.0)
+    p_spec.add_argument("--gamma", type=GAMMA, default=1.0)
     p_spec.set_defaults(func=cmd_spectra, keys=("seed", "n", "d", "feature_kind"))
 
     p_mp = sub.add_parser("mp", help="smallest-eigenvalue sweep and MP calibration")
     common(p_mp, seed=False)
-    p_mp.add_argument("--gamma-list", default="0.5,0.7,0.85,1.0,1.2,1.5,2.0")
-    p_mp.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
+    p_mp.add_argument("--gamma-list", type=GAMMA_LIST, default="0.5,0.7,0.85,1.0,1.2,1.5,2.0")
+    p_mp.add_argument("--seeds", type=SEEDS, default="0,1,2,3,4,5,6,7,8,9")
     p_mp.set_defaults(func=cmd_mp, keys=("n", "d", "feature_kind"))
 
     p_mn = sub.add_parser("mnist", help="two-class MNIST double-descent pipeline")
     common(p_mn)
     for flag in ("--images", "--labels", "--test-images", "--test-labels"):
         p_mn.add_argument(flag, required=True)
-    p_mn.add_argument("--m-list")
-    p_mn.add_argument("--seeds", default="0")
+    p_mn.add_argument("--m-list", type=M_LIST)
+    p_mn.add_argument("--seeds", type=SEEDS, default="0")
     p_mn.set_defaults(func=cmd_mnist, keys=("seed", "n", "feature_kind"))
 
     try:
@@ -373,9 +357,12 @@ def main(argv=None) -> int:
         return _usage_error(args, f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _build_config(args)
-        _parse_flags(args, cfg)
-    except (KeyError, ValueError) as exc:  # a bad flag or config value, not a failed run
+    except (KeyError, ValueError) as exc:  # a bad config value, not a failed run
         return _usage_error(args, exc.args[0])
+    # a file at --out or at one of its parents would fail mkdir after the run
+    existing = next(p for p in (Path(args.out), *Path(args.out).parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        return _usage_error(args, f"--out {args.out}: {existing} is not a directory")
     return args.func(args, cfg)
 
 

@@ -73,9 +73,8 @@ def sample_sphere(rng_seed, dim: int, count: int) -> np.ndarray:
 
 
 def sample_features(rng_seed, dim: int, count: int, kind: str = "relu") -> FeatureSet:
-    """Feature directions uniform on the sphere (S^dim for the affine kind)."""
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"unknown feature kind {kind!r}")
+    """Feature directions uniform on the sphere (S^dim for the affine kind);
+    FeatureSet rejects an unknown kind."""
     rows = dim + 1 if kind == "affine-relu" else dim
     return FeatureSet(directions=sample_sphere(rng_seed, rows, count), kind=kind)
 

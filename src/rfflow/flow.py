@@ -206,8 +206,7 @@ def errors_on_grid(dec: SpectralDecomposition, y: np.ndarray, feats: FeatureSet,
     the test block the call holds at most about (r + n + m + 256) x 128
     doubles, whatever the lengths of the grid and the test set.  At m = 2,500
     and N_test = 2,000, ``rfflow run`` on 9,602 grid times peaked at 94.2-94.5
-    MiB, where (N_test x 128) prediction blocks took 97.9-98.0 MiB and one
-    whole-grid block 462.4 MiB (one BLAS thread).
+    MiB (one BLAS thread).
     """
     grid = _check_times(list(times))
     if np.any(np.isinf(grid[:-1])):

@@ -83,10 +83,7 @@ def harmonic_multiplicity(d: int, n: int) -> int:
         raise ValueError("order must be >= 0")
     if n == 0:
         return 1
-    num = (2 * n + d - 2) * comb(n + d - 3, n - 1)
-    if num % n:
-        raise AssertionError("multiplicity formula did not divide evenly")
-    return num // n
+    return (2 * n + d - 2) * comb(n + d - 3, n - 1) // n  # divides exactly
 
 
 def legendre(d: int, n: int, t):

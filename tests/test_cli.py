@@ -213,12 +213,14 @@ def test_time_grid_beyond_a_double_is_a_one_line_usage_error(tmp_path, capsys, v
 def test_bad_list_flag_is_a_one_line_usage_error(tmp_path, capsys, argv, flag):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"rfflow {argv[0]}: error: {flag} must be ") and err.count("\n") == 1
+    assert err.startswith(f"rfflow {argv[0]}: error: argument {flag}: must be ")
+    assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())  # nothing ran
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["spectra", "--gamma", "abc"], "rfflow spectra: error: argument --gamma: invalid float"),
+    (["spectra", "--gamma", "abc"],
+     "rfflow spectra: error: argument --gamma: must be a positive number, got 'abc'"),
     (["run", "--seed", "x"], "rfflow run: error: argument --seed: invalid int value: 'x'"),
     (["run", "--bogus", "1"], "rfflow run: error: unrecognized arguments: --bogus 1"),
     (["mp", "--seeds"], "rfflow mp: error: argument --seeds: expected one argument"),

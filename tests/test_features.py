@@ -29,6 +29,8 @@ def test_sample_sphere_rejects_degenerate():
         features.sample_sphere(0, 0, 5)
     with pytest.raises(ValueError):
         features.sample_sphere(0, 3, 0)
+    with pytest.raises(ValueError, match="unknown feature kind 'bogus'"):
+        features.sample_features(0, 3, 5, "bogus")
 
 
 def test_seed_determinism():

@@ -356,6 +356,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
         loaded = sorted(name for name in sys.modules if name.startswith("rfflow."))
         assert loaded == [], loaded
         import rfflow.cli
+        loaded = sorted(name for name in sys.modules if name.startswith("rfflow."))
+        assert loaded == ["rfflow.cli"], loaded  # each verb imports its modules when it runs
         for mod in pkgutil.iter_modules(rfflow.__path__):
             importlib.import_module("rfflow." + mod.name)
         out = {str(tmp_path)!r}
